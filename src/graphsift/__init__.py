@@ -11,49 +11,18 @@ prior EER, threshold transfer, and weighted error rates.
 
 from .config import DetectorConfig, MatchConfig
 from .errors import GraphSiftError
-from .evaluation import (
-    ProtocolResult,
-    RocPoint,
-    ScoreRecord,
-    WerReport,
-    client_thresholds,
-    far_frr_at,
-    prior_eer,
-    roc,
-    run_protocol,
-    wer,
-)
-from .facegraph import (
-    CorrespondenceSet,
-    EdgeAttr,
-    FaceGraph,
-    build_graph,
-    directional_correspondence,
-    edge_attr,
-    mutual_correspondence,
-)
-from .imageio import GrayImage, histogram_equalize, load_image, save_pgm
-from .matcher import (
-    Constraint,
-    MatchScore,
-    WeightParams,
-    gaussian_weight,
-    gibmc_edge_score,
-    gibmc_vertex_score,
-    identify,
-    match,
-    rpbmc_pairs,
-)
+from .evaluation import ProtocolResult, run_protocol
+from .facegraph import FaceGraph, build_graph
+from .imageio import GrayImage, histogram_equalize, load_image
+from .matcher import Constraint, MatchScore, identify, match
 from .sift import Keypoint, extract_features
 from .store import GalleryDb, load, save
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Constraint",
-    "CorrespondenceSet",
     "DetectorConfig",
-    "EdgeAttr",
     "FaceGraph",
     "GalleryDb",
     "GrayImage",
@@ -62,30 +31,13 @@ __all__ = [
     "MatchConfig",
     "MatchScore",
     "ProtocolResult",
-    "RocPoint",
-    "ScoreRecord",
-    "WeightParams",
-    "WerReport",
     "build_graph",
-    "client_thresholds",
-    "directional_correspondence",
-    "edge_attr",
     "extract_features",
-    "far_frr_at",
-    "gaussian_weight",
-    "gibmc_edge_score",
-    "gibmc_vertex_score",
     "histogram_equalize",
     "identify",
     "load",
     "load_image",
     "match",
-    "mutual_correspondence",
-    "prior_eer",
-    "roc",
-    "rpbmc_pairs",
     "run_protocol",
     "save",
-    "save_pgm",
-    "wer",
 ]

@@ -168,6 +168,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
+    mcfg = _match_cfg(args)
     db = load(args.db)
     if db.detector_cfg_hash != det.digest():
         raise GraphSiftError(
@@ -178,7 +179,7 @@ def cmd_identify(args: argparse.Namespace) -> int:
     probe_path = Path(args.probe)
     probe = _extract_graph(probe_path, det, "?", probe_path.stem)
     constraint = Constraint(args.constraint)
-    ranking = identify(probe, list(db.entries), constraint, _match_cfg(args))
+    ranking = identify(probe, list(db.entries), constraint, mcfg)
     if args.top > 0:
         ranking = ranking[: args.top]
     if args.csv:
@@ -193,9 +194,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
+    mcfg = _match_cfg(args)
     g1 = _extract_graph(Path(args.gallery_image), det, "gallery", Path(args.gallery_image).stem)
     g2 = _extract_graph(Path(args.probe_image), det, "probe", Path(args.probe_image).stem)
-    score = match(g1, g2, Constraint(args.constraint), _match_cfg(args))
+    score = match(g1, g2, Constraint(args.constraint), mcfg)
     print(f"constraint: {score.constraint.value}")
     for name in (
         "vertex_raw", "edge_raw", "vertex_weighted", "edge_weighted", "combined",

@@ -1,13 +1,14 @@
 """Detector and matcher configuration, with a canonical text form.
 
-The text form (one ``key=value`` per line, keys in field order) is the
-interchange format for configs: the CLI accepts it as a file, and its
-64-bit digest identifies which detector settings produced a gallery.
+The text form (one ``key=value`` per line, keys in field order) is what
+a config's 64-bit digest hashes; the digest identifies which detector
+settings produced a gallery.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 
@@ -53,10 +54,6 @@ class DetectorConfig:
         if not 0 < self.descriptor_clamp <= 1:
             raise ValueError("descriptor_clamp must be in (0, 1]")
 
-    @property
-    def descriptor_length(self) -> int:
-        return self.descriptor_grid * self.descriptor_grid * self.descriptor_bins
-
     def to_text(self) -> str:
         lines = []
         for f in fields(self):
@@ -68,39 +65,10 @@ class DetectorConfig:
             lines.append(f"{f.name}={value}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "DetectorConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ValueError(f"line {lineno}: unknown key {key!r}")
-            kwargs[key] = _parse_value(value)
-        return cls(**kwargs)
-
     def digest(self) -> int:
         """64-bit digest of the canonical text form."""
         h = hashlib.blake2b(self.to_text().encode("utf-8"), digest_size=8)
         return int.from_bytes(h.digest(), "little")
-
-
-def _parse_value(value: str):
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    try:
-        return int(value)
-    except ValueError:
-        return float(value)
 
 
 @dataclass(frozen=True)
@@ -111,22 +79,24 @@ class MatchConfig:
     correspondences; ``multipliers`` are the weights for distances
     falling within 1, 2 and 3 standard deviations of the pair-distance
     mean; ``blend`` mixes the weighted vertex and edge scores
-    (0.5 = plain average); ``edge_weights`` scale the three edge
-    attribute components (length, orientation delta, log-scale delta)
-    inside the edge distance.
+    (0.5 = plain average).
+
+    The first multiplier must be positive: some distance always lies
+    within one sigma of the mean, so the weighted means never divide
+    by zero.
     """
 
     ratio: float = 0.8
     multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025)
     blend: float = 0.5
-    edge_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
-        if len(self.multipliers) != 3 or any(m < 0 for m in self.multipliers):
-            raise ValueError("multipliers must be three non-negative reals")
+        m = self.multipliers
+        if len(m) != 3 or not all(0 <= v < math.inf for v in m) or not m[0] > 0:
+            raise ValueError(
+                "multipliers must be three finite non-negative reals, the first positive"
+            )
         if not 0 <= self.blend <= 1:
             raise ValueError("blend must be in [0, 1]")
-        if len(self.edge_weights) != 3 or any(w < 0 for w in self.edge_weights):
-            raise ValueError("edge_weights must be three non-negative reals")

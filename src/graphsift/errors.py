@@ -25,12 +25,8 @@ class TooFewKeypoints(GraphSiftError):
     """Fewer keypoints than a face graph needs (minimum 2)."""
 
 
-class SelfLoop(GraphSiftError):
-    """Edge attributes requested for a vertex paired with itself."""
-
-
 class EmptyGraph(GraphSiftError):
-    """A matching operation received a graph with no vertices."""
+    """A face graph was constructed with no vertices."""
 
 
 class EmptyGallery(GraphSiftError):

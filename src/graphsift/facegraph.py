@@ -4,7 +4,7 @@ A face is the complete graph over its keypoints: every vertex carries
 the keypoint's descriptor, and every unordered vertex pair is an edge.
 Edges are never materialized; their attributes (normalized length,
 orientation difference, log-scale difference) are computed on demand
-from the endpoints.
+from per-vertex arrays the graph derives once from its keypoints.
 
 Correspondence between two graphs compares descriptors only. Location,
 scale and orientation are deliberately kept out of vertex matching
@@ -16,49 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import EmptyGraph, SelfLoop, TooFewKeypoints
+from .errors import EmptyGraph, TooFewKeypoints
 from .sift import Keypoint
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    w = (a + math.pi) % (2.0 * math.pi) - math.pi
-    return math.pi if w == -math.pi else w
-
-
-@dataclass(frozen=True)
-class EdgeAttr:
-    """Geometry of one edge: length is normalized by the graph diameter
-    so it lands in [0, 1]; dtheta is wrapped to (-pi, pi]."""
-
-    length: float
-    dtheta: float
-    dlogscale: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.length, self.dtheta, self.dlogscale])
-
-
-class CorrespondenceMode(Enum):
-    DIRECTIONAL = "directional"
-    MUTUAL = "mutual"
 
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Vertex pairs (gallery index, probe index, descriptor distance).
-
-    Directional mode is injective in the gallery coordinate only; mutual
-    mode is one-to-one in both.
-    """
+    """Mutual vertex pairs (gallery index, probe index, descriptor
+    distance); one-to-one in both coordinates."""
 
     pairs: tuple[tuple[int, int, float], ...]
-    mode: CorrespondenceMode
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -74,16 +45,38 @@ class CorrespondenceSet:
 class FaceGraph:
     """Complete graph over a face's keypoints.
 
-    ``descriptors`` is the stacked float64 (n, 128) matrix and
-    ``diameter`` the maximum pairwise endpoint distance; both are
-    computed once at construction and reused by every match.
+    Every match reads the graph through arrays derived once from the
+    vertices at construction: ``descriptors`` (float64, n x 128),
+    ``xy`` (n x 2), ``theta`` (orientations), ``logscale`` (natural log
+    of each scale) and ``diameter``, the maximum pairwise endpoint
+    distance.
     """
 
     vertices: tuple[Keypoint, ...]
     subject_id: str
     image_id: str
-    descriptors: np.ndarray = field(repr=False, compare=False)
-    diameter: float = field(compare=False)
+    descriptors: np.ndarray = field(init=False, repr=False, compare=False)
+    xy: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
+    logscale: np.ndarray = field(init=False, repr=False, compare=False)
+    diameter: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        kps = self.vertices
+        if not kps:
+            raise EmptyGraph(f"{self.image_id!r}: a face graph needs vertices")
+        xy = np.array([[kp.x, kp.y] for kp in kps])
+        derived = {
+            "descriptors": np.stack([kp.descriptor for kp in kps]).astype(np.float64),
+            "xy": xy,
+            "theta": np.array([kp.orientation for kp in kps]),
+            # math.log, not np.log: np.log differs in the last ulp on
+            # some float32 scales, which would move scores
+            "logscale": np.array([math.log(kp.scale) for kp in kps]),
+            "diameter": float(cdist(xy, xy).max()),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vertices(self) -> int:
@@ -94,9 +87,6 @@ class FaceGraph:
         n = len(self.vertices)
         return n * (n - 1) // 2
 
-    def positions(self) -> np.ndarray:
-        return np.array([[kp.x, kp.y] for kp in self.vertices])
-
 
 def build_graph(
     kps: list[Keypoint], subject_id: str, image_id: str
@@ -106,64 +96,29 @@ def build_graph(
         raise TooFewKeypoints(
             f"{image_id!r}: got {len(kps)} keypoints, need at least 2"
         )
-    desc = np.stack([kp.descriptor for kp in kps]).astype(np.float64)
-    pos = np.array([[kp.x, kp.y] for kp in kps])
-    diameter = float(cdist(pos, pos).max())
-    return FaceGraph(
-        vertices=tuple(kps),
-        subject_id=subject_id,
-        image_id=image_id,
-        descriptors=desc,
-        diameter=diameter,
-    )
-
-
-def edge_attr(g: FaceGraph, i: int, j: int) -> EdgeAttr:
-    """Attributes of the edge between vertices i and j (in that order:
-    dtheta and dlogscale flip sign when the endpoints swap)."""
-    n = g.n_vertices
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"vertex index out of range for {n}-vertex graph")
-    if i == j:
-        raise SelfLoop(f"vertex {i} paired with itself")
-    a, b = g.vertices[i], g.vertices[j]
-    length = math.hypot(a.x - b.x, a.y - b.y)
-    if g.diameter > 0.0:
-        length /= g.diameter
-    return EdgeAttr(
-        length=length,
-        dtheta=wrap_angle(a.orientation - b.orientation),
-        dlogscale=math.log(a.scale) - math.log(b.scale),
-    )
+    return FaceGraph(vertices=tuple(kps), subject_id=subject_id, image_id=image_id)
 
 
 def edge_component_arrays(
     g: FaceGraph, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """EdgeAttr components for all edges of the sub-graph on ``idx``.
+    """Edge attributes for all edges of the sub-graph on ``idx``.
 
     Edges follow np.triu_indices order over the given vertex sequence.
-    Each formula mirrors edge_attr exactly so the vectorized and scalar
-    paths agree to the bit.
+    Returns the length normalized by the graph diameter (in [0, 1]),
+    the orientation difference wrapped to (-pi, pi], and the log-scale
+    difference; the last two flip sign when an edge's endpoints swap.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    xs = np.array([g.vertices[i].x for i in idx])
-    ys = np.array([g.vertices[i].y for i in idx])
-    thetas = np.array([g.vertices[i].orientation for i in idx])
-    logs = np.array([math.log(g.vertices[i].scale) for i in idx])
     a, b = np.triu_indices(len(idx), k=1)
-    length = np.hypot(xs[a] - xs[b], ys[a] - ys[b])
+    a, b = idx[a], idx[b]
+    xy = g.xy
+    length = np.hypot(xy[a, 0] - xy[b, 0], xy[a, 1] - xy[b, 1])
     if g.diameter > 0.0:
         length = length / g.diameter
-    dtheta = (thetas[a] - thetas[b] + math.pi) % (2.0 * math.pi) - math.pi
+    dtheta = (g.theta[a] - g.theta[b] + math.pi) % (2.0 * math.pi) - math.pi
     dtheta[dtheta == -math.pi] = math.pi
-    return length, dtheta, logs[a] - logs[b]
-
-
-def _descriptor_distances(g1: FaceGraph, g2: FaceGraph) -> np.ndarray:
-    if g1.n_vertices == 0 or g2.n_vertices == 0:
-        raise EmptyGraph("correspondence needs non-empty graphs")
-    return cdist(g1.descriptors, g2.descriptors)
+    return length, dtheta, g.logscale[a] - g.logscale[b]
 
 
 def _ratio_accepted(dist: np.ndarray, ratio: float) -> list[tuple[int, int, float]]:
@@ -187,30 +142,15 @@ def _ratio_accepted(dist: np.ndarray, ratio: float) -> list[tuple[int, int, floa
     ]
 
 
-def directional_correspondence(
-    g1: FaceGraph, g2: FaceGraph, ratio: float = 0.8
-) -> CorrespondenceSet:
-    """Each g1 vertex to its nearest g2 vertex, ratio-test filtered.
-
-    g2 vertices may repeat; combating that is the mutual variant's job.
-    """
-    dist = _descriptor_distances(g1, g2)
-    return CorrespondenceSet(
-        pairs=tuple(_ratio_accepted(dist, ratio)),
-        mode=CorrespondenceMode.DIRECTIONAL,
-    )
-
-
 def mutual_correspondence(
     g1: FaceGraph, g2: FaceGraph, ratio: float = 0.8
 ) -> CorrespondenceSet:
-    """Pairs kept iff each endpoint is the other's accepted nearest
-    neighbor; one-to-one in both coordinates by construction."""
-    dist = _descriptor_distances(g1, g2)
+    """Pairs kept iff each endpoint is the other's ratio-test-accepted
+    nearest neighbor; one-to-one in both coordinates by construction."""
+    dist = cdist(g1.descriptors, g2.descriptors)
     forward = _ratio_accepted(dist, ratio)
     backward = _ratio_accepted(dist.T, ratio)
     reverse_best = {i2: j2 for i2, j2, _ in backward}
-    pairs = tuple(
-        (i, j, d) for i, j, d in forward if reverse_best.get(j) == i
+    return CorrespondenceSet(
+        pairs=tuple((i, j, d) for i, j, d in forward if reverse_best.get(j) == i)
     )
-    return CorrespondenceSet(pairs=pairs, mode=CorrespondenceMode.MUTUAL)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .config import MatchConfig
-from .errors import EmptyGallery, EmptyGraph, TooFewKeypoints
+from .errors import EmptyGallery, TooFewKeypoints
 from .facegraph import (
     CorrespondenceSet,
     FaceGraph,
@@ -37,16 +37,6 @@ from .facegraph import (
 class Constraint(Enum):
     GIBMC = "gibmc"
     RPBMC = "rpbmc"
-
-
-@dataclass(frozen=True)
-class WeightParams:
-    """Mean and population standard deviation of a distance list, plus
-    the per-band multipliers applied around them."""
-
-    mu: float
-    sigma: float
-    multipliers: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -74,59 +64,46 @@ class MatchScore:
 
 def gibmc_vertex_score(
     g_gallery: FaceGraph, g_probe: FaceGraph
-) -> tuple[np.ndarray, float]:
-    """Per-gallery-vertex minimum descriptor distance and its mean."""
-    if g_gallery.n_vertices == 0 or g_probe.n_vertices == 0:
-        raise EmptyGraph("vertex scoring needs non-empty graphs")
-    dist = cdist(g_gallery.descriptors, g_probe.descriptors)
-    minima = dist.min(axis=1)
-    return minima, float(minima.mean())
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Per-gallery-vertex minimum descriptor distance, its mean, and the
+    pairing the GIBMC edge stage runs on, all from one distance matrix.
 
-
-def _min_distance_pairing(
-    g_gallery: FaceGraph, g_probe: FaceGraph
-) -> list[tuple[int, int]]:
-    """Per-gallery-vertex best probe target, reduced to unique targets.
-
-    When several gallery vertices share a probe target only the
-    smallest-distance one survives (ties keep the lowest gallery
-    index). This is the pairing the GIBMC edge stage runs on.
+    The pairing takes each gallery vertex to its nearest probe vertex
+    and keeps, per probe target, only the smallest-distance gallery
+    vertex (ties keep the lowest gallery index). It is a (k, 2) index
+    array of (gallery, probe) rows in ascending gallery order.
     """
     dist = cdist(g_gallery.descriptors, g_probe.descriptors)
-    best_j = dist.argmin(axis=1)
-    by_target: dict[int, tuple[float, int]] = {}
-    for i, j in enumerate(best_j):
-        d = float(dist[i, j])
-        held = by_target.get(int(j))
-        if held is None or d < held[0]:
-            by_target[int(j)] = (d, i)
-    return sorted((i, j) for j, (_, i) in by_target.items())
+    best = dist.argmin(axis=1)
+    minima = dist[np.arange(len(dist)), best]
+    # a stable sort by distance puts the lowest gallery index first
+    # among ties, so the first occurrence of each target is the keeper
+    order = np.argsort(minima, kind="stable")
+    _, first = np.unique(best[order], return_index=True)
+    kept = np.sort(order[first])
+    return minima, float(minima.mean()), np.column_stack((kept, best[kept]))
 
 
 def gibmc_edge_score(
     g_gallery: FaceGraph,
     g_probe: FaceGraph,
-    vertex_pairs: list[tuple[int, int]],
-    edge_weights: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    vertex_pairs: np.ndarray,
 ) -> tuple[np.ndarray, float]:
     """Edge-attribute distances over the paired sub-graphs.
 
+    ``vertex_pairs`` holds one (gallery, probe) index row per pair.
     Edge (a, a') corresponds to (b, b') iff a-b and a'-b' are vertex
     pairs; the per-edge distance is the Euclidean norm of the
-    component-wise EdgeAttr difference (components scaled by
-    ``edge_weights``). Fewer than 2 vertex pairs means no edges: the
-    result is an empty list and 0.0, flagged by n_edge_pairs = 0.
+    component-wise difference of their edge attributes. Fewer than 2
+    vertex pairs means no edges: the result is an empty list and 0.0,
+    flagged by n_edge_pairs = 0.
     """
     if len(vertex_pairs) < 2:
         return np.empty(0), 0.0
-    gal_idx = np.array([i for i, _ in vertex_pairs], dtype=np.intp)
-    prb_idx = np.array([j for _, j in vertex_pairs], dtype=np.intp)
-    gl, gt, gs = edge_component_arrays(g_gallery, gal_idx)
-    pl, pt, ps = edge_component_arrays(g_probe, prb_idx)
-    w0, w1, w2 = edge_weights
-    dists = np.sqrt(
-        (w0 * (gl - pl)) ** 2 + (w1 * (gt - pt)) ** 2 + (w2 * (gs - ps)) ** 2
-    )
+    pairs = np.asarray(vertex_pairs, dtype=np.intp)
+    gl, gt, gs = edge_component_arrays(g_gallery, pairs[:, 0])
+    pl, pt, ps = edge_component_arrays(g_probe, pairs[:, 1])
+    dists = np.sqrt((gl - pl) ** 2 + (gt - pt) ** 2 + (gs - ps) ** 2)
     return dists, float(dists.mean())
 
 
@@ -168,20 +145,6 @@ def band_multipliers(
     return out
 
 
-def gaussian_weight(
-    distances: np.ndarray | list[float],
-    multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025),
-) -> tuple[WeightParams, np.ndarray]:
-    """Multiply each distance by its empirical-rule band multiplier."""
-    arr = np.asarray(distances, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("cannot weight an empty distance list")
-    mu = float(arr.mean())
-    sigma = float(arr.std())
-    mults = band_multipliers(arr, mu, sigma, multipliers)
-    return WeightParams(mu, sigma, multipliers), arr * mults
-
-
 def weighted_mean(
     distances: np.ndarray | list[float],
     multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025),
@@ -213,8 +176,7 @@ def match(
         raise TooFewKeypoints("matching needs graphs with at least 2 vertices")
 
     if constraint is Constraint.GIBMC:
-        vertex_dists, vertex_raw = gibmc_vertex_score(g_gallery, g_probe)
-        pairs = _min_distance_pairing(g_gallery, g_probe)
+        vertex_dists, vertex_raw, pairs = gibmc_vertex_score(g_gallery, g_probe)
     else:
         cs = rpbmc_pairs(g_gallery, g_probe, cfg.ratio)
         if len(cs) < 2:
@@ -224,11 +186,9 @@ def match(
             return MatchScore(inf, inf, inf, inf, inf, len(cs), 0, constraint)
         vertex_dists = np.array([d for _, _, d in cs.pairs])
         vertex_raw = float(vertex_dists.mean())
-        pairs = [(i, j) for i, j, _ in cs.pairs]
+        pairs = np.array([(i, j) for i, j, _ in cs.pairs], dtype=np.intp)
 
-    edge_dists, edge_raw = gibmc_edge_score(
-        g_gallery, g_probe, pairs, cfg.edge_weights
-    )
+    edge_dists, edge_raw = gibmc_edge_score(g_gallery, g_probe, pairs)
     vertex_weighted = weighted_mean(vertex_dists, cfg.multipliers)
     if edge_dists.size:
         edge_weighted = weighted_mean(edge_dists, cfg.multipliers)

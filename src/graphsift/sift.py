@@ -287,7 +287,7 @@ def localize_keypoint(
     h, w = stack[0].shape
     x, y, layer = cand.x, cand.y, cand.layer
 
-    offset = grad = cube = None
+    offset = grad = cube = hess = None
     for step in range(_MAX_REFINE_STEPS):
         cube = _cube(stack, layer, y, x)
         grad = _gradient(cube)
@@ -310,10 +310,7 @@ def localize_keypoint(
     if abs(value) < cfg.contrast_threshold:
         return Rejection(cand, RejectReason.LOW_CONTRAST)
 
-    dxx, dxy = cube[1, 1, 2] - 2 * cube[1, 1, 1] + cube[1, 1, 0], 0.25 * (
-        cube[1, 2, 2] - cube[1, 2, 0] - cube[1, 0, 2] + cube[1, 0, 0]
-    )
-    dyy = cube[1, 2, 1] - 2 * cube[1, 1, 1] + cube[1, 0, 1]
+    dxx, dxy, dyy = hess[0, 0], hess[0, 1], hess[1, 1]
     trace = dxx + dyy
     det = dxx * dyy - dxy * dxy
     r = cfg.edge_ratio

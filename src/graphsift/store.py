@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     ChecksumMismatch,
+    GraphSiftError,
     StoreError,
     TruncatedFile,
     UnsupportedVersion,
@@ -42,6 +43,7 @@ MAGIC = b"GSFT"
 FORMAT_VERSION = 1
 _DESC_LEN = 128
 _KP_STRUCT = struct.Struct("<ffff")
+_CRC_MISMATCH = "payload CRC does not match the stored value"
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,13 @@ class _Reader:
 
 
 def load(path: str | Path) -> GalleryDb:
+    """Read a gallery file; any fault in it raises a StoreError.
+
+    The CRC is checked before the entries are trusted: a file whose
+    entries fail to parse is reported as a checksum mismatch unless it
+    ends before its declared contents do (TruncatedFile). An entry that
+    fails to parse under a matching CRC is reported as a StoreError.
+    """
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise TruncatedFile(f"{len(data)} bytes is shorter than the magic")
@@ -128,7 +137,24 @@ def load(path: str | Path) -> GalleryDb:
         raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
     if len(data) < 24:
         raise TruncatedFile(f"{len(data)} bytes is shorter than a header")
+    intact = zlib.crc32(data[:-4]) == struct.unpack("<I", data[-4:])[0]
+    try:
+        db = _parse(data)
+    except TruncatedFile:
+        # a file cut short fails the CRC too; the shortfall says more
+        raise
+    except (GraphSiftError, ValueError) as exc:
+        if not intact:
+            raise ChecksumMismatch(_CRC_MISMATCH) from exc
+        if isinstance(exc, StoreError):
+            raise
+        raise StoreError(f"malformed gallery entry: {exc}") from exc
+    if not intact:
+        raise ChecksumMismatch(_CRC_MISMATCH)
+    return db
 
+
+def _parse(data: bytes) -> GalleryDb:
     r = _Reader(data, len(data) - 4)
     r.take(4)  # magic
     version = r.u32()
@@ -154,10 +180,6 @@ def load(path: str | Path) -> GalleryDb:
         raise TruncatedFile(
             f"{r.limit - r.pos} unexpected bytes between entries and checksum"
         )
-
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise ChecksumMismatch("payload CRC does not match the stored value")
     return GalleryDb(
         detector_cfg_hash=cfg_hash,
         entries=tuple(graphs),

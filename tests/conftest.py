@@ -1,10 +1,16 @@
-"""Shared fixtures: the seeded corpus and its extracted graphs.
+"""Shared fixtures and references.
 
-Extraction over the full corpus is the expensive step, so it happens
-once per session; tests treat the resulting graphs as read-only.
+The seeded corpus and its extracted graphs: extraction over the full
+corpus is the expensive step, so it happens once per session; tests
+treat the resulting graphs as read-only. The scalar edge-attribute
+reference (``edge_attr``) is the oracle for the library's vectorized
+``edge_component_arrays``.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -61,3 +67,39 @@ def random_keypoint(rng: np.random.Generator) -> Keypoint:
 
 def random_graph(rng: np.random.Generator, n: int, subject="s", image="i"):
     return build_graph([random_keypoint(rng) for _ in range(n)], subject, image)
+
+
+def wrap_angle(a: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    w = (a + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if w == -math.pi else w
+
+
+@dataclass(frozen=True)
+class EdgeAttr:
+    """Geometry of one edge: length is normalized by the graph diameter
+    so it lands in [0, 1]; dtheta is wrapped to (-pi, pi]."""
+
+    length: float
+    dtheta: float
+    dlogscale: float
+
+
+def edge_attr(g, i: int, j: int) -> EdgeAttr:
+    """Attributes of the edge between vertices i and j (in that order:
+    dtheta and dlogscale flip sign when the endpoints swap), computed
+    one scalar at a time from the keypoints."""
+    n = g.n_vertices
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"vertex index out of range for {n}-vertex graph")
+    if i == j:
+        raise ValueError(f"vertex {i} paired with itself")
+    a, b = g.vertices[i], g.vertices[j]
+    length = math.hypot(a.x - b.x, a.y - b.y)
+    if g.diameter > 0.0:
+        length /= g.diameter
+    return EdgeAttr(
+        length=length,
+        dtheta=wrap_angle(a.orientation - b.orientation),
+        dlogscale=math.log(a.scale) - math.log(b.scale),
+    )

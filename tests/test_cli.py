@@ -1,8 +1,12 @@
 """CLI behaviour through main(argv): exit codes, output, error paths."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import graphsift
 from graphsift.cli import main
 from graphsift.config import DetectorConfig
 from graphsift.imageio import GrayImage, save_pgm
@@ -221,3 +225,16 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_zero_multipliers_rejected(self, cli_corpus, capsys):
+        # all-zero bands would make every weighted mean 0/0 = NaN
+        img = str(cli_corpus / "s000_i00.pgm")
+        assert main(["match", img, img, "--multipliers", "0", "0", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: .*multipliers.*\n", captured.err)
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.+)"$', text, re.M).group(1) == graphsift.__version__

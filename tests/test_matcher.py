@@ -4,23 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from graphsift.config import MatchConfig
 from graphsift.errors import EmptyGallery, TooFewKeypoints
-from graphsift.facegraph import (
-    CorrespondenceMode,
-    FaceGraph,
-    build_graph,
-    edge_attr,
-    mutual_correspondence,
-)
+from graphsift.facegraph import FaceGraph, build_graph, mutual_correspondence
 from graphsift.matcher import (
     Constraint,
     REPORT_HEADER,
-    _min_distance_pairing,
     band_multipliers,
-    gaussian_weight,
     gibmc_edge_score,
     gibmc_vertex_score,
     identify,
@@ -31,7 +24,7 @@ from graphsift.matcher import (
 )
 from graphsift.sift import Keypoint
 
-from conftest import random_graph, random_keypoint
+from conftest import edge_attr, random_graph, random_keypoint
 
 DEFAULT_MULTS = (0.075, 0.05, 0.025)
 
@@ -49,10 +42,7 @@ def graph_from_rows(rows, subject="s", image="i", positions=None):
 
 
 def single_vertex_graph(kp, subject="s", image="i"):
-    return FaceGraph(
-        vertices=(kp,), subject_id=subject, image_id=image,
-        descriptors=kp.descriptor[None, :].astype(np.float64), diameter=0.0,
-    )
+    return FaceGraph(vertices=(kp,), subject_id=subject, image_id=image)
 
 
 def vertex_score_oracle(g1, g2):
@@ -66,7 +56,28 @@ def vertex_score_oracle(g1, g2):
     return minima, sum(minima) / len(minima)
 
 
-def edge_score_oracle(g1, g2, pairs, weights=(1.0, 1.0, 1.0)):
+def pairing_oracle(g1, g2):
+    """Dict-loop dedup of the per-gallery-vertex nearest probe target:
+    per target the smallest distance wins, ties keep the first (lowest)
+    gallery index; pairs come back sorted."""
+    dist = cdist(g1.descriptors, g2.descriptors)
+    by_target = {}
+    for i, j in enumerate(dist.argmin(axis=1)):
+        d = float(dist[i, j])
+        held = by_target.get(int(j))
+        if held is None or d < held[0]:
+            by_target[int(j)] = (d, i)
+    return sorted((i, j) for j, (_, i) in by_target.items())
+
+
+def pairing(g1, g2):
+    """The GIBMC edge-stage pairing as a sorted list of tuples."""
+    pairs = gibmc_vertex_score(g1, g2)[2]
+    assert pairs.shape[1:] == (2,)
+    return [tuple(p) for p in pairs.tolist()]
+
+
+def edge_score_oracle(g1, g2, pairs):
     """Scalar loop over corresponding edge pairs, triu order."""
     dists = []
     for a in range(len(pairs)):
@@ -75,9 +86,9 @@ def edge_score_oracle(g1, g2, pairs, weights=(1.0, 1.0, 1.0)):
             i2, j2 = pairs[b]
             ea, eb = edge_attr(g1, i1, i2), edge_attr(g2, j1, j2)
             dists.append(math.sqrt(
-                (weights[0] * (ea.length - eb.length)) ** 2
-                + (weights[1] * (ea.dtheta - eb.dtheta)) ** 2
-                + (weights[2] * (ea.dlogscale - eb.dlogscale)) ** 2
+                (ea.length - eb.length) ** 2
+                + (ea.dtheta - eb.dtheta) ** 2
+                + (ea.dlogscale - eb.dlogscale) ** 2
             ))
     return dists
 
@@ -100,7 +111,7 @@ class TestVertexScore:
         for _ in range(10):
             g1 = random_graph(rng, int(rng.integers(2, 25)))
             g2 = random_graph(rng, int(rng.integers(2, 25)))
-            minima, mean = gibmc_vertex_score(g1, g2)
+            minima, mean, _ = gibmc_vertex_score(g1, g2)
             want_minima, want_mean = vertex_score_oracle(g1, g2)
             assert len(minima) == g1.n_vertices
             np.testing.assert_allclose(minima, want_minima, rtol=1e-12)
@@ -111,7 +122,7 @@ class TestVertexScore:
         u, v = random_keypoint(rng), random_keypoint(rng)
         gallery = build_graph([u, v], "s", "g")
         probe = single_vertex_graph(u, image="p")
-        minima, mean = gibmc_vertex_score(gallery, probe)
+        minima, mean, _ = gibmc_vertex_score(gallery, probe)
         d_uv = float(np.linalg.norm(
             gallery.descriptors[0] - gallery.descriptors[1]
         ))
@@ -121,7 +132,7 @@ class TestVertexScore:
 
     def test_identity_is_exactly_zero(self):
         g = random_graph(np.random.default_rng(22), 10)
-        minima, mean = gibmc_vertex_score(g, g)
+        minima, mean, _ = gibmc_vertex_score(g, g)
         assert np.all(minima == 0.0)
         assert mean == 0.0
 
@@ -134,7 +145,7 @@ class TestMinDistancePairing:
         gallery[0, 1], gallery[1, 2], gallery[2, 3] = 3.0, 1.0, 2.0
         g1 = graph_from_rows(gallery)
         g2 = graph_from_rows(probe)
-        assert _min_distance_pairing(g1, g2) == [(1, 0)]
+        assert pairing(g1, g2) == [(1, 0)]
 
     def test_tie_keeps_lowest_gallery_index(self):
         probe = np.zeros((2, 128), dtype=np.float32)
@@ -144,23 +155,40 @@ class TestMinDistancePairing:
         gallery[1, 2] = 2.0  # same distance to probe 0 as gallery 0
         gallery[2, 3] = 5.0
         g1 = graph_from_rows(gallery)
-        assert _min_distance_pairing(g1, graph_from_rows(probe)) == [(0, 0)]
+        assert pairing(g1, graph_from_rows(probe)) == [(0, 0)]
 
     def test_distinct_targets_all_survive_sorted(self):
         rng = np.random.default_rng(23)
         g = random_graph(rng, 8)
-        pairs = _min_distance_pairing(g, g)
-        assert pairs == [(i, i) for i in range(8)]
+        assert pairing(g, g) == [(i, i) for i in range(8)]
 
     def test_probe_targets_unique(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
             g1 = random_graph(rng, int(rng.integers(2, 20)))
             g2 = random_graph(rng, int(rng.integers(2, 20)))
-            pairs = _min_distance_pairing(g1, g2)
+            pairs = pairing(g1, g2)
             targets = [j for _, j in pairs]
             assert len(set(targets)) == len(targets)
             assert pairs == sorted(pairs)
+            assert pairs == pairing_oracle(g1, g2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                 min_size=2, max_size=40),
+        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                 min_size=2, max_size=12),
+    )
+    def test_matches_dict_loop_oracle_with_ties(self, gallery, probe):
+        # Descriptors on a {0, 1, 2}^3 grid: distances are square roots
+        # of small integers, so exact ties in distance and target are
+        # the common case.
+        def graph(rows):
+            return graph_from_rows(np.pad(np.array(rows), ((0, 0), (0, 125))))
+
+        g1, g2 = graph(gallery), graph(probe)
+        assert pairing(g1, g2) == pairing_oracle(g1, g2)
 
 
 class TestEdgeScore:
@@ -168,20 +196,11 @@ class TestEdgeScore:
         rng = np.random.default_rng(25)
         g1, g2 = random_graph(rng, 9), random_graph(rng, 9)
         pairs = [(0, 3), (2, 5), (4, 1), (7, 8)]
-        dists, mean = gibmc_edge_score(g1, g2, pairs)
+        dists, mean = gibmc_edge_score(g1, g2, np.array(pairs))
         want = edge_score_oracle(g1, g2, pairs)
         assert len(dists) == len(pairs) * (len(pairs) - 1) // 2
         np.testing.assert_allclose(dists, want, rtol=1e-9)
         assert mean == pytest.approx(sum(want) / len(want), rel=1e-9)
-
-    def test_component_weights_applied(self):
-        rng = np.random.default_rng(26)
-        g1, g2 = random_graph(rng, 6), random_graph(rng, 6)
-        pairs = [(0, 0), (1, 1), (2, 2)]
-        weights = (2.0, 0.5, 3.0)
-        dists, _ = gibmc_edge_score(g1, g2, pairs, weights)
-        want = edge_score_oracle(g1, g2, pairs, weights)
-        np.testing.assert_allclose(dists, want, rtol=1e-9)
 
     @pytest.mark.parametrize("n_pairs", [0, 1])
     def test_fewer_than_two_pairs(self, n_pairs):
@@ -216,7 +235,6 @@ class TestRpbmcPairs:
         got = rpbmc_pairs(g1, g2, ratio=0.95)
         want = mutual_correspondence(g1, g2, ratio=0.95)
         assert got.pairs == want.pairs
-        assert got.mode is CorrespondenceMode.MUTUAL
 
 
 class TestBanding:
@@ -240,23 +258,21 @@ class TestBanding:
         assert list(mults) == [0.075, 0.075, 0.05, 0.05, 0.025, 0.025, 0.0]
 
     def test_two_value_hand_case(self):
-        params, weighted = gaussian_weight([0.0, 10.0])
-        assert params.mu == 5.0
-        assert params.sigma == 5.0
-        assert list(weighted) == [0.0, 0.75]
+        # mean 5 and population sigma 5 put both values on the 1-sigma edge
+        assert list(band_multipliers([0.0, 10.0], 5.0, 5.0)) == [0.075, 0.075]
+        assert weighted_mean([0.0, 10.0]) == 0.375
 
     def test_gaussian_weight_params_and_product(self):
         rng = np.random.default_rng(31)
         arr = rng.random(64)
-        params, weighted = gaussian_weight(arr)
-        assert params.mu == float(arr.mean())
-        assert params.sigma == float(arr.std())
-        mults = band_multipliers(arr, params.mu, params.sigma)
-        assert np.array_equal(weighted, arr * mults)
+        mults = band_multipliers(arr, float(arr.mean()), float(arr.std()))
+        assert weighted_mean(arr) == float(
+            (arr * mults).sum() / np.count_nonzero(mults)
+        )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            gaussian_weight([])
+            weighted_mean([])
         with pytest.raises(ValueError):
             weighted_mean(np.empty(0))
 
@@ -270,8 +286,7 @@ class TestBanding:
         rng = np.random.default_rng(32)
         for _ in range(200):
             arr = rng.normal(0.0, rng.uniform(0.1, 10.0), size=int(rng.integers(1, 40)))
-            params, _ = gaussian_weight(arr)
-            mults = band_multipliers(arr, params.mu, params.sigma)
+            mults = band_multipliers(arr, float(arr.mean()), float(arr.std()))
             assert np.count_nonzero(mults) >= 1
 
     @given(
@@ -305,7 +320,7 @@ class TestMatch:
         g1, g2 = random_graph(rng, 15), random_graph(rng, 9)
         s = match(g1, g2, Constraint.GIBMC)
         assert s.n_vertex_pairs == g1.n_vertices
-        p = len(_min_distance_pairing(g1, g2))
+        p = len(pairing(g1, g2))
         assert s.n_edge_pairs == p * (p - 1) // 2
 
     def test_rpbmc_pair_counts(self):
@@ -393,10 +408,22 @@ class TestMatch:
         rng = np.random.default_rng(39)
         g1, g2 = random_graph(rng, 11), random_graph(rng, 13)
         s = match(g1, g2, Constraint.GIBMC)
-        minima, _ = gibmc_vertex_score(g1, g2)
+        minima = gibmc_vertex_score(g1, g2)[0]
         assert s.vertex_weighted == pytest.approx(
             weighted_mean(minima), rel=1e-12
         )
+
+
+class TestMatchConfig:
+    @pytest.mark.parametrize(
+        "multipliers",
+        [(0.0, 0.0, 0.0), (0.0, 0.05, 0.025), (-0.1, 0.05, 0.025),
+         (math.nan, 0.05, 0.025), (0.075, math.inf, 0.025)],
+    )
+    def test_first_band_must_weigh(self, multipliers):
+        # A zero first band leaves every weighted mean at 0/0 = NaN.
+        with pytest.raises(ValueError, match="multipliers"):
+            MatchConfig(multipliers=multipliers)
 
 
 class TestIdentify:

@@ -7,7 +7,6 @@ import pytest
 
 from graphsift.config import DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
-from graphsift.facegraph import wrap_angle
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.sift import (
     LocalizedPoint,
@@ -19,6 +18,8 @@ from graphsift.sift import (
     extract_features,
     localize_keypoint,
 )
+
+from conftest import wrap_angle
 
 
 def orientation_histogram_oracle(img, x_oct, y_oct, scale_oct, n_bins):

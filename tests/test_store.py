@@ -5,7 +5,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphsift.errors import (
     BadMagic,
@@ -149,6 +149,45 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load(tmp_path / "nope.db")
+
+    @pytest.mark.parametrize(
+        "subject_id, n_kps",
+        [(b"\xff", 2), (b"s", 1)],
+        ids=["invalid_utf8_id", "one_keypoint"],
+    )
+    def test_malformed_entry_under_valid_crc(self, tmp_path, subject_id, n_kps):
+        payload = b"".join([
+            b"GSFT",
+            struct.pack("<IQI", FORMAT_VERSION, 0, 1),
+            struct.pack("<I", len(subject_id)), subject_id,
+            struct.pack("<I", 1), b"i",
+            struct.pack("<I", n_kps),
+            (struct.pack("<ffff", 1.0, 2.0, 1.0, 0.0) + bytes(4 * 128)) * n_kps,
+        ])
+        path = tmp_path / "m.db"
+        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(StoreError, match="malformed"):
+            load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(offset=st.integers(0, 1 << 16), xor=st.integers(1, 255), cut=st.booleans())
+    @example(offset=16, xor=0x01, cut=False)  # entry count
+    @example(offset=20, xor=0x01, cut=False)  # subject id length
+    @example(offset=24, xor=0x80, cut=False)  # subject id byte, invalid UTF-8
+    def test_every_flip_and_cut_is_a_store_error(
+        self, tmp_path_factory, offset, xor, cut
+    ):
+        path = tmp_path_factory.getbasetemp() / "fuzz.db"
+        save(random_db(8), path)
+        data = path.read_bytes()
+        offset %= len(data)
+        if cut:
+            data = data[:offset]
+        else:
+            data = data[:offset] + bytes([data[offset] ^ xor]) + data[offset + 1 :]
+        path.write_bytes(data)
+        with pytest.raises(StoreError):
+            load(path)
 
 
 class TestDbInvariants:
