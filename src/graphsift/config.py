@@ -11,6 +11,8 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+DESCRIPTOR_LEN = 128  # floats per descriptor in the gallery store
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -49,8 +51,12 @@ class DetectorConfig:
             raise ValueError("orientation_bins must be >= 4")
         if not 0 < self.peak_ratio <= 1:
             raise ValueError("peak_ratio must be in (0, 1]")
-        if self.descriptor_grid < 1 or self.descriptor_bins < 2:
-            raise ValueError("descriptor grid/bins out of range")
+        grid, bins = self.descriptor_grid, self.descriptor_bins
+        if grid < 1 or grid * grid * bins != DESCRIPTOR_LEN:
+            raise ValueError(
+                f"need descriptor_grid >= 1 and descriptor_grid**2 * descriptor_bins"
+                f" == {DESCRIPTOR_LEN}: the store holds {DESCRIPTOR_LEN}-float descriptors"
+            )
         if not 0 < self.descriptor_clamp <= 1:
             raise ValueError("descriptor_clamp must be in (0, 1]")
 

@@ -129,11 +129,6 @@ def client_eer_stats(
     return out
 
 
-def client_thresholds(records: list[ScoreRecord]) -> dict[str, float]:
-    """Per-subject prior-EER threshold (see client_eer_stats)."""
-    return {s: thr for s, (_, thr) in client_eer_stats(records).items()}
-
-
 def far_frr_at(
     records: list[ScoreRecord], thresholds: Mapping[str, float]
 ) -> tuple[float, float]:
@@ -257,7 +252,10 @@ def run_protocol(
     client_mean: dict[str, float] = {}
     roc_points: dict[str, list[RocPoint]] = {}
     for g in GROUPS:
-        eer[g], thr[g] = prior_eer(by_group[g])
+        try:
+            eer[g], thr[g] = prior_eer(by_group[g])
+        except DegenerateScores as err:
+            raise DegenerateScores(f"group {g}: {err}") from None
         stats = client_eer_stats(by_group[g])
         client_mean[g] = sum(e for e, _ in stats.values()) / len(stats)
         roc_points[g] = roc(by_group[g])

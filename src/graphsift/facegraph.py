@@ -82,11 +82,6 @@ class FaceGraph:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    @property
-    def n_edges(self) -> int:
-        n = len(self.vertices)
-        return n * (n - 1) // 2
-
 
 def build_graph(
     kps: list[Keypoint], subject_id: str, image_id: str

@@ -214,31 +214,29 @@ def detect_keypoints(ss: ScaleSpace, cfg: DetectorConfig) -> list[Candidate]:
     prefilter = 0.5 * cfg.contrast_threshold
     found = []
     for o, stack in enumerate(ss.dog):
+        w = stack[0].shape[1]
         for layer in range(1, len(stack) - 1):
-            below, mid, above = stack[layer - 1], stack[layer], stack[layer + 1]
-            if min(mid.shape) < 3:
-                continue
-            center = mid[1:-1, 1:-1]
-            strong = np.abs(center) > prefilter
-            if not strong.any():
-                continue
-            gt = strong.copy()
-            lt = strong.copy()
-            h, w = mid.shape
-            for plane in (below, mid, above):
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        if plane is mid and dy == 0 and dx == 0:
-                            continue
-                        shifted = plane[1 + dy : h - 1 + dy, 1 + dx : w - 1 + dx]
-                        np.logical_and(gt, center > shifted, out=gt)
-                        np.logical_and(lt, center < shifted, out=lt)
-                if not (gt.any() or lt.any()):
+            # flat indices of the strong interior voxels; the 26 compares
+            # run on these alone, the mid plane first since it rejects most
+            ys, xs = np.nonzero(np.abs(stack[layer][1:-1, 1:-1]) > prefilter)
+            flat = (ys + 1) * w + xs + 1
+            center = stack[layer].take(flat)
+            gt = lt = True
+            for dl in (0, -1, 1):
+                if flat.size == 0:
                     break
-            ys, xs = np.nonzero(gt | lt)
+                plane = stack[layer + dl]
+                for off in (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1):
+                    if dl == 0 and off == 0:
+                        continue
+                    neighbour = plane.take(flat + off)
+                    gt = gt & (center > neighbour)
+                    lt = lt & (center < neighbour)
+                alive = gt | lt
+                flat, center, gt, lt = flat[alive], center[alive], gt[alive], lt[alive]
+            ys, xs = np.divmod(flat, w)
             found.extend(
-                Candidate(o, layer, int(x) + 1, int(y) + 1)
-                for y, x in zip(ys, xs)
+                Candidate(o, layer, x, y) for y, x in zip(ys.tolist(), xs.tolist())
             )
     found.sort()
     return found
@@ -362,19 +360,14 @@ def _orientation_histogram(
     ].astype(np.float64)
     mag = np.hypot(dx, dy)
     ori = np.arctan2(dy, dx)
-    oy, ox = np.meshgrid(
-        np.arange(y0, y1 + 1) - cy, np.arange(x0, x1 + 1) - cx, indexing="ij"
-    )
+    oy = np.arange(y0 - cy, y1 + 1 - cy)[:, None]
+    ox = np.arange(x0 - cx, x1 + 1 - cx)
     weight = np.exp(-(ox * ox + oy * oy) / (2.0 * sigma_w * sigma_w))
     bins = np.rint(ori * (n_bins / TWO_PI)).astype(np.int64) % n_bins
     hist = np.bincount(bins.ravel(), weights=(weight * mag).ravel(), minlength=n_bins)
-    smooth = (
-        6.0 * hist
-        + 4.0 * (np.roll(hist, 1) + np.roll(hist, -1))
-        + np.roll(hist, 2)
-        + np.roll(hist, -2)
-    ) / 16.0
-    return smooth
+    # circular padding: wrap[i + 2] is hist[i], wrap[i] is hist[i - 2]
+    wrap = np.concatenate((hist[-2:], hist, hist[:2]))
+    return (6.0 * hist + 4.0 * (wrap[1:-3] + wrap[3:-1]) + wrap[:-4] + wrap[4:]) / 16.0
 
 
 def assign_orientations(
@@ -394,8 +387,8 @@ def assign_orientations(
     peak_max = hist.max()
     if peak_max <= 0.0:
         return [OrientedPoint(point, 0.0)]
-    left = np.roll(hist, 1)
-    right = np.roll(hist, -1)
+    wrap = np.concatenate((hist[-1:], hist, hist[:1]))
+    left, right = wrap[:-2], wrap[2:]
     peak_bins = np.nonzero((hist > left) & (hist > right))[0]
     if peak_bins.size == 0:
         peak_bins = np.array([int(np.argmax(hist))])
@@ -437,8 +430,8 @@ def compute_descriptor(
     if cx - half < 1 or cx + half > w - 2 or cy - half < 1 or cy + half > h - 2:
         return None
 
-    offs = np.arange(-half, half + 1)
-    oy, ox = np.meshgrid(offs, offs, indexing="ij")
+    ox = np.arange(-half, half + 1)
+    oy = ox[:, None]
     cos_t = math.cos(oriented.orientation)
     sin_t = math.sin(oriented.orientation)
     u = (ox * cos_t + oy * sin_t) / hist_width
@@ -446,20 +439,17 @@ def compute_descriptor(
     ubin = u + 0.5 * d - 0.5
     vbin = v + 0.5 * d - 0.5
     keep = (ubin > -1) & (ubin < d) & (vbin > -1) & (vbin < d)
-
-    rows = cy + oy
-    cols = cx + ox
-    dx = img[rows, cols + 1].astype(np.float64) - img[rows, cols - 1].astype(np.float64)
-    dy = img[rows + 1, cols].astype(np.float64) - img[rows - 1, cols].astype(np.float64)
+    # every sample-wise value below is taken at the kept samples only
+    u, v, ub, vb = u[keep], v[keep], ubin[keep], vbin[keep]
+    rows, cols = np.nonzero(keep)
+    flat = (cy - half + rows) * w + (cx - half + cols)
+    dx = img.take(flat + 1).astype(np.float64) - img.take(flat - 1).astype(np.float64)
+    dy = img.take(flat + w).astype(np.float64) - img.take(flat - w).astype(np.float64)
     mag = np.hypot(dx, dy)
     theta = np.arctan2(dy, dx)
     weight = np.exp(-(u * u + v * v) / (2.0 * (0.5 * d) ** 2))
-    obin = ((theta - oriented.orientation) % TWO_PI) * (n_bins / TWO_PI)
-
-    ub = ubin[keep]
-    vb = vbin[keep]
-    ob = obin[keep]
-    m = (weight * mag)[keep]
+    ob = ((theta - oriented.orientation) % TWO_PI) * (n_bins / TWO_PI)
+    m = weight * mag
 
     u0 = np.floor(ub).astype(np.int64)
     v0 = np.floor(vb).astype(np.int64)
@@ -468,16 +458,19 @@ def compute_descriptor(
     fv = vb - v0
     fo = ob - o0
     o0 %= n_bins
-    o1 = (o0 + 1) % n_bins
 
-    tensor = np.zeros((d + 2, d + 2, n_bins))
-    for dv, wv in ((0, 1.0 - fv), (1, fv)):
-        for du, wu in ((0, 1.0 - fu), (1, fu)):
-            base = m * wv * wu
-            np.add.at(tensor, (v0 + 1 + dv, u0 + 1 + du, o0), base * (1.0 - fo))
-            np.add.at(tensor, (v0 + 1 + dv, u0 + 1 + du, o1), base * fo)
-
-    vec = tensor[1:-1, 1:-1, :].reshape(-1)
+    # trilinear weights and flat bins of the (d+2, d+2, n_bins) tensor, in
+    # (dv, du, o0/o1, sample) order, the order bincount sums each bin in
+    wv = np.stack((1.0 - fv, fv))[:, None, None]
+    wu = np.stack((1.0 - fu, fu))[None, :, None]
+    wo = np.stack((1.0 - fo, fo))
+    cell = (v0 + 1) * (d + 2) + u0 + 1
+    corner = np.array([[0, 1], [d + 2, d + 3]])[:, :, None, None]
+    bins = (cell + corner) * n_bins + np.stack((o0, (o0 + 1) % n_bins))
+    hist = np.bincount(
+        bins.ravel(), (m * wv * wu * wo).ravel(), minlength=(d + 2) ** 2 * n_bins
+    )
+    vec = hist.reshape(d + 2, d + 2, n_bins)[1:-1, 1:-1].reshape(-1)
     return _finalize_descriptor(vec, cfg.descriptor_clamp)
 
 
@@ -490,16 +483,19 @@ def _finalize_descriptor(vec: np.ndarray, clamp: float) -> np.ndarray | None:
     at or below the clamp, so descriptors whose energy is that sparse
     never converge and are dropped as degenerate.
     """
-    norm = np.linalg.norm(vec)
+    norm = math.sqrt(vec.dot(vec))
     if norm == 0.0:
         return None
     vec = vec / norm
+    top = vec.max()
     for _ in range(512):
-        if vec.max() <= clamp + 1e-7:
+        if top <= clamp + 1e-7:
             break
         np.minimum(vec, clamp, out=vec)
-        vec /= np.linalg.norm(vec)
-    if vec.max() > clamp + 1e-6:
+        norm = math.sqrt(vec.dot(vec))
+        vec /= norm
+        top = clamp / norm  # top > clamp: the clamped entries stay the largest
+    if top > clamp + 1e-6:
         return None
     return vec.astype(np.float32)
 

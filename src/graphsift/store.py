@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DESCRIPTOR_LEN
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -41,7 +42,6 @@ from .sift import Keypoint
 
 MAGIC = b"GSFT"
 FORMAT_VERSION = 1
-_DESC_LEN = 128
 _KP_STRUCT = struct.Struct("<ffff")
 _CRC_MISMATCH = "payload CRC does not match the stored value"
 
@@ -171,7 +171,7 @@ def _parse(data: bytes) -> GalleryDb:
         kps = []
         for _ in range(n_kps):
             x, y, scale, orientation = _KP_STRUCT.unpack(r.take(_KP_STRUCT.size))
-            desc = np.frombuffer(r.take(4 * _DESC_LEN), dtype="<f4").astype(
+            desc = np.frombuffer(r.take(4 * DESCRIPTOR_LEN), dtype="<f4").astype(
                 np.float32
             )
             kps.append(Keypoint(x, y, scale, orientation, desc))

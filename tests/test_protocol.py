@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from graphsift.errors import DegenerateScores
 from graphsift.evaluation import (
     GROUPS,
     WER_RATIOS,
@@ -85,6 +86,13 @@ class TestRunProtocol:
         assert sorted(r.r for r in result.wer_rows) == sorted(
             list(WER_RATIOS) * 2
         )
+
+    def test_degenerate_group_is_named(self):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 8, subject="s000", image="s000_t0")
+        p = build_graph(list(g.vertices), "s000", "s000_p0")
+        with pytest.raises(DegenerateScores, match=r"^group G1: .*0 impostor"):
+            run_protocol([g], [p], {"s000": "G1"}, Constraint.GIBMC)
 
     def test_wer_recomputable_from_rates(self):
         gallery, probes, assignment = make_population()

@@ -71,11 +71,27 @@ def test_constant_image_no_candidates():
 
 
 def test_detection_matches_voxel_oracle():
-    cfg = DetectorConfig(max_octaves=3)
-    img = render_texture(subject_texture(5, 0, 64), 64)
-    ss = build_scale_space(img, cfg)
-    got = {(c.octave, c.layer, c.x, c.y) for c in detect_keypoints(ss, cfg)}
-    assert got == extrema_oracle(ss, cfg)
+    images = [
+        render_texture(subject_texture(seed, subject, 64), 64)
+        for seed, subject in ((5, 0), (6, 1), (11, 3))
+    ]
+    # a faint blob leaves some scanned layers with no voxel above the
+    # prefilter, so the scan also meets empty candidate sets
+    images.append(blob_image(64, [(32.0, 32.0, 3.0, 50.0)], background=100.0))
+    empty_layers = 0
+    for i, img in enumerate(images):
+        for double_input in (True, False):
+            cfg = DetectorConfig(max_octaves=3, double_input=double_input)
+            ss = build_scale_space(img, cfg)
+            got = {(c.octave, c.layer, c.x, c.y) for c in detect_keypoints(ss, cfg)}
+            assert got == extrema_oracle(ss, cfg), (i, double_input)
+            prefilter = 0.5 * cfg.contrast_threshold
+            empty_layers += sum(
+                not (np.abs(stack[layer][1:-1, 1:-1]) > prefilter).any()
+                for stack in ss.dog
+                for layer in range(1, len(stack) - 1)
+            )
+    assert empty_layers > 0
 
 
 def test_single_blob_localizes_at_center():

@@ -76,3 +76,10 @@ class TestExtractFeatures:
         for kp in extract_features(texture_image(2, 2)):
             for value in (kp.x, kp.y, kp.scale, kp.orientation):
                 assert value == float(np.float32(value))
+
+
+@pytest.mark.parametrize("grid,bins", [(2, 8), (4, 4), (3, 8), (5, 8)])
+def test_descriptor_length_must_fit_the_store(grid, bins):
+    # the gallery store reads back exactly 128 floats per descriptor
+    with pytest.raises(ValueError, match="128-float descriptors"):
+        DetectorConfig(descriptor_grid=grid, descriptor_bins=bins)

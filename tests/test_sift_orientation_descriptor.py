@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphsift import sift
 from graphsift.config import DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.sift import (
     LocalizedPoint,
     OrientedPoint,
+    _finalize_descriptor,
     assign_orientations,
     build_scale_space,
     compute_descriptor,
@@ -55,6 +59,98 @@ def orientation_histogram_oracle(img, x_oct, y_oct, scale_oct, n_bins):
         / 16.0
         for i in range(n_bins)
     ]
+
+
+def finalize_oracle(vec, clamp):
+    """Reference normalization: np.linalg.norm and a full max scan on
+    every clamp-and-renormalize round."""
+    norm = np.linalg.norm(vec)
+    if norm == 0.0:
+        return None
+    vec = vec / norm
+    for _ in range(512):
+        if vec.max() <= clamp + 1e-7:
+            break
+        np.minimum(vec, clamp, out=vec)
+        vec /= np.linalg.norm(vec)
+    if vec.max() > clamp + 1e-6:
+        return None
+    return vec.astype(np.float32)
+
+
+def descriptor_histogram_oracle(ss, oriented, cfg):
+    """Reference raw descriptor, before normalization: gradients over
+    the whole square window, masked afterwards, and one np.add.at
+    scatter per trilinear corner and orientation neighbour. None when
+    the window leaves the image."""
+    point = oriented.point
+    img = ss.octaves[point.octave][point.layer]
+    h, w = img.shape
+    d = cfg.descriptor_grid
+    n_bins = cfg.descriptor_bins
+    hist_width = 3.0 * point.scale_oct
+    half = int(round(hist_width * math.sqrt(2.0) * (d + 1) * 0.5))
+    cx = int(round(point.x_oct))
+    cy = int(round(point.y_oct))
+    if cx - half < 1 or cx + half > w - 2 or cy - half < 1 or cy + half > h - 2:
+        return None
+
+    offs = np.arange(-half, half + 1)
+    oy, ox = np.meshgrid(offs, offs, indexing="ij")
+    cos_t = math.cos(oriented.orientation)
+    sin_t = math.sin(oriented.orientation)
+    u = (ox * cos_t + oy * sin_t) / hist_width
+    v = (-ox * sin_t + oy * cos_t) / hist_width
+    ubin = u + 0.5 * d - 0.5
+    vbin = v + 0.5 * d - 0.5
+    keep = (ubin > -1) & (ubin < d) & (vbin > -1) & (vbin < d)
+
+    rows = cy + oy
+    cols = cx + ox
+    dx = img[rows, cols + 1].astype(np.float64) - img[rows, cols - 1].astype(np.float64)
+    dy = img[rows + 1, cols].astype(np.float64) - img[rows - 1, cols].astype(np.float64)
+    mag = np.hypot(dx, dy)
+    theta = np.arctan2(dy, dx)
+    weight = np.exp(-(u * u + v * v) / (2.0 * (0.5 * d) ** 2))
+    obin = ((theta - oriented.orientation) % (2.0 * math.pi)) * (n_bins / (2.0 * math.pi))
+
+    ub = ubin[keep]
+    vb = vbin[keep]
+    ob = obin[keep]
+    m = (weight * mag)[keep]
+
+    u0 = np.floor(ub).astype(np.int64)
+    v0 = np.floor(vb).astype(np.int64)
+    o0 = np.floor(ob).astype(np.int64)
+    fu = ub - u0
+    fv = vb - v0
+    fo = ob - o0
+    o0 %= n_bins
+    o1 = (o0 + 1) % n_bins
+
+    tensor = np.zeros((d + 2, d + 2, n_bins))
+    for dv, wv in ((0, 1.0 - fv), (1, fv)):
+        for du, wu in ((0, 1.0 - fu), (1, fu)):
+            base = m * wv * wu
+            np.add.at(tensor, (v0 + 1 + dv, u0 + 1 + du, o0), base * (1.0 - fo))
+            np.add.at(tensor, (v0 + 1 + dv, u0 + 1 + du, o1), base * fo)
+
+    return tensor[1:-1, 1:-1, :].reshape(-1)
+
+
+@st.composite
+def histogram_vectors(draw):
+    """Non-negative 128-vectors with 0 to 128 nonzero entries."""
+    k = draw(st.integers(0, 128))
+    values = draw(
+        st.lists(
+            st.floats(1e-6, 1e3, allow_subnormal=False), min_size=k, max_size=k
+        )
+    )
+    where = draw(st.permutations(range(128)))[:k]
+    vec = np.zeros(128)
+    vec[where] = values
+    return vec
 
 
 def ramp_image(size, horizontal=True):
@@ -118,6 +214,65 @@ class TestOrientation:
 
 
 class TestDescriptor:
+    @pytest.mark.parametrize("double_input", [True, False])
+    @pytest.mark.parametrize("size", [64, 128])
+    @pytest.mark.parametrize("seed,subject", [(12, 0), (13, 2)])
+    def test_matches_full_window_oracle(
+        self, monkeypatch, seed, subject, size, double_input
+    ):
+        # the raw histogram is compared too: the float32 result can hide
+        # a float64 sum taken in another order
+        raw = []
+
+        def capture(vec, clamp):
+            raw.append(vec.copy())
+            return _finalize_descriptor(vec, clamp)
+
+        monkeypatch.setattr(sift, "_finalize_descriptor", capture)
+        cfg = DetectorConfig(double_input=double_input)
+        img = histogram_equalize(
+            render_texture(subject_texture(seed, subject, size), size)
+        )
+        ss = build_scale_space(img, cfg)
+        octaves = set()
+        dropped = 0
+        for cand in detect_keypoints(ss, cfg):
+            loc = localize_keypoint(ss, cand, cfg)
+            if not isinstance(loc, LocalizedPoint):
+                continue
+            for op in assign_orientations(ss, loc, cfg):
+                raw.clear()
+                got = compute_descriptor(ss, op, cfg)
+                want_raw = descriptor_histogram_oracle(ss, op, cfg)
+                if want_raw is None:
+                    assert got is None and not raw
+                    dropped += 1
+                    continue
+                assert np.array_equal(raw[0], want_raw)
+                want = finalize_oracle(want_raw, cfg.descriptor_clamp)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and np.array_equal(got, want)
+                    octaves.add(loc.octave)
+        assert dropped >= 1
+        # a 64-px input keeps descriptors only in octave 0 unless doubled
+        assert len(octaves) >= (2 if size * (1 + double_input) >= 128 else 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(histogram_vectors())
+    def test_finalize_matches_oracle(self, vec):
+        got = _finalize_descriptor(vec.copy(), 0.2)
+        want = finalize_oracle(vec.copy(), 0.2)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and np.array_equal(got, want)
+        # fewer than 1/clamp**2 = 25 nonzero entries cannot meet both
+        # the unit-norm and the clamp contract
+        if np.count_nonzero(vec) < 25:
+            assert got is None
+
     def test_contracts_on_texture(self):
         img = histogram_equalize(render_texture(subject_texture(12, 0, 64), 64))
         kps = extract_features(img)
