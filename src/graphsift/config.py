@@ -1,15 +1,16 @@
 """Detector and matcher configuration, with a canonical text form.
 
-The text form (one ``key=value`` per line, keys in field order) is what
-a config's 64-bit digest hashes; the digest identifies which detector
-settings produced a gallery.
+The text form (one ``key=value`` per line, keys in declaration order,
+fixed constants included) is what a config's 64-bit digest hashes; the
+digest identifies which detector settings produced a gallery.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import ClassVar
 
 DESCRIPTOR_LEN = 128  # floats per descriptor in the gallery store
 
@@ -20,55 +21,52 @@ class DetectorConfig:
 
     Defaults follow the common SIFT baseline: 3 scales per octave,
     base sigma 1.6, one initial doubling of the input, contrast
-    threshold 0.03 on [0,1] intensities, edge ratio 10, 36 orientation
-    bins with the 80% secondary-peak rule, and a 4x4 descriptor grid of
-    8 orientation planes (16x16 sample window).
+    threshold 0.03 on [0,1] intensities and edge ratio 10.
+
+    Six values of standard SIFT are fixed class constants that the
+    constructor does not take: ``assumed_blur`` (0.5 px), 36
+    ``orientation_bins`` with the 80% secondary-peak ``peak_ratio``,
+    and a 4x4 ``descriptor_grid`` of 8 ``descriptor_bins`` (the store's
+    128 floats, 16x16 sample window) clamped at ``descriptor_clamp`` 0.2.
     """
 
     scales_per_octave: int = 3
     base_sigma: float = 1.6
-    assumed_blur: float = 0.5
+    assumed_blur: ClassVar[float] = 0.5
     double_input: bool = True
     max_octaves: int = 0  # 0 = derive from image size
     contrast_threshold: float = 0.03
     edge_ratio: float = 10.0
-    orientation_bins: int = 36
-    peak_ratio: float = 0.8
-    descriptor_grid: int = 4
-    descriptor_bins: int = 8
-    descriptor_clamp: float = 0.2
+    orientation_bins: ClassVar[int] = 36
+    peak_ratio: ClassVar[float] = 0.8
+    descriptor_grid: ClassVar[int] = 4
+    descriptor_bins: ClassVar[int] = 8
+    descriptor_clamp: ClassVar[float] = 0.2
 
     def __post_init__(self):
-        if self.scales_per_octave < 1:
-            raise ValueError("scales_per_octave must be >= 1")
-        if self.base_sigma <= 0:
-            raise ValueError("base_sigma must be positive")
+        # type(...) is int, not isinstance: bool is an int subclass
+        if type(self.scales_per_octave) is not int or self.scales_per_octave < 1:
+            raise ValueError("scales_per_octave must be an int >= 1")
+        if type(self.max_octaves) is not int or self.max_octaves < 0:
+            raise ValueError("max_octaves must be an int >= 0")
+        if not 0 < self.base_sigma < math.inf:
+            raise ValueError("base_sigma must be positive and finite")
         if not 0 < self.contrast_threshold < 1:
             raise ValueError("contrast_threshold must be in (0, 1)")
-        if self.edge_ratio < 1:
-            raise ValueError("edge_ratio must be >= 1")
-        if self.orientation_bins < 4:
-            raise ValueError("orientation_bins must be >= 4")
-        if not 0 < self.peak_ratio <= 1:
-            raise ValueError("peak_ratio must be in (0, 1]")
-        grid, bins = self.descriptor_grid, self.descriptor_bins
-        if grid < 1 or grid * grid * bins != DESCRIPTOR_LEN:
-            raise ValueError(
-                f"need descriptor_grid >= 1 and descriptor_grid**2 * descriptor_bins"
-                f" == {DESCRIPTOR_LEN}: the store holds {DESCRIPTOR_LEN}-float descriptors"
-            )
-        if not 0 < self.descriptor_clamp <= 1:
-            raise ValueError("descriptor_clamp must be in (0, 1]")
+        if not 1 <= self.edge_ratio < math.inf:
+            raise ValueError("edge_ratio must be finite and >= 1")
 
     def to_text(self) -> str:
+        # the fixed constants stay in the text, so galleries saved when
+        # they were settable keep their digest
         lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in type(self).__annotations__:
+            value = getattr(self, name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, float):
                 value = repr(value)
-            lines.append(f"{f.name}={value}")
+            lines.append(f"{name}={value}")
         return "\n".join(lines) + "\n"
 
     def digest(self) -> int:

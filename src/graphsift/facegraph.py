@@ -26,19 +26,15 @@ from .sift import Keypoint
 
 @dataclass(frozen=True)
 class CorrespondenceSet:
-    """Mutual vertex pairs (gallery index, probe index, descriptor
-    distance); one-to-one in both coordinates."""
+    """Mutual vertex pairs, one-to-one in both coordinates: ``pairs`` is
+    a (k, 2) array of (gallery, probe) index rows in ascending gallery
+    order and ``distances`` the k descriptor distances."""
 
-    pairs: tuple[tuple[int, int, float], ...]
+    pairs: np.ndarray
+    distances: np.ndarray
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def gallery_indices(self) -> list[int]:
-        return [i for i, _, _ in self.pairs]
-
-    def probe_indices(self) -> list[int]:
-        return [j for _, j, _ in self.pairs]
 
 
 @dataclass(frozen=True)
@@ -116,8 +112,9 @@ def edge_component_arrays(
     return length, dtheta, g.logscale[a] - g.logscale[b]
 
 
-def _ratio_accepted(dist: np.ndarray, ratio: float) -> list[tuple[int, int, float]]:
-    """Row-wise nearest neighbor under the nearest/second-nearest test.
+def _ratio_accepted(dist: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise nearest neighbor and whether it passes the
+    nearest/second-nearest test.
 
     Acceptance is d1 < ratio * d2; with a single column d2 is infinite,
     so every row is accepted. Equal distances tie-break to the lowest
@@ -131,10 +128,7 @@ def _ratio_accepted(dist: np.ndarray, ratio: float) -> list[tuple[int, int, floa
         d2 = np.full(n_rows, math.inf)
     else:
         d2 = np.partition(dist, 1, axis=1)[:, 1]
-    return [
-        (int(i), int(best[i]), float(d1[i]))
-        for i in np.flatnonzero(d1 < ratio * d2)
-    ]
+    return best, d1 < ratio * d2
 
 
 def mutual_correspondence(
@@ -143,9 +137,10 @@ def mutual_correspondence(
     """Pairs kept iff each endpoint is the other's ratio-test-accepted
     nearest neighbor; one-to-one in both coordinates by construction."""
     dist = cdist(g1.descriptors, g2.descriptors)
-    forward = _ratio_accepted(dist, ratio)
-    backward = _ratio_accepted(dist.T, ratio)
-    reverse_best = {i2: j2 for i2, j2, _ in backward}
+    fwd, fwd_ok = _ratio_accepted(dist, ratio)
+    bwd, bwd_ok = _ratio_accepted(dist.T, ratio)
+    rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
+    cols = fwd[rows]
     return CorrespondenceSet(
-        pairs=tuple((i, j, d) for i, j, d in forward if reverse_best.get(j) == i)
+        pairs=np.column_stack((rows, cols)), distances=dist[rows, cols]
     )

@@ -117,9 +117,7 @@ def rpbmc_pairs(
     the structural check here guards that contract.
     """
     cs = mutual_correspondence(g_gallery, g_probe, ratio)
-    gi = cs.gallery_indices()
-    pi = cs.probe_indices()
-    if len(set(gi)) != len(gi) or len(set(pi)) != len(pi):
+    if any(len(np.unique(col)) != len(cs) for col in cs.pairs.T):
         raise AssertionError("mutual correspondence produced a repeated vertex")
     return cs
 
@@ -184,9 +182,8 @@ def match(
             # form graphs, so the pair is maximally dissimilar
             inf = math.inf
             return MatchScore(inf, inf, inf, inf, inf, len(cs), 0, constraint)
-        vertex_dists = np.array([d for _, _, d in cs.pairs])
+        vertex_dists, pairs = cs.distances, cs.pairs
         vertex_raw = float(vertex_dists.mean())
-        pairs = np.array([(i, j) for i, j, _ in cs.pairs], dtype=np.intp)
 
     edge_dists, edge_raw = gibmc_edge_score(g_gallery, g_probe, pairs)
     vertex_weighted = weighted_mean(vertex_dists, cfg.multipliers)

@@ -53,7 +53,6 @@ class GalleryDb:
 
     detector_cfg_hash: int
     entries: tuple[FaceGraph, ...]
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         keys = [(g.subject_id, g.image_id) for g in self.entries]
@@ -71,9 +70,7 @@ def merge(db: GalleryDb, graphs: list[FaceGraph]) -> GalleryDb:
     """New db with graphs appended; duplicate keys are rejected by the
     GalleryDb constructor."""
     return GalleryDb(
-        detector_cfg_hash=db.detector_cfg_hash,
-        entries=db.entries + tuple(graphs),
-        format_version=db.format_version,
+        detector_cfg_hash=db.detector_cfg_hash, entries=db.entries + tuple(graphs)
     )
 
 
@@ -85,7 +82,7 @@ def _encode_str(s: str) -> bytes:
 def save(db: GalleryDb, path: str | Path) -> None:
     parts = [
         MAGIC,
-        struct.pack("<I", db.format_version),
+        struct.pack("<I", FORMAT_VERSION),
         struct.pack("<Q", db.detector_cfg_hash),
         struct.pack("<I", len(db.entries)),
     ]
@@ -180,11 +177,7 @@ def _parse(data: bytes) -> GalleryDb:
         raise TruncatedFile(
             f"{r.limit - r.pos} unexpected bytes between entries and checksum"
         )
-    return GalleryDb(
-        detector_cfg_hash=cfg_hash,
-        entries=tuple(graphs),
-        format_version=version,
-    )
+    return GalleryDb(detector_cfg_hash=cfg_hash, entries=tuple(graphs))
 
 
 def export_text(db: GalleryDb, path: str | Path) -> None:
@@ -194,7 +187,7 @@ def export_text(db: GalleryDb, path: str | Path) -> None:
     """
     lines = [
         "# subject_id image_id x y scale orientation d0..d127",
-        f"# version {db.format_version} cfg {db.detector_cfg_hash:016x} "
+        f"# version {FORMAT_VERSION} cfg {db.detector_cfg_hash:016x} "
         f"entries {len(db.entries)}",
     ]
     for g in db.entries:

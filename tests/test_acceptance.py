@@ -72,7 +72,7 @@ def test_vertex_score_and_pairing_match_brute_force():
             ) / g1.n_vertices
             assert mean == pytest.approx(want, rel=1e-12)
 
-            got = [(i, j) for i, j, _ in rpbmc_pairs(g1, g2, 0.8).pairs]
+            got = [tuple(p) for p in rpbmc_pairs(g1, g2, 0.8).pairs.tolist()]
             assert got == mutual_pairing_oracle(
                 g1.descriptors, g2.descriptors, 0.8
             )
@@ -102,9 +102,8 @@ def test_mutual_pairing_injective_across_corpus(corpus_graphs):
         for g1 in graphs:
             for g2 in graphs:
                 cs = rpbmc_pairs(g1, g2)
-                gal, prb = cs.gallery_indices(), cs.probe_indices()
-                violations += len(gal) != len(set(gal))
-                violations += len(prb) != len(set(prb))
+                for col in cs.pairs.T:
+                    violations += len(set(col.tolist())) != len(cs)
         assert violations == 0
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphsift.errors import EmptyGraph, TooFewKeypoints
 from graphsift.facegraph import (
@@ -200,7 +200,32 @@ class TestMutualCorrespondence:
             want = mutual_oracle(
                 r1.astype(np.float32), r2.astype(np.float32), 0.97
             )
-            assert [(i, j) for i, j, _ in got.pairs] == [(i, j) for i, j, _ in want]
+            assert got.pairs.tolist() == [[i, j] for i, j, _ in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                 min_size=1, max_size=30),
+        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
+                 min_size=1, max_size=30),
+        st.sampled_from([0.5, 0.8, 1.0]),
+    )
+    def test_matches_oracle_with_ties(self, rows1, rows2, ratio):
+        # Descriptors on a {0, 1, 2}^3 grid: distances are square roots
+        # of small integers, so tied distances and duplicate rows, where
+        # an array mutual check could part from the loop, are common.
+        # One-row sides take the no-second-neighbour path.
+        def graph(rows):
+            kps = [kp_at(i, 0.0, descriptor=row) for i, row in enumerate(rows)]
+            return FaceGraph(vertices=tuple(kps), subject_id="s", image_id="i")
+
+        r1 = np.pad(np.array(rows1, dtype=np.float32), ((0, 0), (0, 125)))
+        r2 = np.pad(np.array(rows2, dtype=np.float32), ((0, 0), (0, 125)))
+        cs = mutual_correspondence(graph(r1), graph(r2), ratio)
+        want = mutual_oracle(r1, r2, ratio)
+        assert cs.pairs.shape == (len(want), 2)
+        assert cs.pairs.tolist() == [[i, j] for i, j, _ in want]
+        assert cs.distances.tolist() == [d for _, _, d in want]
 
     def test_subset_of_directional_and_injective(self):
         rng = np.random.default_rng(8)
@@ -210,10 +235,9 @@ class TestMutualCorrespondence:
             mutual = mutual_correspondence(g1, g2, ratio=0.99)
             directional = ratio_oracle(g1.descriptors, g2.descriptors, 0.99)
             dir_pairs = {(i, j) for i, j, _ in directional}
-            assert {(i, j) for i, j, _ in mutual.pairs} <= dir_pairs
-            gal, prb = mutual.gallery_indices(), mutual.probe_indices()
-            assert len(set(gal)) == len(gal)
-            assert len(set(prb)) == len(prb)
+            assert set(map(tuple, mutual.pairs.tolist())) <= dir_pairs
+            for col in mutual.pairs.T:
+                assert len(set(col.tolist())) == len(mutual)
             assert len(mutual) <= min(g1.n_vertices, g2.n_vertices)
 
     def test_single_target_always_accepted(self):
@@ -224,7 +248,8 @@ class TestMutualCorrespondence:
         g1 = random_graph(rng, 5)
         single = FaceGraph(vertices=(g1.vertices[3],), subject_id="s", image_id="i")
         cs = mutual_correspondence(g1, single)
-        assert cs.pairs == ((3, 0, 0.0),)
+        assert cs.pairs.tolist() == [[3, 0]]
+        assert cs.distances.tolist() == [0.0]
 
     def test_duplicate_targets_defeat_ratio_test(self):
         rng = np.random.default_rng(60)
@@ -240,13 +265,13 @@ class TestMutualCorrespondence:
         g1, g2 = random_graph(rng, 9), random_graph(rng, 11)
         fwd = mutual_correspondence(g1, g2, ratio=0.95)
         rev = mutual_correspondence(g2, g1, ratio=0.95)
-        assert {(i, j) for i, j, _ in fwd.pairs} == {
-            (j, i) for i, j, _ in rev.pairs
-        }
+        assert fwd.pairs.tolist() == sorted(rev.pairs[:, ::-1].tolist())
+        order = np.argsort(rev.pairs[:, 1])
+        assert fwd.distances.tolist() == rev.distances[order].tolist()
 
     def test_self_match_is_identity_with_zero_distance(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, 8)
         cs = mutual_correspondence(g, g, ratio=0.8)
-        assert [(i, j) for i, j, _ in cs.pairs] == [(i, i) for i in range(8)]
-        assert all(d == 0.0 for _, _, d in cs.pairs)
+        assert cs.pairs.tolist() == [[i, i] for i in range(8)]
+        assert cs.distances.tolist() == [0.0] * 8

@@ -234,7 +234,8 @@ class TestRpbmcPairs:
         g1, g2 = random_graph(rng, 10), random_graph(rng, 12)
         got = rpbmc_pairs(g1, g2, ratio=0.95)
         want = mutual_correspondence(g1, g2, ratio=0.95)
-        assert got.pairs == want.pairs
+        assert np.array_equal(got.pairs, want.pairs)
+        assert np.array_equal(got.distances, want.distances)
 
 
 class TestBanding:

@@ -1,9 +1,11 @@
 """End-to-end feature extraction invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from graphsift.config import DetectorConfig
+from graphsift.config import DESCRIPTOR_LEN, DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.errors import ImageTooSmall
 from graphsift.imageio import GrayImage, histogram_equalize
@@ -80,6 +82,54 @@ class TestExtractFeatures:
 
 @pytest.mark.parametrize("grid,bins", [(2, 8), (4, 4), (3, 8), (5, 8)])
 def test_descriptor_length_must_fit_the_store(grid, bins):
-    # the gallery store reads back exactly 128 floats per descriptor
-    with pytest.raises(ValueError, match="128-float descriptors"):
+    # the descriptor shape is fixed: the gallery store reads back
+    # exactly DESCRIPTOR_LEN floats per descriptor
+    with pytest.raises(TypeError):
         DetectorConfig(descriptor_grid=grid, descriptor_bins=bins)
+    cfg = DetectorConfig()
+    assert cfg.descriptor_grid**2 * cfg.descriptor_bins == DESCRIPTOR_LEN
+
+
+DEFAULT_TEXT = (
+    "scales_per_octave=3\nbase_sigma=1.6\nassumed_blur=0.5\ndouble_input=true\n"
+    "max_octaves=0\ncontrast_threshold=0.03\nedge_ratio=10.0\n"
+    "orientation_bins=36\npeak_ratio=0.8\ndescriptor_grid=4\n"
+    "descriptor_bins=8\ndescriptor_clamp=0.2\n"
+)
+
+
+class TestDetectorConfig:
+    def test_digest_and_text_pinned(self):
+        # galleries on disk carry these digests; a change here makes
+        # every one of them fail the identify digest check
+        assert DetectorConfig().to_text() == DEFAULT_TEXT
+        assert DetectorConfig().digest() == 0xF8D243CE070BC5DA
+        assert DetectorConfig(base_sigma=2.0).digest() == 0x27B346B216E72F32
+
+    @pytest.mark.parametrize(
+        "name",
+        ["assumed_blur", "orientation_bins", "peak_ratio",
+         "descriptor_grid", "descriptor_bins", "descriptor_clamp"],
+    )
+    def test_fixed_constants_not_settable(self, name):
+        with pytest.raises(TypeError):
+            DetectorConfig(**{name: getattr(DetectorConfig, name)})
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"scales_per_octave": 3.0},
+            {"scales_per_octave": True},
+            {"max_octaves": 2.0},
+            {"max_octaves": True},
+            {"max_octaves": -1},
+            {"base_sigma": math.inf},
+            {"base_sigma": math.nan},
+            {"edge_ratio": math.inf},
+            {"edge_ratio": math.nan},
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            DetectorConfig(**kwargs)

@@ -1,5 +1,6 @@
 """Binary gallery format: round-trips, determinism, corruption handling."""
 
+import hashlib
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from graphsift.config import DetectorConfig
 from graphsift.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -33,7 +35,6 @@ def random_db(seed, n_entries=3, cfg_hash=0x1234_5678_9ABC_DEF0):
 
 def assert_dbs_equal(a, b):
     assert a.detector_cfg_hash == b.detector_cfg_hash
-    assert a.format_version == b.format_version
     assert len(a) == len(b)
     for ga, gb in zip(a.entries, b.entries):
         assert ga.subject_id == gb.subject_id
@@ -66,6 +67,17 @@ class TestRoundTrip:
         save(db, p1)
         save(db, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_saved_bytes_pinned(self, tmp_path):
+        # sha256 of this gallery as the format was first written; a
+        # change here strands every gallery already on disk
+        path = tmp_path / "pin.db"
+        save(random_db(2024, n_entries=4, cfg_hash=DetectorConfig().digest()), path)
+        data = path.read_bytes()
+        assert len(data) == 10128
+        assert hashlib.sha256(data).hexdigest() == (
+            "b6f8d17a209967c9a255323c0ac131030fb8e7beac91652840699c8d1e010413"
+        )
 
     def test_load_save_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
@@ -215,6 +227,13 @@ class TestDbInvariants:
         )
         with pytest.raises(StoreError):
             merge(db, [dup])
+
+    def test_format_version_not_settable(self, tmp_path):
+        with pytest.raises(TypeError):
+            GalleryDb(detector_cfg_hash=0, entries=(), format_version=2)
+        path = tmp_path / "v.db"
+        save(GalleryDb(detector_cfg_hash=0, entries=()), path)
+        assert struct.unpack("<I", path.read_bytes()[4:8])[0] == FORMAT_VERSION
 
 
 class TestExportText:
