@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -44,6 +45,15 @@ class DetectorConfig:
     descriptor_clamp: ClassVar[float] = 0.2
 
     def __post_init__(self):
+        # the real-valued fields are stored as float, so an int value
+        # renders and digests like the float it equals
+        for name in ("base_sigma", "contrast_threshold", "edge_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            object.__setattr__(self, name, float(value))
+        if type(self.double_input) is not bool:
+            raise ValueError(f"double_input must be a bool, not {self.double_input!r}")
         # type(...) is int, not isinstance: bool is an int subclass
         if type(self.scales_per_octave) is not int or self.scales_per_octave < 1:
             raise ValueError("scales_per_octave must be an int >= 1")
@@ -85,9 +95,8 @@ class MatchConfig:
     mean; ``blend`` mixes the weighted vertex and edge scores
     (0.5 = plain average).
 
-    The first multiplier must be positive: some distance always lies
-    within one sigma of the mean, so the weighted means never divide
-    by zero.
+    The first multiplier must be positive: the distances closest to the
+    mean always take it, so the weighted means never divide by zero.
     """
 
     ratio: float = 0.8

@@ -14,6 +14,7 @@ edge geometry instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,6 +91,22 @@ def build_graph(
     return FaceGraph(vertices=tuple(kps), subject_id=subject_id, image_id=image_id)
 
 
+# Sub-graphs of up to this many vertices take their edge indices from a
+# cache of at most 129 entries; a size-k entry holds k(k-1) indices, so
+# the full cache stays under 6 MB. Larger sub-graphs, which pairings of
+# face graphs rarely reach, compute theirs per call.
+_TRIU_CACHE_MAX_K = 128
+
+
+@functools.lru_cache(maxsize=_TRIU_CACHE_MAX_K + 1)
+def _triu_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(k, k=1), shared and read-only."""
+    a, b = np.triu_indices(k, k=1)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b
+
+
 def edge_component_arrays(
     g: FaceGraph, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,10 +118,13 @@ def edge_component_arrays(
     difference; the last two flip sign when an edge's endpoints swap.
     """
     idx = np.asarray(idx, dtype=np.intp)
-    a, b = np.triu_indices(len(idx), k=1)
+    k = len(idx)
+    a, b = _triu_indices(k) if k <= _TRIU_CACHE_MAX_K else np.triu_indices(k, k=1)
     a, b = idx[a], idx[b]
-    xy = g.xy
-    length = np.hypot(xy[a, 0] - xy[b, 0], xy[a, 1] - xy[b, 1])
+    # 1-D gathers: indexing rows of the (n, 2) xy array costs several
+    # times more than indexing its two columns
+    x, y = g.xy.T
+    length = np.hypot(x[a] - x[b], y[a] - y[b])
     if g.diameter > 0.0:
         length = length / g.diameter
     dtheta = (g.theta[a] - g.theta[b] + math.pi) % (2.0 * math.pi) - math.pi
@@ -141,6 +161,5 @@ def mutual_correspondence(
     bwd, bwd_ok = _ratio_accepted(dist.T, ratio)
     rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
     cols = fwd[rows]
-    return CorrespondenceSet(
-        pairs=np.column_stack((rows, cols)), distances=dist[rows, cols]
-    )
+    # the (k, 2) transpose of a (2, k) array; cheaper than column_stack
+    return CorrespondenceSet(pairs=np.array((rows, cols)).T, distances=dist[rows, cols])

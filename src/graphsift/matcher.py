@@ -76,12 +76,12 @@ def gibmc_vertex_score(
     dist = cdist(g_gallery.descriptors, g_probe.descriptors)
     best = dist.argmin(axis=1)
     minima = dist[np.arange(len(dist)), best]
-    # a stable sort by distance puts the lowest gallery index first
-    # among ties, so the first occurrence of each target is the keeper
-    order = np.argsort(minima, kind="stable")
-    _, first = np.unique(best[order], return_index=True)
-    kept = np.sort(order[first])
-    return minima, float(minima.mean()), np.column_stack((kept, best[kept]))
+    # a stable sort by target, then distance, leaves the lowest gallery
+    # index first among ties, so the first row of each target keeps it
+    order = np.lexsort((minima, best))
+    target = best[order]
+    kept = np.sort(order[np.concatenate(([True], target[1:] != target[:-1]))])
+    return minima, float(minima.sum() / len(minima)), np.array((kept, best[kept])).T
 
 
 def gibmc_edge_score(
@@ -104,7 +104,7 @@ def gibmc_edge_score(
     gl, gt, gs = edge_component_arrays(g_gallery, pairs[:, 0])
     pl, pt, ps = edge_component_arrays(g_probe, pairs[:, 1])
     dists = np.sqrt((gl - pl) ** 2 + (gt - pt) ** 2 + (gs - ps) ** 2)
-    return dists, float(dists.mean())
+    return dists, float(dists.sum() / len(dists))
 
 
 def rpbmc_pairs(
@@ -117,7 +117,9 @@ def rpbmc_pairs(
     the structural check here guards that contract.
     """
     cs = mutual_correspondence(g_gallery, g_probe, ratio)
-    if any(len(np.unique(col)) != len(cs) for col in cs.pairs.T):
+    # Python sets: a pairing holds a few pairs, too few for numpy calls to pay
+    gallery_ids, probe_ids = cs.pairs.T.tolist()
+    if len(set(gallery_ids)) != len(cs) or len(set(probe_ids)) != len(cs):
         raise AssertionError("mutual correspondence produced a repeated vertex")
     return cs
 
@@ -133,14 +135,13 @@ def band_multipliers(
     Bands are closed on the outer edge: within 1 sigma of the mean
     (inclusive) takes the first multiplier, then (1, 2] sigma the
     second, (2, 3] sigma the third, and beyond 3 sigma the multiplier
-    is 0. A zero sigma puts every value in the first band.
+    is 0. A zero sigma keeps only the values equal to the mean.
     """
     z = np.abs(np.asarray(distances, dtype=np.float64) - mu)
-    out = np.zeros(z.shape)
-    out[z <= sigma] = multipliers[0]
-    out[(z > sigma) & (z <= 2.0 * sigma)] = multipliers[1]
-    out[(z > 2.0 * sigma) & (z <= 3.0 * sigma)] = multipliers[2]
-    return out
+    # band = how many of the edges sigma, 2 sigma, 3 sigma z is not within;
+    # 3 (beyond 3 sigma, or a NaN no comparison admits) takes the last 0
+    band = 3 - (z <= sigma) - (z <= 2.0 * sigma) - (z <= 3.0 * sigma)
+    return np.array((*multipliers, 0.0))[band]
 
 
 def weighted_mean(
@@ -150,15 +151,34 @@ def weighted_mean(
     """Mean of the weighted distances over the surviving entries only.
 
     Beyond-3-sigma entries carry weight 0 and are excluded from the
-    denominator; at least one entry always survives (the list mean is
-    never more than a population sigma times sqrt(n) from every value).
+    denominator. In exact arithmetic the entries closest to the mean lie
+    within one sigma, so one always survives; where rounding leaves none
+    (sigma rounded just below equal deviations, or squared deviations
+    that underflow to 0), those closest entries take the first
+    multiplier. An empty list, or one whose mean is not finite (an inf
+    or NaN entry), raises ValueError.
     """
     arr = np.asarray(distances, dtype=np.float64)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         raise ValueError("cannot weight an empty distance list")
-    mults = band_multipliers(arr, float(arr.mean()), float(arr.std()), multipliers)
-    kept = int(np.count_nonzero(mults))
+    # the reductions np.mean and np.std (population) run, without their
+    # per-call dispatch: sum over n, then squared deviations over n
+    mu = float(arr.sum() / n)
+    if not math.isfinite(mu):
+        raise ValueError(f"cannot weight distances whose mean is {mu}")
+    dev = arr - mu
+    sigma = math.sqrt(float((dev * dev).sum() / n))
+    mults = band_multipliers(arr, mu, sigma, multipliers)
+    kept = np.count_nonzero(mults)
+    if kept == 0:
+        z = np.abs(dev)
+        mults = np.where(z == z.min(), multipliers[0], 0.0)
+        kept = np.count_nonzero(mults)
     return float((arr * mults).sum() / kept)
+
+
+_DEFAULT_MATCH_CONFIG = MatchConfig()
 
 
 def match(
@@ -169,7 +189,7 @@ def match(
 ) -> MatchScore:
     """Score one gallery/probe pair under the chosen constraint."""
     if cfg is None:
-        cfg = MatchConfig()
+        cfg = _DEFAULT_MATCH_CONFIG
     if g_gallery.n_vertices < 2 or g_probe.n_vertices < 2:
         raise TooFewKeypoints("matching needs graphs with at least 2 vertices")
 
@@ -183,7 +203,7 @@ def match(
             inf = math.inf
             return MatchScore(inf, inf, inf, inf, inf, len(cs), 0, constraint)
         vertex_dists, pairs = cs.distances, cs.pairs
-        vertex_raw = float(vertex_dists.mean())
+        vertex_raw = float(vertex_dists.sum() / len(vertex_dists))
 
     edge_dists, edge_raw = gibmc_edge_score(g_gallery, g_probe, pairs)
     vertex_weighted = weighted_mean(vertex_dists, cfg.multipliers)

@@ -11,6 +11,7 @@ ordering on the synthetic corpus.
 """
 
 import contextlib
+import hashlib
 import math
 import time
 
@@ -26,6 +27,7 @@ from graphsift.matcher import (
     band_multipliers,
     gibmc_vertex_score,
     match,
+    report_row,
     rpbmc_pairs,
 )
 from graphsift.sift import extract_features
@@ -56,6 +58,33 @@ def test_identity_scores_are_exactly_zero(corpus_graphs):
         for g in corpus_graphs.values():
             assert match(g, g, Constraint.RPBMC).combined == 0.0
             assert match(g, g, Constraint.GIBMC).vertex_raw == 0.0
+
+
+# sha256 of the score-report lines of every probe against every gallery
+# graph of the session corpus; a change that moves any score by one ulp
+# (or any pair count) changes these
+SCORE_ROWS_SHA256 = {
+    Constraint.GIBMC: "5dfcd1e3873b8bd278bf045ecab9fdcb8d140965c64f122b05c375883c57b2b1",
+    Constraint.RPBMC: "74e3b707c7ea6efaf28532fed108fd89f31363260404c312fac92c96f80153c2",
+}
+
+
+def test_score_report_rows_pinned(corpus_graphs, corpus_rows):
+    with criterion("score report rows pinned bit for bit"):
+        gallery, probes, seen = [], [], set()
+        # the first image of each subject is its gallery graph; the
+        # subject's other images probe every gallery graph
+        for r in corpus_rows:
+            g = corpus_graphs[(r.subject_id, r.image_id)]
+            (probes if r.subject_id in seen else gallery).append(g)
+            seen.add(r.subject_id)
+        for constraint, want in SCORE_ROWS_SHA256.items():
+            lines = "".join(
+                report_row(p.image_id, g.subject_id, match(g, p, constraint)) + "\n"
+                for p in probes
+                for g in gallery
+            )
+            assert hashlib.sha256(lines.encode()).hexdigest() == want, constraint
 
 
 def test_vertex_score_and_pairing_match_brute_force():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphsift import facegraph
 from graphsift.errors import EmptyGraph, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
@@ -187,6 +188,55 @@ class TestEdgeAttr:
             assert length[k] == attr.length
             assert dtheta[k] == attr.dtheta
             assert dlog[k] == attr.dlogscale
+
+
+def edge_arrays_reference(g, idx):
+    """Edge attributes with fresh np.triu_indices on every call."""
+    a, b = np.triu_indices(len(idx), k=1)
+    a, b = idx[a], idx[b]
+    length = np.hypot(g.xy[a, 0] - g.xy[b, 0], g.xy[a, 1] - g.xy[b, 1])
+    if g.diameter > 0.0:
+        length = length / g.diameter
+    dtheta = (g.theta[a] - g.theta[b] + math.pi) % (2.0 * math.pi) - math.pi
+    dtheta[dtheta == -math.pi] = math.pi
+    return length, dtheta, g.logscale[a] - g.logscale[b]
+
+
+class TestEdgeIndexCache:
+    def test_matches_triu_reference_every_size(self):
+        rng = np.random.default_rng(11)
+        g = random_graph(rng, 90)
+        for k in range(81):
+            idx = rng.permutation(90)[:k]
+            got = edge_component_arrays(g, idx)
+            want = edge_arrays_reference(g, idx)
+            for x, y in zip(got, want):
+                assert x.shape == (k * (k - 1) // 2,)
+                assert np.ascontiguousarray(x).tobytes() == y.tobytes()
+
+    def test_cached_indices_read_only(self):
+        edge_component_arrays(random_graph(np.random.default_rng(12), 6), np.arange(6))
+        a, b = facegraph._triu_indices(6)
+        for arr in (a, b):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert np.array_equal(a, np.triu_indices(6, k=1)[0])
+
+    def test_cache_size_bounded(self):
+        limit = facegraph._TRIU_CACHE_MAX_K
+        cache = facegraph._triu_indices
+        assert cache.cache_info().maxsize == limit + 1
+        rng = np.random.default_rng(13)
+        g = random_graph(rng, limit + 3)
+        for k in (limit, limit + 1, limit + 3):
+            idx = rng.permutation(limit + 3)[:k]
+            before = cache.cache_info()
+            got = edge_component_arrays(g, idx)
+            after = cache.cache_info()
+            assert got[0].tobytes() == edge_arrays_reference(g, idx)[0].tobytes()
+            # sizes beyond the limit bypass the cache
+            lookups = (after.hits + after.misses) - (before.hits + before.misses)
+            assert lookups == (1 if k <= limit else 0)
 
 
 class TestMutualCorrespondence:

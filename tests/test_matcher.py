@@ -1,15 +1,22 @@
 """Vertex/edge scoring, empirical-rule weighting, and match/identify."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from graphsift import matcher
 from graphsift.config import MatchConfig
 from graphsift.errors import EmptyGallery, TooFewKeypoints
-from graphsift.facegraph import FaceGraph, build_graph, mutual_correspondence
+from graphsift.facegraph import (
+    CorrespondenceSet,
+    FaceGraph,
+    build_graph,
+    mutual_correspondence,
+)
 from graphsift.matcher import (
     Constraint,
     REPORT_HEADER,
@@ -103,6 +110,53 @@ def band_oracle(value, mu, sigma, mults=DEFAULT_MULTS):
     if z <= 3.0 * sigma:
         return mults[2]
     return 0.0
+
+
+def band_multipliers_oracle(distances, mu, sigma, multipliers=DEFAULT_MULTS):
+    """Three-mask banding: each band assigned by its own mask."""
+    z = np.abs(np.asarray(distances, dtype=np.float64) - mu)
+    out = np.zeros(z.shape)
+    out[z <= sigma] = multipliers[0]
+    out[(z > sigma) & (z <= 2.0 * sigma)] = multipliers[1]
+    out[(z > 2.0 * sigma) & (z <= 3.0 * sigma)] = multipliers[2]
+    return out
+
+
+def weighted_mean_oracle(distances, multipliers=DEFAULT_MULTS):
+    """Weighted mean with numpy's own mean and population std; where
+    rounding leaves no entry in a band, the entries closest to the mean
+    take the first multiplier."""
+    arr = np.asarray(distances, dtype=np.float64)
+    mu = float(arr.mean())
+    mults = band_multipliers_oracle(arr, mu, float(arr.std()), multipliers)
+    if not mults.any():
+        z = np.abs(arr - mu)
+        mults = np.array([multipliers[0] if v == z.min() else 0.0 for v in z])
+    return float((arr * mults).sum() / np.count_nonzero(mults))
+
+
+# two values, 18 of each: sigma rounds just below their equal deviations,
+# so no entry lies within one sigma
+ROUNDED_OUT = [0.7344835717887294] * 18 + [7.111428779897499] * 18
+
+
+# the paper's weights, and weights that zero the second or third band
+MULTIPLIER_SETS = st.sampled_from(
+    [DEFAULT_MULTS, (0.075, 0.0, 0.025), (0.075, 0.05, 0.0), (1.0, 0.0, 0.0)]
+)
+# small integers, halved: sums and squares stay exact, so values land
+# exactly on the 1, 2 and 3 sigma edges and sigma = 0 occurs
+GRID_LISTS = st.lists(
+    st.integers(0, 12).map(lambda v: v / 2), min_size=1, max_size=64
+)
+FLOAT_LISTS = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+    min_size=1, max_size=64,
+)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestVertexScore:
@@ -237,6 +291,16 @@ class TestRpbmcPairs:
         assert np.array_equal(got.pairs, want.pairs)
         assert np.array_equal(got.distances, want.distances)
 
+    @pytest.mark.parametrize("pairs", [[[0, 1], [2, 1]], [[0, 1], [0, 2]]])
+    def test_repeated_vertex_caught(self, pairs):
+        # the guard of the one-to-one contract, fed a pairing that breaks it
+        rng = np.random.default_rng(29)
+        g1, g2 = random_graph(rng, 4), random_graph(rng, 4)
+        broken = CorrespondenceSet(pairs=np.array(pairs), distances=np.ones(2))
+        with mock.patch.object(matcher, "mutual_correspondence", return_value=broken):
+            with pytest.raises(AssertionError, match="repeated vertex"):
+                rpbmc_pairs(g1, g2)
+
 
 class TestBanding:
     def test_matches_scalar_oracle_bulk(self):
@@ -277,6 +341,23 @@ class TestBanding:
         with pytest.raises(ValueError):
             weighted_mean(np.empty(0))
 
+    def test_no_survivor_falls_back_to_closest_entries(self):
+        # at the 1-sigma edge in exact arithmetic, just outside it after
+        # rounding: every entry is equally close, so all of them weigh 1
+        arr = np.array(ROUNDED_OUT)
+        z = np.abs(arr - arr.mean())
+        assert (z > arr.std()).all()
+        assert weighted_mean(arr, (1.0, 0.0, 0.0)) == float(arr.sum() / arr.size)
+        # deviations of 4e-237 square to 0, so sigma is 0
+        assert weighted_mean([0.0, 8e-237]) == 0.075 * 8e-237 / 2
+
+    @pytest.mark.parametrize(
+        "values", [[1.0, math.inf], [math.nan, 2.0], [math.inf]]
+    )
+    def test_non_finite_rejected(self, values):
+        with pytest.raises(ValueError, match="mean"):
+            weighted_mean(values)
+
     def test_outlier_excluded_from_weighted_mean(self):
         # Ten 1s and one 101: the outlier sits beyond 3 sigma, carries
         # weight 0, and is excluded from the denominator.
@@ -302,6 +383,54 @@ class TestBanding:
         ma = band_multipliers(a, float(a.mean()), float(a.std()))
         mb = band_multipliers(b, float(b.mean()), float(b.std()))
         assert np.array_equal(ma, mb)
+
+    @given(st.one_of(GRID_LISTS, FLOAT_LISTS), MULTIPLIER_SETS)
+    # mean 5, sigma 5: both on the 1-sigma edge; mean 1, sigma 2 and 3:
+    # the 5 and the 10 sit on the 2- and 3-sigma edges; one value and
+    # equal values give sigma 0
+    @example([0.0, 10.0], DEFAULT_MULTS)
+    @example([0.0] * 4 + [5.0], DEFAULT_MULTS)
+    @example([0.0] * 9 + [10.0], DEFAULT_MULTS)
+    @example([0.0] * 9 + [10.0], (0.075, 0.05, 0.0))
+    @example([2.5], DEFAULT_MULTS)
+    @example([4.0] * 7, DEFAULT_MULTS)
+    # no entry survives the bands: rounding, and squares that underflow
+    @example(ROUNDED_OUT, (1.0, 0.0, 0.0))
+    @example([0.0, 7.553245349284459e-237], DEFAULT_MULTS)
+    @settings(max_examples=300, deadline=None)
+    def test_weighting_matches_numpy_oracle_bit_for_bit(self, values, mults):
+        arr = np.array(values)
+        mu, sigma = float(arr.mean()), float(arr.std())
+        assert same_bits(
+            band_multipliers(arr, mu, sigma, mults),
+            band_multipliers_oracle(arr, mu, sigma, mults),
+        )
+        # the mean and sigma weighted_mean bands with are numpy's, to the
+        # bit: they move the result only where a value sits on an edge
+        with mock.patch.object(
+            matcher, "band_multipliers", wraps=matcher.band_multipliers
+        ) as spy:
+            got = weighted_mean(arr, mults)
+        (_, mu_used, sigma_used, _), _ = spy.call_args
+        assert same_bits(mu_used, mu) and same_bits(sigma_used, sigma)
+        assert same_bits(got, weighted_mean_oracle(arr, mults))
+
+    @given(
+        FLOAT_LISTS,
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0])),
+        MULTIPLIER_SETS,
+    )
+    @example([1.0, 2.0], 1.0, math.nan, DEFAULT_MULTS)
+    @example([1.0, 2.0], 1.0, -1.0, DEFAULT_MULTS)
+    @example([1.0, 2.0], 1.0, math.inf, DEFAULT_MULTS)
+    @settings(max_examples=200, deadline=None)
+    def test_band_multipliers_match_oracle_any_sigma(self, values, mu, sigma, mults):
+        # a negative, infinite or NaN sigma bands exactly as the masks do
+        assert same_bits(
+            band_multipliers(values, mu, sigma, mults),
+            band_multipliers_oracle(values, mu, sigma, mults),
+        )
 
 
 class TestMatch:

@@ -133,3 +133,27 @@ class TestDetectorConfig:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             DetectorConfig(**kwargs)
+
+    def test_int_base_sigma_digests_as_float(self):
+        cfg = DetectorConfig(base_sigma=2)
+        assert type(cfg.base_sigma) is float
+        assert cfg.to_text() == DetectorConfig(base_sigma=2.0).to_text()
+        assert cfg.digest() == 0x27B346B216E72F32
+
+    def test_int_edge_ratio_keeps_default_digest(self):
+        cfg = DetectorConfig(edge_ratio=10)
+        assert type(cfg.edge_ratio) is float
+        assert cfg.to_text() == DEFAULT_TEXT
+        assert cfg.digest() == 0xF8D243CE070BC5DA
+
+    @pytest.mark.parametrize("name", ["base_sigma", "contrast_threshold", "edge_ratio"])
+    def test_bool_real_field_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            DetectorConfig(**{name: True})
+
+    @pytest.mark.parametrize("value", [0, 1, np.True_])
+    def test_double_input_must_be_bool(self, value):
+        # an int here rendered as double_input=0/1 and digested apart
+        # from the equal bool
+        with pytest.raises(ValueError, match="double_input"):
+            DetectorConfig(double_input=value)
