@@ -15,7 +15,7 @@ from .evaluation import ProtocolResult, run_protocol
 from .facegraph import FaceGraph, build_graph
 from .imageio import GrayImage, histogram_equalize, load_image
 from .matcher import Constraint, MatchScore, identify, match
-from .sift import Keypoint, extract_features
+from .sift import Keypoints, extract_features
 from .store import GalleryDb, load, save
 
 __version__ = "0.1.0"
@@ -27,7 +27,7 @@ __all__ = [
     "GalleryDb",
     "GrayImage",
     "GraphSiftError",
-    "Keypoint",
+    "Keypoints",
     "MatchConfig",
     "MatchScore",
     "ProtocolResult",

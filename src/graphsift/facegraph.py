@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import EmptyGraph, TooFewKeypoints
-from .sift import Keypoint
+from .sift import Keypoints
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,14 @@ class CorrespondenceSet:
 class FaceGraph:
     """Complete graph over a face's keypoints.
 
-    Every match reads the graph through arrays derived once from the
-    vertices at construction: ``descriptors`` (float64, n x 128),
+    Every match reads the graph through arrays derived once from its
+    keypoint table at construction: ``descriptors`` (float64, n x 128),
     ``xy`` (n x 2), ``theta`` (orientations), ``logscale`` (natural log
     of each scale) and ``diameter``, the maximum pairwise endpoint
     distance.
     """
 
-    vertices: tuple[Keypoint, ...]
+    vertices: Keypoints
     subject_id: str
     image_id: str
     descriptors: np.ndarray = field(init=False, repr=False, compare=False)
@@ -60,16 +60,16 @@ class FaceGraph:
 
     def __post_init__(self):
         kps = self.vertices
-        if not kps:
+        if len(kps) == 0:
             raise EmptyGraph(f"{self.image_id!r}: a face graph needs vertices")
-        xy = np.array([[kp.x, kp.y] for kp in kps])
+        xy = kps.xy.astype(np.float64)
         derived = {
-            "descriptors": np.stack([kp.descriptor for kp in kps]).astype(np.float64),
+            "descriptors": kps.descriptors.astype(np.float64),
             "xy": xy,
-            "theta": np.array([kp.orientation for kp in kps]),
+            "theta": kps.orientation.astype(np.float64),
             # math.log, not np.log: np.log differs in the last ulp on
             # some float32 scales, which would move scores
-            "logscale": np.array([math.log(kp.scale) for kp in kps]),
+            "logscale": np.fromiter(map(math.log, kps.scale.tolist()), float, len(kps)),
             "diameter": float(cdist(xy, xy).max()),
         }
         for name, value in derived.items():
@@ -80,15 +80,13 @@ class FaceGraph:
         return len(self.vertices)
 
 
-def build_graph(
-    kps: list[Keypoint], subject_id: str, image_id: str
-) -> FaceGraph:
+def build_graph(kps: Keypoints, subject_id: str, image_id: str) -> FaceGraph:
     """Assemble a face graph; needs at least two keypoints."""
     if len(kps) < 2:
         raise TooFewKeypoints(
             f"{image_id!r}: got {len(kps)} keypoints, need at least 2"
         )
-    return FaceGraph(vertices=tuple(kps), subject_id=subject_id, image_id=image_id)
+    return FaceGraph(vertices=kps, subject_id=subject_id, image_id=image_id)
 
 
 # Sub-graphs of up to this many vertices take their edge indices from a

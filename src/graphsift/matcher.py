@@ -155,18 +155,20 @@ def weighted_mean(
     within one sigma, so one always survives; where rounding leaves none
     (sigma rounded just below equal deviations, or squared deviations
     that underflow to 0), those closest entries take the first
-    multiplier. An empty list, or one whose mean is not finite (an inf
-    or NaN entry), raises ValueError.
+    multiplier. An empty list, or one with an inf or NaN entry (whose
+    mean is not finite), raises ValueError.
     """
     arr = np.asarray(distances, dtype=np.float64)
     n = arr.size
     if n == 0:
         raise ValueError("cannot weight an empty distance list")
+    # checked before the sum, which warns on opposite infinities;
+    # count_nonzero costs less than .all() on arrays this short
+    if np.count_nonzero(np.isfinite(arr)) != n:
+        raise ValueError("cannot weight distances whose mean is not finite")
     # the reductions np.mean and np.std (population) run, without their
     # per-call dispatch: sum over n, then squared deviations over n
     mu = float(arr.sum() / n)
-    if not math.isfinite(mu):
-        raise ValueError(f"cannot weight distances whose mean is {mu}")
     dev = arr - mu
     sigma = math.sqrt(float((dev * dev).sum() / n))
     mults = band_multipliers(arr, mu, sigma, multipliers)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
 
-from .config import DetectorConfig
+from .config import DESCRIPTOR_LEN, DetectorConfig
 from .errors import ImageTooSmall
 from .imageio import GrayImage
 
@@ -29,35 +29,47 @@ MIN_IMAGE_SIDE = 16
 _MAX_REFINE_STEPS = 5
 _GAUSS_TRUNCATE = 4.0
 TWO_PI = 2.0 * math.pi
+# a keypoint row: x, y, scale and orientation, then the descriptor
+ROW_LEN = 4 + DESCRIPTOR_LEN
 
 
 @dataclass(frozen=True, eq=False)
-class Keypoint:
-    """One detected feature.
+class Keypoints:
+    """Detected features as one read-only float32 table, one row each.
 
-    ``x``/``y`` are sub-pixel input-image coordinates (x = column,
-    y = row), ``scale`` the absolute detection sigma in input-image
-    units, ``orientation`` the dominant gradient direction in
-    [0, 2*pi), and ``descriptor`` the 128-value float32 vector.
-    All scalar fields are float32-exact so keypoints survive binary
-    serialization unchanged.
+    ``rows`` is a C-contiguous (n, ROW_LEN) array. Its columns are
+    ``x``/``y``, sub-pixel input-image coordinates (x = column,
+    y = row), ``scale``, the absolute detection sigma in input-image
+    units, ``orientation``, the dominant gradient direction in
+    [0, 2*pi), and the 128 ``descriptors`` values. A row is exactly the
+    per-keypoint record the gallery store writes. The constructor takes
+    a private float32 copy of any (n, ROW_LEN) array.
     """
 
-    x: float
-    y: float
-    scale: float
-    orientation: float
-    descriptor: np.ndarray = field(repr=False)
+    rows: np.ndarray
 
-    def sort_key(self):
-        return (self.y, self.x, self.scale, self.orientation)
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.float32, order="C")
+        if rows.ndim != 2 or rows.shape[1] != ROW_LEN:
+            raise ValueError(f"keypoint rows must be (n, {ROW_LEN}), got {rows.shape}")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other):
-        if not isinstance(other, Keypoint):
+    # read-only views of the table's columns
+    x = property(lambda self: self.rows[:, 0])
+    y = property(lambda self: self.rows[:, 1])
+    xy = property(lambda self: self.rows[:, :2])
+    scale = property(lambda self: self.rows[:, 2])
+    orientation = property(lambda self: self.rows[:, 3])
+    descriptors = property(lambda self: self.rows[:, 4:])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Keypoints):
             return NotImplemented
-        return self.sort_key() == other.sort_key() and np.array_equal(
-            self.descriptor, other.descriptor
-        )
+        return np.array_equal(self.rows, other.rows)
 
 
 @dataclass
@@ -500,16 +512,27 @@ def _finalize_descriptor(vec: np.ndarray, clamp: float) -> np.ndarray | None:
     return vec.astype(np.float32)
 
 
-def extract_features(img: GrayImage, cfg: DetectorConfig | None = None) -> list[Keypoint]:
+def _sort_unique(rows: np.ndarray) -> np.ndarray:
+    """Rows in (y, x, scale, orientation) order, keeping the first row of
+    each run of equal keys; the sort is stable and -0.0 equals 0.0."""
+    rows = rows[np.lexsort((rows[:, 3], rows[:, 2], rows[:, 0], rows[:, 1]))]
+    keys = rows[:, :4]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return rows[first]
+
+
+def extract_features(img: GrayImage, cfg: DetectorConfig | None = None) -> Keypoints:
     """Full detection pipeline; photometric normalization is the caller's job.
 
-    Output is sorted by (y, x, scale, orientation) and deduplicated, so
-    identical input and config always produce identical keypoint lists.
+    Rows are sorted by (y, x, scale, orientation) and deduplicated on
+    those keys, so identical input and config always produce identical
+    tables.
     """
     if cfg is None:
         cfg = DetectorConfig()
     ss = build_scale_space(img, cfg)
-    keypoints = []
+    rows = []
     for cand in detect_keypoints(ss, cfg):
         loc = localize_keypoint(ss, cand, cfg)
         if isinstance(loc, Rejection):
@@ -518,21 +541,6 @@ def extract_features(img: GrayImage, cfg: DetectorConfig | None = None) -> list[
             desc = compute_descriptor(ss, oriented, cfg)
             if desc is None:
                 continue
-            keypoints.append(
-                Keypoint(
-                    x=float(np.float32(loc.x)),
-                    y=float(np.float32(loc.y)),
-                    scale=float(np.float32(loc.scale)),
-                    orientation=float(np.float32(oriented.orientation)),
-                    descriptor=desc,
-                )
-            )
-    keypoints.sort(key=Keypoint.sort_key)
-    deduped = []
-    last_key = None
-    for kp in keypoints:
-        key = kp.sort_key()
-        if key != last_key:
-            deduped.append(kp)
-            last_key = key
-    return deduped
+            head = (loc.x, loc.y, loc.scale, oriented.orientation)
+            rows.append(np.concatenate((head, desc)))
+    return Keypoints(_sort_unique(np.array(rows, dtype=np.float32).reshape(-1, ROW_LEN)))

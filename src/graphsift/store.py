@@ -10,7 +10,8 @@ Layout (all integers little-endian):
         u32 + UTF-8 bytes   subject_id
         u32 + UTF-8 bytes   image_id
         u32                 keypoint count
-        keypoints, each: f32 x, y, scale, orientation + 128 x f32 descriptor
+        count x 132 f32     keypoint rows: x, y, scale, orientation,
+                            then the 128-value descriptor
     u32     CRC-32 of every preceding byte
 
 An empty gallery is exactly 24 bytes. Saving is deterministic:
@@ -28,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DESCRIPTOR_LEN
 from .errors import (
     BadMagic,
     ChecksumMismatch,
@@ -38,11 +38,10 @@ from .errors import (
     UnsupportedVersion,
 )
 from .facegraph import FaceGraph, build_graph
-from .sift import Keypoint
+from .sift import ROW_LEN, Keypoints
 
 MAGIC = b"GSFT"
 FORMAT_VERSION = 1
-_KP_STRUCT = struct.Struct("<ffff")
 _CRC_MISMATCH = "payload CRC does not match the stored value"
 
 
@@ -90,9 +89,7 @@ def save(db: GalleryDb, path: str | Path) -> None:
         parts.append(_encode_str(g.subject_id))
         parts.append(_encode_str(g.image_id))
         parts.append(struct.pack("<I", g.n_vertices))
-        for kp in g.vertices:
-            parts.append(_KP_STRUCT.pack(kp.x, kp.y, kp.scale, kp.orientation))
-            parts.append(kp.descriptor.astype("<f4").tobytes())
+        parts.append(g.vertices.rows.astype("<f4", copy=False).tobytes())
     payload = b"".join(parts)
     payload += struct.pack("<I", zlib.crc32(payload))
     Path(path).write_bytes(payload)
@@ -165,14 +162,10 @@ def _parse(data: bytes) -> GalleryDb:
         subject_id = r.text()
         image_id = r.text()
         n_kps = r.u32()
-        kps = []
-        for _ in range(n_kps):
-            x, y, scale, orientation = _KP_STRUCT.unpack(r.take(_KP_STRUCT.size))
-            desc = np.frombuffer(r.take(4 * DESCRIPTOR_LEN), dtype="<f4").astype(
-                np.float32
-            )
-            kps.append(Keypoint(x, y, scale, orientation, desc))
-        graphs.append(build_graph(kps, subject_id, image_id))
+        rows = np.frombuffer(r.take(4 * ROW_LEN * n_kps), dtype="<f4")
+        graphs.append(
+            build_graph(Keypoints(rows.reshape(n_kps, ROW_LEN)), subject_id, image_id)
+        )
     if r.pos != r.limit:
         raise TruncatedFile(
             f"{r.limit - r.pos} unexpected bytes between entries and checksum"
@@ -191,12 +184,9 @@ def export_text(db: GalleryDb, path: str | Path) -> None:
         f"entries {len(db.entries)}",
     ]
     for g in db.entries:
-        if " " in g.subject_id or " " in g.image_id:
-            raise ValueError("ids with spaces cannot be exported as text")
-        for kp in g.vertices:
-            fields = [g.subject_id, g.image_id] + [
-                format(v, ".9g")
-                for v in (kp.x, kp.y, kp.scale, kp.orientation, *kp.descriptor)
-            ]
+        if any(c.isspace() for c in g.subject_id + g.image_id):
+            raise ValueError("ids with whitespace cannot be exported as text")
+        for row in g.vertices.rows.tolist():
+            fields = [g.subject_id, g.image_id] + [format(v, ".9g") for v in row]
             lines.append(" ".join(fields))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -14,27 +14,22 @@ from graphsift.facegraph import (
     edge_component_arrays,
     mutual_correspondence,
 )
-from graphsift.sift import Keypoint
 
-from conftest import edge_attr, random_graph, random_keypoint, wrap_angle
-
-
-def kp_at(x, y, scale=1.0, orientation=0.0, descriptor=None):
-    if descriptor is None:
-        descriptor = np.zeros(128, dtype=np.float32)
-    return Keypoint(
-        x=float(x), y=float(y), scale=float(scale),
-        orientation=float(orientation), descriptor=descriptor,
-    )
+from conftest import (
+    derived_oracle,
+    edge_attr,
+    kp_at,
+    random_graph,
+    random_keypoint,
+    table,
+    wrap_angle,
+)
 
 
 def graph_with_descriptors(rows, subject="s", image="i"):
     """One keypoint per descriptor row, positions on a line."""
-    kps = [
-        kp_at(float(i), 0.0, descriptor=np.asarray(row, dtype=np.float32))
-        for i, row in enumerate(rows)
-    ]
-    return build_graph(kps, subject, image)
+    kps = [kp_at(i, 0.0, descriptor=row) for i, row in enumerate(rows)]
+    return build_graph(table(kps), subject, image)
 
 
 def ratio_oracle(d1_rows, d2_rows, ratio):
@@ -90,17 +85,17 @@ class TestBuildGraph:
     def test_too_few_keypoints(self, n):
         rng = np.random.default_rng(1)
         with pytest.raises(TooFewKeypoints):
-            build_graph([random_keypoint(rng) for _ in range(n)], "s", "i")
+            build_graph(table([random_keypoint(rng) for _ in range(n)]), "s", "i")
 
     def test_diameter_hand_value(self):
         g = build_graph(
-            [kp_at(0, 0), kp_at(3, 4), kp_at(6, 8)], "s", "i"
+            table([kp_at(0, 0), kp_at(3, 4), kp_at(6, 8)]), "s", "i"
         )
         assert g.diameter == 10.0
 
     def test_no_vertices_rejected(self):
         with pytest.raises(EmptyGraph):
-            FaceGraph(vertices=(), subject_id="s", image_id="i")
+            FaceGraph(vertices=table([]), subject_id="s", image_id="i")
 
     def test_vertex_arrays_match_keypoints(self):
         # Log-scales must be math.log to the bit, the value the scalar
@@ -111,26 +106,29 @@ class TestBuildGraph:
         exact = np.array([math.log(s) for s in scales])
         picked = scales[np.log(scales) != exact][:30]
         scales = np.concatenate([picked, scales[: 32 - len(picked)]])
-        kps = [
+        kps = table([
             kp_at(rng.uniform(0, 128), rng.uniform(0, 128), scale=s,
-                  orientation=rng.uniform(0, 2 * math.pi))
+                  orientation=rng.uniform(0, 2 * math.pi),
+                  descriptor=rng.random(128, dtype=np.float32))
             for s in scales
-        ]
+        ])
         g = build_graph(kps, "s", "i")
-        assert g.xy.tolist() == [[kp.x, kp.y] for kp in kps]
-        assert g.theta.tolist() == [kp.orientation for kp in kps]
-        assert g.logscale.tolist() == [math.log(kp.scale) for kp in kps]
-        assert np.array_equal(g.descriptors, np.stack([kp.descriptor for kp in kps]))
+        assert g.xy.tolist() == kps.xy.tolist()
+        assert g.theta.tolist() == kps.orientation.tolist()
+        assert g.logscale.tolist() == [math.log(s) for s in kps.scale.tolist()]
+        assert np.array_equal(g.descriptors, kps.descriptors)
+        for name, want in derived_oracle(kps).items():
+            assert np.asarray(getattr(g, name)).tobytes() == np.asarray(want).tobytes()
 
 
 class TestEdgeAttr:
     def hand_graph(self):
         return build_graph(
-            [
+            table([
                 kp_at(0, 0, scale=1.0, orientation=0.0),
                 kp_at(3, 4, scale=2.0, orientation=math.pi / 2),
                 kp_at(6, 8, scale=4.0, orientation=3.0),
-            ],
+            ]),
             "s", "i",
         )
 
@@ -138,7 +136,8 @@ class TestEdgeAttr:
         g = self.hand_graph()
         e01 = edge_attr(g, 0, 1)
         assert e01.length == pytest.approx(0.5, abs=1e-12)
-        assert e01.dtheta == pytest.approx(-math.pi / 2, abs=1e-12)
+        # orientations are stored as float32
+        assert e01.dtheta == pytest.approx(-float(np.float32(math.pi / 2)), abs=1e-12)
         assert e01.dlogscale == pytest.approx(-math.log(2.0), abs=1e-12)
         e02 = edge_attr(g, 0, 2)
         assert e02.length == pytest.approx(1.0, abs=1e-12)
@@ -267,7 +266,7 @@ class TestMutualCorrespondence:
         # One-row sides take the no-second-neighbour path.
         def graph(rows):
             kps = [kp_at(i, 0.0, descriptor=row) for i, row in enumerate(rows)]
-            return FaceGraph(vertices=tuple(kps), subject_id="s", image_id="i")
+            return FaceGraph(vertices=table(kps), subject_id="s", image_id="i")
 
         r1 = np.pad(np.array(rows1, dtype=np.float32), ((0, 0), (0, 125)))
         r2 = np.pad(np.array(rows2, dtype=np.float32), ((0, 0), (0, 125)))
@@ -296,7 +295,9 @@ class TestMutualCorrespondence:
         # pass then keeps only the exact copy.
         rng = np.random.default_rng(6)
         g1 = random_graph(rng, 5)
-        single = FaceGraph(vertices=(g1.vertices[3],), subject_id="s", image_id="i")
+        single = FaceGraph(
+            vertices=table(g1.vertices.rows[3:4]), subject_id="s", image_id="i"
+        )
         cs = mutual_correspondence(g1, single)
         assert cs.pairs.tolist() == [[3, 0]]
         assert cs.distances.tolist() == [0.0]

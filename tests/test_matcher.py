@@ -29,27 +29,22 @@ from graphsift.matcher import (
     rpbmc_pairs,
     weighted_mean,
 )
-from graphsift.sift import Keypoint
 
-from conftest import edge_attr, random_graph, random_keypoint
+from conftest import edge_attr, kp_at, random_graph, random_keypoint, table
 
 DEFAULT_MULTS = (0.075, 0.05, 0.025)
 
 
 def graph_from_rows(rows, subject="s", image="i", positions=None):
-    rows = np.asarray(rows, dtype=np.float32)
     kps = []
     for i, row in enumerate(rows):
         x, y = positions[i] if positions is not None else (float(i), 0.0)
-        kps.append(
-            Keypoint(x=float(x), y=float(y), scale=1.0, orientation=0.0,
-                     descriptor=row)
-        )
-    return build_graph(kps, subject, image)
+        kps.append(kp_at(x, y, descriptor=row))
+    return build_graph(table(kps), subject, image)
 
 
 def single_vertex_graph(kp, subject="s", image="i"):
-    return FaceGraph(vertices=(kp,), subject_id=subject, image_id=image)
+    return FaceGraph(vertices=table([kp]), subject_id=subject, image_id=image)
 
 
 def vertex_score_oracle(g1, g2):
@@ -174,7 +169,7 @@ class TestVertexScore:
     def test_two_against_one_halves_the_distance(self):
         rng = np.random.default_rng(21)
         u, v = random_keypoint(rng), random_keypoint(rng)
-        gallery = build_graph([u, v], "s", "g")
+        gallery = build_graph(table([u, v]), "s", "g")
         probe = single_vertex_graph(u, image="p")
         minima, mean, _ = gibmc_vertex_score(gallery, probe)
         d_uv = float(np.linalg.norm(
@@ -268,14 +263,11 @@ class TestEdgeScore:
         # Doubling all coordinates leaves normalized lengths untouched,
         # so a graph and its scaled copy have edge distance exactly 0.
         rng = np.random.default_rng(28)
-        kps = [random_keypoint(rng) for _ in range(7)]
-        scaled = [
-            Keypoint(x=2.0 * kp.x, y=2.0 * kp.y, scale=kp.scale,
-                     orientation=kp.orientation, descriptor=kp.descriptor)
-            for kp in kps
-        ]
+        kps = table([random_keypoint(rng) for _ in range(7)])
+        scaled = kps.rows.copy()
+        scaled[:, :2] *= 2.0
         g1 = build_graph(kps, "s", "a")
-        g2 = build_graph(scaled, "s", "b")
+        g2 = build_graph(table(scaled), "s", "b")
         pairs = [(i, i) for i in range(7)]
         dists, mean = gibmc_edge_score(g1, g2, pairs)
         assert np.all(dists == 0.0)
@@ -352,7 +344,8 @@ class TestBanding:
         assert weighted_mean([0.0, 8e-237]) == 0.075 * 8e-237 / 2
 
     @pytest.mark.parametrize(
-        "values", [[1.0, math.inf], [math.nan, 2.0], [math.inf]]
+        "values",
+        [[1.0, math.inf], [math.nan, 2.0], [math.inf], [-math.inf, math.inf]],
     )
     def test_non_finite_rejected(self, values):
         with pytest.raises(ValueError, match="mean"):
@@ -476,10 +469,10 @@ class TestMatch:
     def test_probe_permutation_invariance(self):
         rng = np.random.default_rng(37)
         g1 = random_graph(rng, 12)
-        kps = [random_keypoint(rng) for _ in range(14)]
+        kps = table([random_keypoint(rng) for _ in range(14)])
         g2 = build_graph(kps, "p", "i")
-        perm = list(rng.permutation(14))
-        g2p = build_graph([kps[i] for i in perm], "p", "i")
+        perm = rng.permutation(14)
+        g2p = build_graph(table(kps.rows[perm]), "p", "i")
         for constraint in Constraint:
             a = match(g1, g2, constraint)
             b = match(g1, g2p, constraint)
@@ -560,7 +553,7 @@ class TestIdentify:
     def test_rank_one_for_exact_copy(self):
         rng = np.random.default_rng(40)
         gallery = [random_graph(rng, 10, subject=f"s{k}", image="t") for k in range(5)]
-        probe = build_graph(list(gallery[2].vertices), "unknown", "probe")
+        probe = build_graph(gallery[2].vertices, "unknown", "probe")
         for constraint in Constraint:
             ranked = identify(probe, gallery, constraint)
             assert ranked[0][0] == "s2"
@@ -573,14 +566,14 @@ class TestIdentify:
         rng = np.random.default_rng(41)
         near = random_graph(rng, 8, subject="s0", image="a")
         far = random_graph(rng, 8, subject="s0", image="b")
-        probe = build_graph(list(near.vertices), "q", "p")
+        probe = build_graph(near.vertices, "q", "p")
         ranked = identify(probe, [far, near], Constraint.GIBMC)
         assert ranked[0][0] == "s0"
         assert ranked[0][1].combined == 0.0
 
     def test_tie_breaks_lexicographic(self):
         rng = np.random.default_rng(42)
-        kps = [random_keypoint(rng) for _ in range(6)]
+        kps = table([random_keypoint(rng) for _ in range(6)])
         g_b = build_graph(kps, "b", "i")
         g_a = build_graph(kps, "a", "i")
         probe = build_graph(kps, "q", "p")

@@ -30,7 +30,7 @@ def make_population(seed=7, n_probes=2):
         extra = random_graph(rng, 8, subject=s, image=f"{s}_t1")
         gallery += [base, extra]
         probes += [
-            build_graph(list(base.vertices), s, f"{s}_p{k}")
+            build_graph(base.vertices, s, f"{s}_p{k}")
             for k in range(n_probes)
         ]
     return gallery, probes, assignment
@@ -90,7 +90,7 @@ class TestRunProtocol:
     def test_degenerate_group_is_named(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 8, subject="s000", image="s000_t0")
-        p = build_graph(list(g.vertices), "s000", "s000_p0")
+        p = build_graph(g.vertices, "s000", "s000_p0")
         with pytest.raises(DegenerateScores, match=r"^group G1: .*0 impostor"):
             run_protocol([g], [p], {"s000": "G1"}, Constraint.GIBMC)
 

@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphsift.config import DESCRIPTOR_LEN, DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.errors import ImageTooSmall
 from graphsift.imageio import GrayImage, histogram_equalize
-from graphsift.sift import extract_features
+from graphsift.sift import ROW_LEN, Keypoints, _sort_unique, extract_features
 
 
 def texture_image(subject, image, size=64):
@@ -20,14 +21,13 @@ class TestExtractFeatures:
     def test_deterministic_bit_for_bit(self):
         img = texture_image(0, 0)
         a, b = extract_features(img), extract_features(img)
-        assert len(a) == len(b)
-        for ka, kb in zip(a, b):
-            assert ka.sort_key() == kb.sort_key()
-            assert np.array_equal(ka.descriptor, kb.descriptor)
+        assert len(a) > 0
+        assert a == b
+        assert a.rows.tobytes() == b.rows.tobytes()
 
     def test_constant_image_yields_nothing(self):
         img = GrayImage(np.full((64, 64), 90, dtype=np.uint8))
-        assert extract_features(img) == []
+        assert extract_features(img) == Keypoints(np.empty((0, ROW_LEN)))
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ImageTooSmall):
@@ -41,13 +41,13 @@ class TestExtractFeatures:
     def test_keypoints_in_bounds_sorted_unique(self):
         img = texture_image(1, 1)
         kps = extract_features(img)
-        keys = [kp.sort_key() for kp in kps]
+        columns = (kps.y, kps.x, kps.scale, kps.orientation)
+        keys = list(zip(*(col.tolist() for col in columns)))
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-        for kp in kps:
-            assert 0.0 <= kp.x < img.width
-            assert 0.0 <= kp.y < img.height
-            assert kp.scale > 0.0
+        assert np.all((0.0 <= kps.x) & (kps.x < img.width))
+        assert np.all((0.0 <= kps.y) & (kps.y < img.height))
+        assert np.all(kps.scale > 0.0)
 
     def test_translation_equivariance(self):
         # raw renders: contrast equalization uses a global histogram, so it
@@ -59,25 +59,72 @@ class TestExtractFeatures:
         )
         kp_base = extract_features(base)
         kp_moved = extract_features(moved)
+        moved_xy = kp_moved.xy.tolist()
         margin = 24.0  # ignore content near borders where windows differ
         interior = [
-            kp for kp in kp_base
-            if margin < kp.x < 128 - margin - 16 and margin < kp.y < 128 - margin - 8
+            (x, y) for x, y in kp_base.xy.tolist()
+            if margin < x < 128 - margin - 16 and margin < y < 128 - margin - 8
         ]
         matched = 0
-        for kp in interior:
+        for x, y in interior:
             if any(
-                np.hypot(m.x - (kp.x + 16.0), m.y - (kp.y + 8.0)) < 1.0
-                for m in kp_moved
+                np.hypot(mx - (x + 16.0), my - (y + 8.0)) < 1.0
+                for mx, my in moved_xy
             ):
                 matched += 1
         assert len(interior) >= 10
         assert matched >= 0.8 * len(interior)
 
     def test_float32_scalar_fields(self):
-        for kp in extract_features(texture_image(2, 2)):
-            for value in (kp.x, kp.y, kp.scale, kp.orientation):
-                assert value == float(np.float32(value))
+        rows = extract_features(texture_image(2, 2)).rows
+        assert rows.dtype == np.float32 and rows.shape[1] == ROW_LEN
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+
+
+def sort_unique_oracle(rows):
+    """Per-keypoint reference: a stable Python sort on the
+    (y, x, scale, orientation) tuple of Python floats, then the first
+    keypoint of each run of equal keys."""
+    records = sorted(rows.tolist(), key=lambda r: (r[1], r[0], r[2], r[3]))
+    kept = []
+    last_key = None
+    for r in records:
+        key = (r[1], r[0], r[2], r[3])
+        if key != last_key:
+            kept.append(r)
+            last_key = key
+    return kept
+
+
+# a small float grid makes exact key ties common; -0.0 must tie with 0.0
+GRID = st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.tuples(GRID, GRID, GRID, GRID),
+            st.integers(0, 3),
+            st.integers(0, 2),
+        ),
+        max_size=40,
+    )
+)
+def test_sort_unique_matches_tuple_sort(draws):
+    # each draw is (key, descriptor id, copies): copies repeat the
+    # whole row, and equal keys with other descriptor ids are key ties
+    # that keep their first row
+    rows = np.zeros((0, ROW_LEN), dtype=np.float32)
+    for key, desc_id, copies in draws:
+        row = np.full(ROW_LEN, desc_id, dtype=np.float32)
+        row[:4] = key
+        rows = np.vstack([rows] + [row] * (copies + 1))
+    got = _sort_unique(rows)
+    want = np.array(sort_unique_oracle(rows), dtype=np.float32).reshape(-1, ROW_LEN)
+    # bytes, not values: -0.0 == 0.0, and the kept row must be the
+    # first of its run, sign of zero included
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid,bins", [(2, 8), (4, 4), (3, 8), (5, 8)])

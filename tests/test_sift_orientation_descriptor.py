@@ -209,8 +209,8 @@ class TestOrientation:
 
     def test_orientation_range(self):
         img = histogram_equalize(render_texture(subject_texture(11, 4, 64), 64))
-        for kp in extract_features(img):
-            assert 0.0 <= kp.orientation < 2.0 * math.pi
+        theta = extract_features(img).orientation
+        assert np.all((0.0 <= theta) & (theta < 2.0 * math.pi))
 
 
 class TestDescriptor:
@@ -276,13 +276,13 @@ class TestDescriptor:
     def test_contracts_on_texture(self):
         img = histogram_equalize(render_texture(subject_texture(12, 0, 64), 64))
         kps = extract_features(img)
-        assert kps
-        for kp in kps:
-            assert kp.descriptor.shape == (128,)
-            assert kp.descriptor.dtype == np.float32
-            assert abs(float(np.linalg.norm(kp.descriptor)) - 1.0) < 1e-6
-            assert float(kp.descriptor.min()) >= 0.0
-            assert float(kp.descriptor.max()) <= 0.2 + 1e-6
+        assert len(kps) > 0
+        for desc in kps.descriptors:
+            assert desc.shape == (128,)
+            assert desc.dtype == np.float32
+            assert abs(float(np.linalg.norm(desc)) - 1.0) < 1e-6
+            assert float(desc.min()) >= 0.0
+            assert float(desc.max()) <= 0.2 + 1e-6
 
     def test_window_exceeding_image_dropped(self):
         cfg = DetectorConfig(double_input=False)
@@ -332,22 +332,26 @@ class TestDescriptor:
         )
         c = (128 - 1) / 2.0
         cos_a, sin_a = math.cos(angle), math.sin(angle)
+        wx, wy, wo = warped.x.tolist(), warped.y.tolist(), warped.orientation.tolist()
         close = total = 0
-        for kp in base:
-            px = cos_a * (kp.x - c) - sin_a * (kp.y - c) + c
-            py = sin_a * (kp.x - c) + cos_a * (kp.y - c) + c
+        for i, (x, y, o) in enumerate(
+            zip(base.x.tolist(), base.y.tolist(), base.orientation.tolist())
+        ):
+            px = cos_a * (x - c) - sin_a * (y - c) + c
+            py = sin_a * (x - c) + cos_a * (y - c) + c
             if not (10 < px < 118 and 10 < py < 118):
                 continue
             cands = [
-                w for w in warped
-                if math.hypot(w.x - px, w.y - py) < 2.0
-                and abs(wrap_angle(w.orientation - kp.orientation - angle)) < 0.4
+                j for j in range(len(warped))
+                if math.hypot(wx[j] - px, wy[j] - py) < 2.0
+                and abs(wrap_angle(wo[j] - o - angle)) < 0.4
             ]
             if not cands:
                 continue
             total += 1
             dist = min(
-                float(np.linalg.norm(kp.descriptor - w.descriptor)) for w in cands
+                float(np.linalg.norm(base.descriptors[i] - warped.descriptors[j]))
+                for j in cands
             )
             close += dist < 0.6
         assert total >= 10

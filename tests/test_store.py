@@ -7,8 +7,9 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from graphsift.config import DetectorConfig
+from graphsift.config import DESCRIPTOR_LEN, DetectorConfig
 from graphsift.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -16,9 +17,30 @@ from graphsift.errors import (
     TruncatedFile,
     UnsupportedVersion,
 )
+from graphsift.facegraph import build_graph
+from graphsift.sift import Keypoints
 from graphsift.store import FORMAT_VERSION, GalleryDb, export_text, load, merge, save
 
-from conftest import random_graph
+from conftest import derived_oracle, random_graph
+
+
+def f32(lo, hi):
+    return st.floats(lo, hi, width=32)
+
+
+@st.composite
+def keypoint_tables(draw):
+    """Tables of 2..12 keypoints with valid geometry and any finite
+    float32 descriptor values."""
+    n = draw(st.integers(2, 12))
+    columns = [
+        draw(hnp.arrays(np.float32, n, elements=elements))
+        for elements in (f32(0.0, 512.0), f32(0.0, 512.0), f32(0.25, 64.0),
+                         f32(0.0, 6.25))
+    ]
+    any_finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    descriptors = draw(hnp.arrays(np.float32, (n, DESCRIPTOR_LEN), elements=any_finite))
+    return Keypoints(np.column_stack(columns + [descriptors]))
 
 
 def random_db(seed, n_entries=3, cfg_hash=0x1234_5678_9ABC_DEF0):
@@ -52,6 +74,23 @@ class TestRoundTrip:
         db = random_db(seed, n_entries)
         save(db, path)
         assert_dbs_equal(load(path), db)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tables=st.lists(keypoint_tables(), min_size=1, max_size=3))
+    def test_tables_and_derived_arrays_round_trip(self, tmp_path_factory, tables):
+        path = tmp_path_factory.mktemp("db") / "g.db"
+        db = GalleryDb(
+            detector_cfg_hash=1,
+            entries=tuple(build_graph(t, "s", f"i{k}") for k, t in enumerate(tables)),
+        )
+        save(db, path)
+        loaded = load(path)
+        assert [g.vertices for g in loaded.entries] == tables
+        for g, kps in zip(loaded.entries, tables):
+            assert g.vertices.rows.tobytes() == kps.rows.tobytes()
+            for name, want in derived_oracle(kps).items():
+                got = np.asarray(getattr(g, name))
+                assert got.tobytes() == np.asarray(want).tobytes(), name
 
     def test_empty_db_is_24_bytes(self, tmp_path):
         path = tmp_path / "empty.db"
@@ -248,16 +287,17 @@ class TestExportText:
         assert len(lines) == sum(g.n_vertices for g in db.entries)
         it = iter(lines)
         for g in db.entries:
-            for kp in g.vertices:
+            kps = g.vertices
+            for i in range(len(kps)):
                 fields = next(it).split(" ")
                 assert fields[0] == g.subject_id
                 assert fields[1] == g.image_id
-                assert np.float32(fields[2]) == np.float32(kp.x)
-                assert np.float32(fields[3]) == np.float32(kp.y)
-                assert np.float32(fields[4]) == np.float32(kp.scale)
-                assert np.float32(fields[5]) == np.float32(kp.orientation)
+                assert np.float32(fields[2]) == kps.x[i]
+                assert np.float32(fields[3]) == kps.y[i]
+                assert np.float32(fields[4]) == kps.scale[i]
+                assert np.float32(fields[5]) == kps.orientation[i]
                 parsed = np.array(fields[6:], dtype=np.float32)
-                assert np.array_equal(parsed, kp.descriptor)
+                assert np.array_equal(parsed, kps.descriptors[i])
 
     def test_spaced_ids_rejected(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -267,3 +307,17 @@ class TestExportText:
         )
         with pytest.raises(ValueError):
             export_text(db, tmp_path / "x.txt")
+
+    @pytest.mark.parametrize(
+        "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003"]
+    )
+    @pytest.mark.parametrize("field", ["subject", "image"])
+    def test_whitespace_ids_rejected(self, tmp_path, field, bad):
+        # any whitespace in an id would break the one-keypoint-per-line,
+        # space-separated format
+        rng = np.random.default_rng(15)
+        ids = {"subject": "s", "image": "i", field: bad}
+        db = GalleryDb(detector_cfg_hash=0, entries=(random_graph(rng, 2, **ids),))
+        with pytest.raises(ValueError, match="whitespace"):
+            export_text(db, tmp_path / "x.txt")
+        assert not (tmp_path / "x.txt").exists()
