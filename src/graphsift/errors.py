@@ -29,6 +29,10 @@ class EmptyGraph(GraphSiftError):
     """A face graph was constructed with no vertices."""
 
 
+class NonFiniteKeypoint(GraphSiftError):
+    """A keypoint table holds a NaN or infinite value."""
+
+
 class EmptyGallery(GraphSiftError):
     """Identification against a gallery with no enrolled graphs."""
 

@@ -10,6 +10,14 @@ Correspondence between two graphs compares descriptors only. Location,
 scale and orientation are deliberately kept out of vertex matching
 (they are not comparable across unregistered images) and enter through
 edge geometry instead.
+
+A descriptor distance is Euclidean and bit for bit what scipy's
+``cdist`` gives: the square root of the float64 sum of squared
+differences, added in dimension order. Nearest neighbours are found
+without that distance for every vertex pair: one matrix product
+estimates all of them, a rigorous error bound settles which vertex is
+nearest and which ratio tests pass, and only what the bound leaves
+open, plus every distance returned, is computed exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .config import DESCRIPTOR_LEN
 from .errors import EmptyGraph, TooFewKeypoints
 from .sift import Keypoints
 
@@ -43,37 +52,49 @@ class FaceGraph:
     """Complete graph over a face's keypoints.
 
     Every match reads the graph through arrays derived once from its
-    keypoint table at construction: ``descriptors`` (float64, n x 128),
-    ``xy`` (n x 2), ``theta`` (orientations), ``logscale`` (natural log
-    of each scale) and ``diameter``, the maximum pairwise endpoint
-    distance.
+    keypoint table at construction: ``descriptors`` (float64, n x 128,
+    the transpose of a C-contiguous 128 x n array), ``sq_norms`` (each
+    descriptor's squared norm), ``geometry`` (4 x n rows x, y, theta
+    and logscale), its views ``xy`` (n x 2), ``theta`` (orientations)
+    and ``logscale`` (natural log of each scale), and ``diameter``, the
+    maximum pairwise endpoint distance.
     """
 
     vertices: Keypoints
     subject_id: str
     image_id: str
     descriptors: np.ndarray = field(init=False, repr=False, compare=False)
-    xy: np.ndarray = field(init=False, repr=False, compare=False)
-    theta: np.ndarray = field(init=False, repr=False, compare=False)
-    logscale: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    geometry: np.ndarray = field(init=False, repr=False, compare=False)
     diameter: float = field(init=False, compare=False)
 
     def __post_init__(self):
         kps = self.vertices
-        if len(kps) == 0:
+        n = len(kps)
+        if n == 0:
             raise EmptyGraph(f"{self.image_id!r}: a face graph needs vertices")
-        xy = kps.xy.astype(np.float64)
+        # one descriptor per column, so exact distances gather columns
+        by_dim = kps.descriptors.T.astype(np.float64, order="C")
+        # rows x, y, orientation and scale, the last replaced by its log;
+        # math.log, not np.log: np.log differs in the last ulp on some
+        # float32 scales, which would move scores
+        geometry = kps.rows.T[[0, 1, 3, 2]].astype(np.float64)
+        geometry[3] = np.fromiter(map(math.log, kps.scale.tolist()), float, n)
+        xy = geometry[:2].T
         derived = {
-            "descriptors": kps.descriptors.astype(np.float64),
-            "xy": xy,
-            "theta": kps.orientation.astype(np.float64),
-            # math.log, not np.log: np.log differs in the last ulp on
-            # some float32 scales, which would move scores
-            "logscale": np.fromiter(map(math.log, kps.scale.tolist()), float, len(kps)),
+            "descriptors": by_dim.T,
+            # in any summation order: the matching bound allows for it
+            "sq_norms": np.einsum("ij,ij->j", by_dim, by_dim),
+            "geometry": geometry,
             "diameter": float(cdist(xy, xy).max()),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    # views of the geometry rows
+    xy = property(lambda self: self.geometry[:2].T)
+    theta = property(lambda self: self.geometry[2])
+    logscale = property(lambda self: self.geometry[3])
 
     @property
     def n_vertices(self) -> int:
@@ -118,35 +139,164 @@ def edge_component_arrays(
     idx = np.asarray(idx, dtype=np.intp)
     k = len(idx)
     a, b = _triu_indices(k) if k <= _TRIU_CACHE_MAX_K else np.triu_indices(k, k=1)
-    a, b = idx[a], idx[b]
-    # 1-D gathers: indexing rows of the (n, 2) xy array costs several
-    # times more than indexing its two columns
-    x, y = g.xy.T
-    length = np.hypot(x[a] - x[b], y[a] - y[b])
+    # one gather of the sub-graph's geometry, then one per endpoint;
+    # take along axis 1 keeps the (4, edges) results C-contiguous
+    sub = g.geometry.take(idx, axis=1)
+    diff = sub.take(a, axis=1)
+    diff -= sub.take(b, axis=1)
+    length = np.hypot(diff[0], diff[1])
     if g.diameter > 0.0:
-        length = length / g.diameter
-    dtheta = (g.theta[a] - g.theta[b] + math.pi) % (2.0 * math.pi) - math.pi
+        length /= g.diameter
+    dtheta = (diff[2] + math.pi) % (2.0 * math.pi) - math.pi
     dtheta[dtheta == -math.pi] = math.pi
-    return length, dtheta, g.logscale[a] - g.logscale[b]
+    return length, dtheta, diff[3]
 
 
-def _ratio_accepted(dist: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise nearest neighbor and whether it passes the
-    nearest/second-nearest test.
+# --- exact nearest neighbours ---
+#
+# _half_squared estimates half of every squared descriptor distance
+# with one matrix product, h = |b|^2/2 - a.b (+ |a|^2/2 where a row's
+# own norm matters), from each graph's squared norms. The bound B on
+# its error follows Higham, Accuracy and Stability of Numerical
+# Algorithms (2nd ed.), section 3.1: with unit roundoff u = 2**-53 and
+# gamma_k = k*u / (1 - k*u), a length-n dot product computed in any
+# order is within gamma_n of the sum of its terms' magnitudes. Here
+# n = 128, and P = max |a|^2 + max |b|^2 over the two graphs.
+# - |a|^2/2, |b|^2/2 and a.b each carry at most gamma_n times their
+#   terms' magnitudes, and sum |a_k*b_k| <= P/2, so together they are
+#   within gamma_n*P; the one or two additions forming h round by at
+#   most u*P(1 + gamma_n) each. So h is within gamma_(n+2)*P of the
+#   exact half squared distance s/2.
+# - cdist squares each rounded difference (a factor (1+u)^3 per term)
+#   and adds n nonnegative terms in order (gamma_(n-1)), so its sum is
+#   within gamma_(n+2)*s of s; with s <= 2P its half is within
+#   gamma_(n+2)*P of s/2. Hence E = 2*gamma_(n+2)*P bounds how far h
+#   lies from cdist's half squared sum.
+# - Two sums whose square roots round to the same distance differ by
+#   at most a factor ((1+u)/(1-u))^2, about 4u*P in halves.
+# B = 2*gamma_(n+4)*P, so 2B - 2E exceeds 8u*P. Deciding that a row's
+# nearest column is unique (h2 - h1 > 2B), or that a column can hold
+# no nearest or second-nearest distance (h > h2 + 2B), therefore leaves
+# beyond both estimates' errors about 4u*P for merged square roots,
+# under 2u*P for the test's own rounding and 2u*P to spare. Where
+# products underflow, each adds an absolute error under 2**-1075 that
+# the relative bound misses; B is used only while it is a normal
+# number, so P > 2**-980 and the spare 2u*P exceeds the at most 4n such
+# errors. Elsewhere (tiny or overflowing norms) nothing is settled and
+# every entry is a candidate.
+_U = 2.0**-53
 
-    Acceptance is d1 < ratio * d2; with a single column d2 is infinite,
-    so every row is accepted. Equal distances tie-break to the lowest
-    column index via argmin, and a duplicated minimum leaves d2 = d1
-    (the tied entry stays in the rest of the row).
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+_BOUND = 2.0 * _gamma(DESCRIPTOR_LEN + 4)
+# For cdist's sums s1 <= s2, d1 < fl(ratio * d2) is certain where
+# s1 < ratio^2 * s2 * (1 - gamma_6) (two square roots and one product,
+# each a factor 1 + u, squared) and certainly false where
+# s1 > ratio^2 * s2 * (1 + gamma_6). The two tests below (accept/reject)
+# bound s1/2 by h1 +/- B and s2/2 by h2 -/+ B (B - E covers the rounding
+# of h1 +/- B) and round five more times (this constant, ratio * |ratio|,
+# h2 -/+ B and two products), which 1 -/+ gamma_12 absorbs. ratio * |ratio|
+# keeps the sign, so a negative ratio, which nothing passes, is never
+# settled as passing.
+_RATIO_MARGIN = _gamma(12)
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _exact_distances(
+    at: np.ndarray, bt: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """cdist's distance between column rows[k] of ``at`` and column
+    cols[k] of ``bt``, for every k, bit for bit; both are C-contiguous
+    (128, n) descriptor arrays."""
+    diff = at.take(rows, axis=1)
+    diff -= bt.take(cols, axis=1)
+    diff *= diff
+    # A sum over the outer axis of a C-contiguous (128, k) array adds in
+    # dimension order. A single column is summed pairwise instead, which
+    # can differ from cdist in the last bit; accumulate adds in order.
+    if diff.shape[1] == 1:
+        return np.sqrt(np.add.accumulate(diff, axis=0)[-1])
+    return np.sqrt(np.add.reduce(diff, axis=0))
+
+
+def _half_squared(g1: FaceGraph, g2: FaceGraph, full: bool) -> tuple[np.ndarray, float]:
+    """The (m, n) estimate h of half the squared descriptor distances
+    between the vertices of g1 and of g2, and its bound B (see above).
+    Without ``full`` each row lacks its own |a|^2/2, which no comparison
+    within a row needs."""
+    h = g1.descriptors @ g2.descriptors.T
+    np.subtract(0.5 * g2.sq_norms, h, out=h)
+    if full:
+        h += (0.5 * g1.sq_norms)[:, None]
+    bound = _BOUND * (float(g1.sq_norms.max()) + float(g2.sq_norms.max()))
+    return h, bound if _TINY <= bound < math.inf else math.inf
+
+
+def _nearest(
+    h: np.ndarray,
+    bound: float,
+    at: np.ndarray,
+    bt: np.ndarray,
+    ratio: float | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row of ``h``: the column cdist + argmin would pick (the lowest
+    index among equal distances) and, given a ratio, whether the row
+    passes d1 < ratio * d2, d2 being the row's second smallest distance
+    (equal to d1 when the minimum repeats; infinite with one column).
+
+    ``at`` and ``bt`` hold the rows' and the columns' descriptors; ``h``
+    is modified while this runs and restored before it returns. Rows the
+    bound leaves open are settled from exact distances of their
+    candidate columns.
     """
-    n_rows, n_cols = dist.shape
-    best = dist.argmin(axis=1)
-    d1 = dist[np.arange(n_rows), best]
+    n_rows, n_cols = h.shape
+    rows = np.arange(n_rows)
     if n_cols == 1:
-        d2 = np.full(n_rows, math.inf)
+        best = np.zeros(n_rows, dtype=np.intp)
+        if ratio is None:
+            return best, None
+        # no second neighbour: d2 is infinite, so a row passes unless
+        # its own distance is infinite too
+        return best, _exact_distances(at, bt, rows, best) < ratio * math.inf
+    best = h.argmin(axis=1)
+    h1 = h[rows, best]
+    h[rows, best] = math.inf
+    h2 = h[rows, h.argmin(axis=1)]
+    h[rows, best] = h1
+    if ratio is None:
+        is_open = ~(h2 - h1 > 2.0 * bound)
+        accepted = None
     else:
-        d2 = np.partition(dist, 1, axis=1)[:, 1]
-    return best, d1 < ratio * d2
+        ratio_sq = ratio * abs(ratio)
+        accepted = h1 + bound < (h2 - bound) * (ratio_sq * (1.0 - _RATIO_MARGIN))
+        rejected = h1 - bound > (h2 + bound) * (ratio_sq * (1.0 + _RATIO_MARGIN))
+        # A rejected row needs no nearest column, and with |ratio| <= 1 an
+        # accepted row's nearest column is settled: its bounds exclude
+        # every other column.
+        is_open = ~(accepted | rejected)
+        if abs(ratio) > 1.0:
+            is_open |= accepted & ~(h2 - h1 > 2.0 * bound)
+    for i in is_open.nonzero()[0].tolist():
+        # negated, so that NaN estimates stay candidates
+        cand = np.flatnonzero(~(h[i] > h2[i] + 2.0 * bound))
+        dist = _exact_distances(at, bt, np.full(len(cand), i), cand)
+        j = int(dist.argmin())
+        best[i] = cand[j]
+        if accepted is not None:
+            accepted[i] = dist[j] < ratio * np.partition(dist, 1)[1]
+    return best, accepted
+
+
+def nearest(g1: FaceGraph, g2: FaceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Each g1 vertex's nearest g2 vertex by descriptor distance (the
+    lowest index among equal distances) and that distance."""
+    at, bt = g1.descriptors.T, g2.descriptors.T
+    h, bound = _half_squared(g1, g2, full=False)
+    best = _nearest(h, bound, at, bt)[0]
+    return best, _exact_distances(at, bt, np.arange(len(best)), best)
 
 
 def mutual_correspondence(
@@ -154,10 +304,14 @@ def mutual_correspondence(
 ) -> CorrespondenceSet:
     """Pairs kept iff each endpoint is the other's ratio-test-accepted
     nearest neighbor; one-to-one in both coordinates by construction."""
-    dist = cdist(g1.descriptors, g2.descriptors)
-    fwd, fwd_ok = _ratio_accepted(dist, ratio)
-    bwd, bwd_ok = _ratio_accepted(dist.T, ratio)
+    at, bt = g1.descriptors.T, g2.descriptors.T
+    h, bound = _half_squared(g1, g2, full=True)
+    fwd, fwd_ok = _nearest(h, bound, at, bt, ratio)
+    bwd, bwd_ok = _nearest(h.T, bound, bt, at, ratio)
     rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
     cols = fwd[rows]
     # the (k, 2) transpose of a (2, k) array; cheaper than column_stack
-    return CorrespondenceSet(pairs=np.array((rows, cols)).T, distances=dist[rows, cols])
+    return CorrespondenceSet(
+        pairs=np.array((rows, cols)).T,
+        distances=_exact_distances(at, bt, rows, cols),
+    )

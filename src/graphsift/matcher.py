@@ -5,6 +5,9 @@ Two matching constraints are provided. The gallery-image-based one
 distance over all probe vertices; probe vertices may serve several
 gallery vertices. The reduced-point-based one (RPBMC) keeps only
 mutually-best vertex pairs, so the pairing is strictly one-to-one.
+Both take their nearest neighbours and descriptor distances from
+facegraph's exact search, which matches a dense cdist bit for bit
+without computing every distance.
 
 Either way the vertex stage yields a list of pair distances and the
 edge stage compares edge attributes over the paired sub-graphs. Both
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .config import MatchConfig
 from .errors import EmptyGallery, TooFewKeypoints
@@ -31,6 +33,7 @@ from .facegraph import (
     FaceGraph,
     edge_component_arrays,
     mutual_correspondence,
+    nearest,
 )
 
 
@@ -66,16 +69,15 @@ def gibmc_vertex_score(
     g_gallery: FaceGraph, g_probe: FaceGraph
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Per-gallery-vertex minimum descriptor distance, its mean, and the
-    pairing the GIBMC edge stage runs on, all from one distance matrix.
+    pairing the GIBMC edge stage runs on, all from one exact
+    nearest-neighbour search (see facegraph).
 
     The pairing takes each gallery vertex to its nearest probe vertex
     and keeps, per probe target, only the smallest-distance gallery
     vertex (ties keep the lowest gallery index). It is a (k, 2) index
     array of (gallery, probe) rows in ascending gallery order.
     """
-    dist = cdist(g_gallery.descriptors, g_probe.descriptors)
-    best = dist.argmin(axis=1)
-    minima = dist[np.arange(len(dist)), best]
+    best, minima = nearest(g_gallery, g_probe)
     # a stable sort by target, then distance, leaves the lowest gallery
     # index first among ties, so the first row of each target keeps it
     order = np.lexsort((minima, best))
@@ -144,6 +146,11 @@ def band_multipliers(
     return np.array((*multipliers, 0.0))[band]
 
 
+# Below 2**480 in magnitude, entries keep their sum and every squared
+# deviation (under 4 * 2**960) finite in any list of fewer than 2**61.
+_MAGNITUDE_LIMIT = 2.0**480
+
+
 def weighted_mean(
     distances: np.ndarray | list[float],
     multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025),
@@ -155,29 +162,31 @@ def weighted_mean(
     within one sigma, so one always survives; where rounding leaves none
     (sigma rounded just below equal deviations, or squared deviations
     that underflow to 0), those closest entries take the first
-    multiplier. An empty list, or one with an inf or NaN entry (whose
-    mean is not finite), raises ValueError.
+    multiplier. An empty list raises ValueError, and so does one with an
+    inf or NaN entry (whose mean is not finite) or with an entry of
+    magnitude 2**480 or more (whose sum or spread could overflow).
     """
     arr = np.asarray(distances, dtype=np.float64)
     n = arr.size
     if n == 0:
         raise ValueError("cannot weight an empty distance list")
-    # checked before the sum, which warns on opposite infinities;
-    # count_nonzero costs less than .all() on arrays this short
-    if np.count_nonzero(np.isfinite(arr)) != n:
-        raise ValueError("cannot weight distances whose mean is not finite")
+    # checked before the sums, which warn on opposite infinities and on
+    # overflow; a NaN fails the comparison too. count_nonzero costs less
+    # than .all() on arrays this short
+    if np.count_nonzero(np.abs(arr) < _MAGNITUDE_LIMIT) != n:
+        raise ValueError("cannot weight distances whose mean or spread is not finite")
     # the reductions np.mean and np.std (population) run, without their
     # per-call dispatch: sum over n, then squared deviations over n
-    mu = float(arr.sum() / n)
+    mu = float(np.add.reduce(arr) / n)
     dev = arr - mu
-    sigma = math.sqrt(float((dev * dev).sum() / n))
+    sigma = math.sqrt(float(np.add.reduce(dev * dev) / n))
     mults = band_multipliers(arr, mu, sigma, multipliers)
     kept = np.count_nonzero(mults)
     if kept == 0:
         z = np.abs(dev)
         mults = np.where(z == z.min(), multipliers[0], 0.0)
         kept = np.count_nonzero(mults)
-    return float((arr * mults).sum() / kept)
+    return float(np.add.reduce(arr * mults) / kept)
 
 
 _DEFAULT_MATCH_CONFIG = MatchConfig()

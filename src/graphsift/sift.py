@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import DESCRIPTOR_LEN, DetectorConfig
-from .errors import ImageTooSmall
+from .errors import ImageTooSmall, NonFiniteKeypoint
 from .imageio import GrayImage
 
 MIN_IMAGE_SIDE = 16
@@ -43,7 +43,8 @@ class Keypoints:
     units, ``orientation``, the dominant gradient direction in
     [0, 2*pi), and the 128 ``descriptors`` values. A row is exactly the
     per-keypoint record the gallery store writes. The constructor takes
-    a private float32 copy of any (n, ROW_LEN) array.
+    a private float32 copy of any (n, ROW_LEN) array; a value that is
+    NaN or infinite there raises NonFiniteKeypoint.
     """
 
     rows: np.ndarray
@@ -52,6 +53,9 @@ class Keypoints:
         rows = np.array(self.rows, dtype=np.float32, order="C")
         if rows.ndim != 2 or rows.shape[1] != ROW_LEN:
             raise ValueError(f"keypoint rows must be (n, {ROW_LEN}), got {rows.shape}")
+        if not np.isfinite(rows).all():
+            bad = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+            raise NonFiniteKeypoint(f"keypoint row {bad} holds a NaN or infinite value")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

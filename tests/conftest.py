@@ -6,6 +6,13 @@ treat the resulting graphs as read-only. The scalar edge-attribute
 reference (``edge_attr``) is the oracle for the library's vectorized
 ``edge_component_arrays``, and ``derived_oracle`` the per-keypoint
 derivation of a graph's arrays that ``FaceGraph`` does on whole columns.
+``dense_nearest`` and ``dense_mutual`` are the dense distance-matrix
+path (one ``cdist`` per pair) that the library's exact nearest-neighbour
+search must reproduce bit for bit, and ``descriptor_pairs`` draws the
+inputs that stress it.
+
+The ``ci`` hypothesis profile (``--hypothesis-profile=ci``) runs more
+examples with no deadline; without the flag the defaults apply.
 """
 
 from __future__ import annotations
@@ -15,12 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from graphsift.corpus import generate_corpus, read_manifest
-from graphsift.facegraph import build_graph
+from graphsift.facegraph import FaceGraph, build_graph
 from graphsift.imageio import histogram_equalize, load_image
 from graphsift.sift import ROW_LEN, Keypoints, extract_features
+
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 CORPUS_SEED = 42
 CORPUS_SUBJECTS = 10
@@ -136,3 +146,122 @@ def edge_attr(g, i: int, j: int) -> EdgeAttr:
         dtheta=wrap_angle(a_theta - b_theta),
         dlogscale=math.log(a_scale) - math.log(b_scale),
     )
+
+
+def descriptor_graph(rows, subject="s", image="i") -> FaceGraph:
+    """A graph with one vertex per descriptor row, positions on a line.
+
+    Rows float32 holds exactly go through the keypoint table. Others,
+    such as float64 rows scaled by 1e-150, cannot: the graph is built
+    with zero descriptors and its descriptor arrays are then replaced,
+    the only way such values reach the matching core.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        exact = bool(np.all(rows.astype(np.float32).astype(np.float64) == rows))
+    kps = table([
+        kp_at(i, 0.0, descriptor=row if exact else None) for i, row in enumerate(rows)
+    ])
+    g = FaceGraph(vertices=kps, subject_id=subject, image_id=image)
+    if not exact:
+        by_dim = np.ascontiguousarray(rows.T)
+        with np.errstate(over="ignore"):
+            sq_norms = (by_dim * by_dim).sum(axis=0)
+        object.__setattr__(g, "descriptors", by_dim.T)
+        object.__setattr__(g, "sq_norms", sq_norms)
+    return g
+
+
+def dense_ratio_accepted(dist: np.ndarray, ratio: float):
+    """Row-wise nearest neighbor (argmin, so the lowest column among
+    equal distances) and whether it passes d1 < ratio * d2, d2 being the
+    second value np.partition gives (d1 again for a repeated minimum,
+    infinite with a single column)."""
+    n_rows, n_cols = dist.shape
+    best = dist.argmin(axis=1)
+    d1 = dist[np.arange(n_rows), best]
+    if n_cols == 1:
+        d2 = np.full(n_rows, math.inf)
+    else:
+        d2 = np.partition(dist, 1, axis=1)[:, 1]
+    return best, d1 < ratio * d2
+
+
+def dense_nearest(g1, g2):
+    """Each g1 vertex's nearest g2 vertex and distance from one cdist."""
+    dist = cdist(g1.descriptors, g2.descriptors)
+    best = dist.argmin(axis=1)
+    return best, dist[np.arange(len(dist)), best]
+
+
+def dense_mutual(g1, g2, ratio):
+    """(pairs, distances) of mutual ratio-accepted nearest neighbours
+    from one cdist, as mutual_correspondence returns them."""
+    dist = cdist(g1.descriptors, g2.descriptors)
+    fwd, fwd_ok = dense_ratio_accepted(dist, ratio)
+    bwd, bwd_ok = dense_ratio_accepted(dist.T, ratio)
+    rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
+    cols = fwd[rows]
+    return np.array((rows, cols)).T, dist[rows, cols]
+
+
+def _unit_rows(rng, n):
+    """n random descriptor-like rows: nonnegative, unit norm, float32."""
+    x = rng.random((n, 128))
+    return (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+
+
+def _nudged(rng, rows, dtype):
+    """Copies of rows with one to three entries moved by one ulp of
+    dtype: distances between copies are tiny and nearly tied, which the
+    matrix-product estimate cannot order."""
+    out = rows.astype(dtype)
+    for row in out:
+        cols = rng.choice(128, size=int(rng.integers(1, 4)), replace=False)
+        toward = np.where(rng.random(len(cols)) < 0.5, -np.inf, np.inf).astype(dtype)
+        row[cols] = np.nextafter(row[cols], toward)
+    return out.astype(np.float64)
+
+
+@st.composite
+def descriptor_pairs(draw, max_rows=12):
+    """(rows1, rows2) float64 descriptor arrays for one graph pair.
+
+    Families: small integers on a {0, 1, 2}^3 grid (exact ties and
+    duplicate rows), unit rows with one-ulp copies in float32 or float64
+    (near ties), float64 copies of one row against copies of another
+    (near ties at a distance of about 1, where ratio tests are decided),
+    the one-ulp copies scaled by 1e-150, 1e150 or 1e160 (the estimate's
+    error bound underflows, is huge, or overflows along with the squared
+    distances), and a graph against itself (the exact-0 self match).
+    Either side may have a single row.
+    """
+    family = draw(st.sampled_from(
+        ["grid", "ulp32", "ulp64", "far", "tiny", "huge", "vast", "self"]
+    ))
+    n1, n2 = draw(st.integers(1, max_rows)), draw(st.integers(1, max_rows))
+    if family == "grid":
+        grid = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+        rows1, rows2 = (
+            np.pad(np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float),
+                   ((0, 0), (0, 125)))
+            for n in (n1, n2)
+        )
+        return rows1, rows2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "far":
+        one, other = _unit_rows(rng, 2)
+        return _nudged(rng, np.tile(one, (n1, 1)), np.float64), _nudged(
+            rng, np.tile(other, (n2, 1)), np.float64
+        )
+    base = _unit_rows(rng, int(rng.integers(1, 4)))
+    dtype = np.float32 if family in ("ulp32", "self") else np.float64
+
+    def side(n):
+        return _nudged(rng, base[rng.integers(0, len(base), n)], dtype)
+
+    rows1, rows2 = side(n1), side(n2)
+    if family == "self":
+        return rows1, rows1.copy()
+    scale = {"tiny": 1e-150, "huge": 1e150, "vast": 1e160}.get(family, 1.0)
+    return rows1 * scale, rows2 * scale

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphsift import facegraph
-from graphsift.errors import EmptyGraph, TooFewKeypoints
+from graphsift.errors import EmptyGraph, NonFiniteKeypoint, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
     build_graph,
@@ -16,7 +16,10 @@ from graphsift.facegraph import (
 )
 
 from conftest import (
+    dense_mutual,
     derived_oracle,
+    descriptor_graph,
+    descriptor_pairs,
     edge_attr,
     kp_at,
     random_graph,
@@ -97,6 +100,16 @@ class TestBuildGraph:
         with pytest.raises(EmptyGraph):
             FaceGraph(vertices=table([]), subject_id="s", image_id="i")
 
+    @pytest.mark.parametrize("column", [0, 1, 2, 3, 4, 131])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_keypoint_rejected(self, column, value):
+        # a NaN x once gave a graph of diameter NaN, and an infinite
+        # descriptor a bare ValueError at weighting time
+        rows = np.stack([random_keypoint(np.random.default_rng(s)) for s in range(6)])
+        rows[3, column] = value
+        with pytest.raises(NonFiniteKeypoint, match="row 3"):
+            table(rows)
+
     def test_vertex_arrays_match_keypoints(self):
         # Log-scales must be math.log to the bit, the value the scalar
         # reference uses; pick the float32 scales where np.log disagrees
@@ -119,6 +132,18 @@ class TestBuildGraph:
         assert np.array_equal(g.descriptors, kps.descriptors)
         for name, want in derived_oracle(kps).items():
             assert np.asarray(getattr(g, name)).tobytes() == np.asarray(want).tobytes()
+        # one descriptor per column of a C-contiguous array; xy, theta
+        # and logscale are rows of one geometry array
+        assert g.descriptors.T.flags.c_contiguous
+        assert g.geometry.tobytes() == np.vstack([g.xy.T, g.theta, g.logscale]).tobytes()
+        for view in (g.xy, g.theta, g.logscale):
+            assert np.shares_memory(view, g.geometry)
+        # any summation order is within gamma_128 (about 128 ulp) of
+        # the exact squared norm, as the matching bound assumes
+        np.testing.assert_allclose(
+            g.sq_norms, [math.fsum(v * v for v in d) for d in g.descriptors.tolist()],
+            rtol=128 * 2.0**-53,
+        )
 
 
 class TestEdgeAttr:
@@ -253,28 +278,33 @@ class TestMutualCorrespondence:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
-                 min_size=1, max_size=30),
-        st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3),
-                 min_size=1, max_size=30),
-        st.sampled_from([0.5, 0.8, 1.0]),
+        descriptor_pairs(max_rows=30),
+        st.sampled_from([0.5, 0.8, 1.0, 1.25, -0.5]),
     )
-    def test_matches_oracle_with_ties(self, rows1, rows2, ratio):
-        # Descriptors on a {0, 1, 2}^3 grid: distances are square roots
-        # of small integers, so tied distances and duplicate rows, where
-        # an array mutual check could part from the loop, are common.
-        # One-row sides take the no-second-neighbour path.
-        def graph(rows):
-            kps = [kp_at(i, 0.0, descriptor=row) for i, row in enumerate(rows)]
-            return FaceGraph(vertices=table(kps), subject_id="s", image_id="i")
-
-        r1 = np.pad(np.array(rows1, dtype=np.float32), ((0, 0), (0, 125)))
-        r2 = np.pad(np.array(rows2, dtype=np.float32), ((0, 0), (0, 125)))
-        cs = mutual_correspondence(graph(r1), graph(r2), ratio)
-        want = mutual_oracle(r1, r2, ratio)
-        assert cs.pairs.shape == (len(want), 2)
-        assert cs.pairs.tolist() == [[i, j] for i, j, _ in want]
-        assert cs.distances.tolist() == [d for _, _, d in want]
+    @example((np.eye(128)[:1], np.eye(128)[:3]), 0.8)  # one row
+    @example((np.eye(128)[:3], np.eye(128)[1:2]), 0.8)  # one column
+    def test_matches_oracle_with_ties(self, rows, ratio):
+        # Exact ties and duplicate rows (the {0, 1, 2}^3 grid, where an
+        # array mutual check could part from the loop), near ties the
+        # matrix-product estimate cannot order (one-ulp copies), bounds
+        # that underflow or overflow, one-row sides (no second
+        # neighbour) and the exact-0 self match: pairs and distances
+        # must be the dense path's to the bit, also for a ratio above 1
+        # (an accepted row's nearest column is then not settled) and a
+        # negative one (which nothing passes).
+        g1, g2 = (descriptor_graph(r) for r in rows)
+        # only the 1e160 rows overflow, in both paths alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            cs = mutual_correspondence(g1, g2, ratio)
+            want_pairs, want_distances = dense_mutual(g1, g2, ratio)
+        assert cs.pairs.shape == want_pairs.shape
+        assert cs.pairs.tobytes() == want_pairs.tobytes()
+        assert cs.distances.tobytes() == want_distances.tobytes()
+        if all(np.isin(r, (0.0, 1.0, 2.0)).all() for r in rows):
+            # the grid: math.dist is exact, so the loop agrees too
+            want = mutual_oracle(*rows, ratio)
+            assert cs.pairs.tolist() == [[i, j] for i, j, _ in want]
+            assert cs.distances.tolist() == [d for _, _, d in want]
 
     def test_subset_of_directional_and_injective(self):
         rng = np.random.default_rng(8)

@@ -30,7 +30,16 @@ from graphsift.matcher import (
     weighted_mean,
 )
 
-from conftest import edge_attr, kp_at, random_graph, random_keypoint, table
+from conftest import (
+    dense_nearest,
+    descriptor_graph,
+    descriptor_pairs,
+    edge_attr,
+    kp_at,
+    random_graph,
+    random_keypoint,
+    table,
+)
 
 DEFAULT_MULTS = (0.075, 0.05, 0.025)
 
@@ -160,11 +169,49 @@ class TestVertexScore:
         for _ in range(10):
             g1 = random_graph(rng, int(rng.integers(2, 25)))
             g2 = random_graph(rng, int(rng.integers(2, 25)))
-            minima, mean, _ = gibmc_vertex_score(g1, g2)
+            minima, mean, pairs = gibmc_vertex_score(g1, g2)
             want_minima, want_mean = vertex_score_oracle(g1, g2)
             assert len(minima) == g1.n_vertices
             np.testing.assert_allclose(minima, want_minima, rtol=1e-12)
             assert mean == pytest.approx(want_mean, rel=1e-12)
+            best, dense_minima = dense_nearest(g1, g2)
+            assert minima.tobytes() == dense_minima.tobytes()
+            assert pairs[:, 1].tolist() == best[pairs[:, 0]].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(descriptor_pairs(max_rows=30))
+    @example((np.eye(128)[:1], np.eye(128)[:3]))  # one gallery vertex
+    @example((np.eye(128)[:3], np.eye(128)[1:2]))  # one probe vertex
+    def test_matches_dense_oracle_bit_for_bit(self, rows):
+        # Exact ties, one-ulp near ties, bounds that underflow or
+        # overflow, single vertices and the exact-0 self match: minima,
+        # their mean and the pairing must be the dense path's to the bit.
+        g1, g2 = (descriptor_graph(r) for r in rows)
+        # only the 1e160 rows overflow, in both paths alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            minima, mean, pairs = gibmc_vertex_score(g1, g2)
+            best, want = dense_nearest(g1, g2)
+            want_pairs = pairing_oracle(g1, g2)
+        assert minima.tobytes() == want.tobytes()
+        assert np.float64(mean).tobytes() == (want.sum() / len(want)).tobytes()
+        assert pairs[:, 1].tolist() == best[pairs[:, 0]].tolist()
+        assert [tuple(p) for p in pairs.tolist()] == want_pairs
+
+    def test_single_pair_sums_in_dimension_order(self):
+        # numpy sums a lone (128, 1) column pairwise rather than in
+        # dimension order; on this pair the two differ in the last bit,
+        # and both one-pair paths must still give cdist's distance.
+        rng = np.random.default_rng(0)
+        x = rng.random((2, 128))
+        a, b = (x / np.linalg.norm(x, axis=1, keepdims=True)).astype(np.float32)
+        ga, gb = descriptor_graph([a]), descriptor_graph([b])
+        want = cdist(ga.descriptors, gb.descriptors)[0, 0]
+        sq = (ga.descriptors - gb.descriptors).T ** 2
+        assert np.sqrt(np.add.reduce(sq, axis=0))[0] != want
+        assert gibmc_vertex_score(ga, gb)[0].tobytes() == np.float64(want).tobytes()
+        cs = mutual_correspondence(ga, gb)
+        assert cs.pairs.tolist() == [[0, 0]]
+        assert cs.distances.tobytes() == np.float64(want).tobytes()
 
     def test_two_against_one_halves_the_distance(self):
         rng = np.random.default_rng(21)
@@ -345,7 +392,8 @@ class TestBanding:
 
     @pytest.mark.parametrize(
         "values",
-        [[1.0, math.inf], [math.nan, 2.0], [math.inf], [-math.inf, math.inf]],
+        [[1.0, math.inf], [math.nan, 2.0], [math.inf], [-math.inf, math.inf],
+         [1e308, 1e308], [1e160, -1e160]],
     )
     def test_non_finite_rejected(self, values):
         with pytest.raises(ValueError, match="mean"):

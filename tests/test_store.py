@@ -202,18 +202,18 @@ class TestCorruption:
             load(tmp_path / "nope.db")
 
     @pytest.mark.parametrize(
-        "subject_id, n_kps",
-        [(b"\xff", 2), (b"s", 1)],
-        ids=["invalid_utf8_id", "one_keypoint"],
+        "subject_id, n_kps, x",
+        [(b"\xff", 2, 1.0), (b"s", 1, 1.0), (b"s", 2, float("nan"))],
+        ids=["invalid_utf8_id", "one_keypoint", "nan_keypoint"],
     )
-    def test_malformed_entry_under_valid_crc(self, tmp_path, subject_id, n_kps):
+    def test_malformed_entry_under_valid_crc(self, tmp_path, subject_id, n_kps, x):
         payload = b"".join([
             b"GSFT",
             struct.pack("<IQI", FORMAT_VERSION, 0, 1),
             struct.pack("<I", len(subject_id)), subject_id,
             struct.pack("<I", 1), b"i",
             struct.pack("<I", n_kps),
-            (struct.pack("<ffff", 1.0, 2.0, 1.0, 0.0) + bytes(4 * 128)) * n_kps,
+            (struct.pack("<ffff", x, 2.0, 1.0, 0.0) + bytes(4 * 128)) * n_kps,
         ])
         path = tmp_path / "m.db"
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
