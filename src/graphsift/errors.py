@@ -52,14 +52,6 @@ class InsufficientClaims(GraphSiftError):
         super().__init__(msg)
 
 
-class MissingThreshold(GraphSiftError):
-    """A claim names a subject with no transferred threshold."""
-
-    def __init__(self, subject_id: str):
-        self.subject_id = subject_id
-        super().__init__(f"no threshold for claimed subject {subject_id!r}")
-
-
 class GroupOverlap(GraphSiftError):
     """A subject appears in both evaluation groups."""
 

@@ -24,17 +24,15 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import MatchConfig
-from .errors import (
-    DegenerateScores,
-    GroupOverlap,
-    InsufficientClaims,
-    MissingThreshold,
-)
+from .errors import DegenerateScores, GroupOverlap, InsufficientClaims
 from .facegraph import FaceGraph
 from .matcher import Constraint, match
 
 GROUPS = ("G1", "G2")
 WER_RATIOS = (0.1, 1.0, 10.0)
+
+# (thresholds, far, frr) of one ROC sweep
+_Curve = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,6 @@ class ScoreRecord:
     @property
     def genuine(self) -> bool:
         return self.claimed_id == self.true_id
-
-
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    far: float
-    frr: float
 
 
 @dataclass(frozen=True)
@@ -76,8 +67,9 @@ def _split_scores(records: Iterable[ScoreRecord]) -> tuple[np.ndarray, np.ndarra
     return genuine, impostor
 
 
-def roc(records: list[ScoreRecord]) -> list[RocPoint]:
-    """ROC sweep: one point per distinct score plus +-inf sentinels.
+def roc(records: list[ScoreRecord]) -> _Curve:
+    """ROC sweep as float64 arrays (thresholds, far, frr): one point per
+    distinct score plus +-inf sentinels, thresholds strictly ascending.
 
     FAR(t) is the impostor fraction with score <= t, FRR(t) the genuine
     fraction with score > t; both are step functions of the threshold,
@@ -91,22 +83,25 @@ def roc(records: list[ScoreRecord]) -> list[RocPoint]:
     frr = (
         genuine.size - np.searchsorted(genuine, thresholds, side="right")
     ) / genuine.size
-    return [
-        RocPoint(float(t), float(fa), float(fr))
-        for t, fa, fr in zip(thresholds, far, frr)
-    ]
+    return thresholds, far, frr
 
 
-def prior_eer(records: list[ScoreRecord]) -> tuple[float, float]:
+def _eer_point(curve: _Curve) -> tuple[float, float]:
     """(EER, threshold) at the sweep point minimizing |FAR - FRR|.
 
     Finite samples rarely give FAR = FRR exactly, so the EER is the
-    midpoint of the two rates at the best threshold; ties go to the
-    smaller threshold.
+    midpoint of the two rates at the best threshold. argmin takes the
+    first minimum and the thresholds ascend, so ties go to the smaller
+    threshold.
     """
-    points = roc(records)
-    best = min(points, key=lambda p: (abs(p.far - p.frr), p.threshold))
-    return (best.far + best.frr) / 2.0, best.threshold
+    thresholds, far, frr = curve
+    i = int(np.argmin(np.abs(far - frr)))
+    return (float(far[i]) + float(frr[i])) / 2.0, float(thresholds[i])
+
+
+def prior_eer(records: list[ScoreRecord]) -> tuple[float, float]:
+    """(EER, threshold) of the records' ROC sweep; see _eer_point."""
+    return _eer_point(roc(records))
 
 
 def client_eer_stats(
@@ -130,15 +125,13 @@ def client_eer_stats(
 
 
 def far_frr_at(
-    records: list[ScoreRecord], thresholds: Mapping[str, float]
+    records: list[ScoreRecord], threshold: float
 ) -> tuple[float, float]:
-    """Aggregate FAR/FRR with each claim judged at its claimed subject's
-    threshold. An empty claim class contributes rate 0."""
+    """FAR/FRR with every claim judged at one threshold. An empty claim
+    class contributes rate 0."""
     n_gen = n_imp = fr = fa = 0
     for r in records:
-        if r.claimed_id not in thresholds:
-            raise MissingThreshold(r.claimed_id)
-        accepted = r.score <= thresholds[r.claimed_id]
+        accepted = r.score <= threshold
         if r.genuine:
             n_gen += 1
             fr += not accepted
@@ -250,20 +243,19 @@ def run_protocol(
     eer: dict[str, float] = {}
     thr: dict[str, float] = {}
     client_mean: dict[str, float] = {}
-    roc_points: dict[str, list[RocPoint]] = {}
+    curves: dict[str, _Curve] = {}
     for g in GROUPS:
         try:
-            eer[g], thr[g] = prior_eer(by_group[g])
+            curves[g] = roc(by_group[g])
         except DegenerateScores as err:
             raise DegenerateScores(f"group {g}: {err}") from None
+        eer[g], thr[g] = _eer_point(curves[g])
         stats = client_eer_stats(by_group[g])
         client_mean[g] = sum(e for e, _ in stats.values()) / len(stats)
-        roc_points[g] = roc(by_group[g])
 
     wer_rows = []
-    for src, dst in (("G1", "G2"), ("G2", "G1")):
-        transfer = {r.claimed_id: thr[src] for r in by_group[dst]}
-        far, frr = far_frr_at(by_group[dst], transfer)
+    for src, dst in zip(GROUPS, reversed(GROUPS)):
+        far, frr = far_frr_at(by_group[dst], thr[src])
         for r in WER_RATIOS:
             wer_rows.append(WerReport(r, src, far, frr, wer(far, frr, r)))
 
@@ -276,15 +268,29 @@ def run_protocol(
         wer_rows=tuple(wer_rows),
     )
     if out_dir is not None:
-        write_artifacts(result, roc_points, Path(out_dir))
+        write_artifacts(result, curves, Path(out_dir))
     return result
+
+
+def _direction(src: str) -> str:
+    """'G1->G2' for the threshold of group src judged on the other group."""
+    return f"{src}->{GROUPS[1] if src == GROUPS[0] else GROUPS[0]}"
 
 
 def write_artifacts(
     result: ProtocolResult,
-    roc_points: dict[str, list[RocPoint]],
+    curves: Mapping[str, _Curve],
     out_dir: Path,
 ) -> None:
+    """Write scores.csv, roc_<group>.csv, wer_report.csv and report.txt.
+
+    Subject ids go into comma-separated rows unquoted, so an id holding
+    a comma or a line break raises ValueError before any file is written.
+    """
+    ids = {i for r in result.records for i in (r.claimed_id, r.true_id)}
+    bad = sorted(i for i in ids if any(c in i for c in ",\n\r"))
+    if bad:
+        raise ValueError(f"subject id {bad[0]!r} cannot go into a CSV row")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["claimed_id,true_id,group,score"]
@@ -294,19 +300,19 @@ def write_artifacts(
     ]
     (out_dir / "scores.csv").write_text("\n".join(lines) + "\n")
 
-    for g, points in roc_points.items():
+    for g, curve in curves.items():
         lines = ["threshold,far,frr"]
         lines += [
-            f"{_fmt(p.threshold)},{_fmt(p.far)},{_fmt(p.frr)}" for p in points
+            f"{_fmt(t)},{_fmt(far)},{_fmt(frr)}"
+            for t, far, frr in zip(*(a.tolist() for a in curve))
         ]
         (out_dir / f"roc_{g}.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["constraint,r,direction,far,frr,wer"]
     for row in result.wer_rows:
-        dst = "G2" if row.threshold_source_group == "G1" else "G1"
         lines.append(
             f"{result.constraint.value},{_fmt(row.r)},"
-            f"{row.threshold_source_group}->{dst},"
+            f"{_direction(row.threshold_source_group)},"
             f"{_fmt(row.far)},{_fmt(row.frr)},{_fmt(row.wer)}"
         )
     (out_dir / "wer_report.csv").write_text("\n".join(lines) + "\n")
@@ -331,9 +337,8 @@ def format_report(result: ProtocolResult) -> str:
     out.append(f"average prior EER: {100.0 * result.average_eer:.2f}%")
     out.append("")
     for row in result.wer_rows:
-        dst = "G2" if row.threshold_source_group == "G1" else "G1"
         out.append(
-            f"WER(R={row.r:g}) {row.threshold_source_group}->{dst}: "
+            f"WER(R={row.r:g}) {_direction(row.threshold_source_group)}: "
             f"{100.0 * row.wer:.2f}%  "
             f"(FAR {100.0 * row.far:.2f}%, FRR {100.0 * row.frr:.2f}%)"
         )

@@ -55,8 +55,7 @@ class FaceGraph:
     keypoint table at construction: ``descriptors`` (float64, n x 128,
     the transpose of a C-contiguous 128 x n array), ``sq_norms`` (each
     descriptor's squared norm), ``geometry`` (4 x n rows x, y, theta
-    and logscale), its views ``xy`` (n x 2), ``theta`` (orientations)
-    and ``logscale`` (natural log of each scale), and ``diameter``, the
+    and logscale, the natural log of each scale) and ``diameter``, the
     maximum pairwise endpoint distance.
     """
 
@@ -90,11 +89,6 @@ class FaceGraph:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-    # views of the geometry rows
-    xy = property(lambda self: self.geometry[:2].T)
-    theta = property(lambda self: self.geometry[2])
-    logscale = property(lambda self: self.geometry[3])
 
     @property
     def n_vertices(self) -> int:

@@ -81,18 +81,15 @@ class ScaleSpace:
     """Gaussian and DoG stacks, one list entry per octave.
 
     Octave o, layer s of the Gaussian stack carries absolute blur
-    base_sigma * 2**(o + s/scales_per_octave) relative to the pyramid
-    base image; each octave halves the previous one. ``first_scale``
-    converts octave-0 pixel units back to input-image units (0.5 when
-    the input was doubled).
+    cfg.base_sigma * 2**(o + s/cfg.scales_per_octave) relative to the
+    pyramid base image; each octave halves the previous one.
+    ``first_scale`` converts octave-0 pixel units back to input-image
+    units (0.5 when the input was doubled).
     """
 
     octaves: list[list[np.ndarray]]
     dog: list[list[np.ndarray]]
-    base_sigma: float
-    scales_per_octave: int
     first_scale: float
-    layer_sigmas: np.ndarray  # octave-relative absolute blur per layer
 
     @property
     def n_octaves(self) -> int:
@@ -137,7 +134,6 @@ class LocalizedPoint:
     x_oct: float
     y_oct: float
     scale_oct: float
-    response: float
 
 
 @dataclass(frozen=True)
@@ -211,14 +207,7 @@ def build_scale_space(img: GrayImage, cfg: DetectorConfig) -> ScaleSpace:
         dogs.append([stack[i + 1] - stack[i] for i in range(s + 2)])
         # layer s has exactly twice the octave's base blur
         current = stack[s][::2, ::2]
-    return ScaleSpace(
-        octaves=octaves,
-        dog=dogs,
-        base_sigma=cfg.base_sigma,
-        scales_per_octave=s,
-        first_scale=first_scale,
-        layer_sigmas=layer_sigmas,
-    )
+    return ScaleSpace(octaves=octaves, dog=dogs, first_scale=first_scale)
 
 
 def detect_keypoints(ss: ScaleSpace, cfg: DetectorConfig) -> list[Candidate]:
@@ -334,7 +323,7 @@ def localize_keypoint(
     x_oct = x + float(offset[0])
     y_oct = y + float(offset[1])
     layer_ref = layer + float(offset[2])
-    scale_oct = ss.base_sigma * 2.0 ** (layer_ref / ss.scales_per_octave)
+    scale_oct = cfg.base_sigma * 2.0 ** (layer_ref / cfg.scales_per_octave)
     px = ss.pixel_scale(cand.octave)
     return LocalizedPoint(
         octave=cand.octave,
@@ -345,7 +334,6 @@ def localize_keypoint(
         x_oct=x_oct,
         y_oct=y_oct,
         scale_oct=scale_oct,
-        response=abs(value),
     )
 
 

@@ -104,9 +104,12 @@ def derived_oracle(kps: Keypoints) -> dict:
         "descriptors": np.stack(
             [np.array(r[4:], dtype=np.float32) for r in records]
         ).astype(np.float64),
-        "xy": xy,
-        "theta": np.array([r[3] for r in records]),
-        "logscale": np.array([math.log(r[2]) for r in records]),
+        "geometry": np.array([
+            [r[0] for r in records],
+            [r[1] for r in records],
+            [r[3] for r in records],
+            [math.log(r[2]) for r in records],
+        ]),
         "diameter": float(cdist(xy, xy).max()),
     }
 

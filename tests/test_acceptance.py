@@ -204,14 +204,38 @@ def test_metric_pipeline_matches_sweep_oracle():
             assert wer(e, e, r) == pytest.approx(e, rel=1e-12)
 
         for _ in range(10):
-            points = roc(score_set(int(rng.integers(5, 80)), int(rng.integers(5, 80))))
-            for a, b in zip(points, points[1:]):
-                assert a.threshold < b.threshold
-                assert a.far <= b.far
-                assert a.frr >= b.frr
+            thresholds, far, frr = roc(
+                score_set(int(rng.integers(5, 80)), int(rng.integers(5, 80)))
+            )
+            assert np.all(np.diff(thresholds) > 0)
+            assert np.all(np.diff(far) >= 0)
+            assert np.all(np.diff(frr) <= 0)
 
 
-def test_mutual_constraint_orders_no_worse_on_corpus(corpus_graphs, corpus_rows):
+# sha256 of every artifact run_protocol writes for the session corpus;
+# a change to a score, a sweep point, a rate or a line of the report
+# changes one of these
+PROTOCOL_ARTIFACTS_SHA256 = {
+    Constraint.GIBMC: {
+        "report.txt": "5fc9fc1ab13a2969dbe6e755ab6643a1f6a44272e9475c9a19114f01d2cd6b1f",
+        "roc_G1.csv": "e235cd86aee744dc605cff5d3e712a2074da88aa79f65c0f15947d6f93f76bf7",
+        "roc_G2.csv": "9760960910d0cd5c9efd87c26449d207c01a4153c9ab5aaeb43d0009ca4facb3",
+        "scores.csv": "2395697ccc8942f3c38f86c0bb1b5cafa23502ba9698a41715555c05d64dac3e",
+        "wer_report.csv": "f5563fdbfe11e5bb50d94bdfcad4fcce8db8c72ac76ea88884994cce61831660",
+    },
+    Constraint.RPBMC: {
+        "report.txt": "10823822934f91d0a2efd7d72589ef81060713aa8767a1ce60a51abdfebd20a1",
+        "roc_G1.csv": "87c8511357f7d16f174100196a0bf7944464bea23e249f2311b77c8dbf5f2bca",
+        "roc_G2.csv": "fe572a9f3e3268aa206b632416611cf5b1b3ba5228ba84791dcde536e512be71",
+        "scores.csv": "1a438b348d6c2e669a37f2e18beeaa70a5c41986029cdd9a4a2e5b625f2c70e6",
+        "wer_report.csv": "8598d23f2c780c0bc9547ca5cc304e394547e946353997db2b95b5dcfef3871c",
+    },
+}
+
+
+def test_mutual_constraint_orders_no_worse_on_corpus(
+    corpus_graphs, corpus_rows, tmp_path
+):
     with criterion("mutual constraint error <= one-way on corpus", limit=300.0):
         gallery = [
             corpus_graphs[(r.subject_id, r.image_id)]
@@ -222,10 +246,17 @@ def test_mutual_constraint_orders_no_worse_on_corpus(corpus_graphs, corpus_rows)
             for r in corpus_rows if r.role == "test"
         ]
         assignment = [(r.subject_id, r.group) for r in corpus_rows]
-        avg = {
-            c: run_protocol(gallery, probes, assignment, c).average_eer
-            for c in (Constraint.RPBMC, Constraint.GIBMC)
-        }
+        avg = {}
+        for c, want in PROTOCOL_ARTIFACTS_SHA256.items():
+            out = tmp_path / c.value
+            avg[c] = run_protocol(
+                gallery, probes, assignment, c, out_dir=out
+            ).average_eer
+            got = {
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in out.iterdir()
+            }
+            assert got == want, c
         assert avg[Constraint.RPBMC] <= avg[Constraint.GIBMC], (
             f"mutual {avg[Constraint.RPBMC]:.4f} vs "
             f"one-way {avg[Constraint.GIBMC]:.4f}"

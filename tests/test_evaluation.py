@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from graphsift.errors import (
-    DegenerateScores,
-    GroupOverlap,
-    InsufficientClaims,
-    MissingThreshold,
-)
+from graphsift.errors import DegenerateScores, GroupOverlap, InsufficientClaims
 from graphsift.evaluation import (
     ScoreRecord,
     client_eer_stats,
@@ -58,38 +53,37 @@ class TestRoc:
         rng = np.random.default_rng(50)
         genuine = list(rng.normal(0.3, 0.1, 400))
         impostor = list(rng.normal(0.7, 0.1, 600))
-        points = roc(records_from(genuine, impostor))
-        assert len(points) == len(set(genuine) | set(impostor)) + 2
-        for p in points:
-            if math.isinf(p.threshold):
+        thresholds, far, frr = roc(records_from(genuine, impostor))
+        assert len(thresholds) == len(set(genuine) | set(impostor)) + 2
+        for arr in (thresholds, far, frr):
+            assert arr.dtype == np.float64
+            assert arr.shape == thresholds.shape
+        for t, fa, fr in zip(thresholds.tolist(), far.tolist(), frr.tolist()):
+            if math.isinf(t):
                 continue
-            far, frr = far_frr_oracle(genuine, impostor, p.threshold)
-            assert p.far == far
-            assert p.frr == frr
+            assert (fa, fr) == far_frr_oracle(genuine, impostor, t)
 
     def test_sentinel_endpoints(self):
-        points = roc(records_from([0.1, 0.2], [0.8, 0.9]))
-        assert points[0].threshold == -math.inf
-        assert (points[0].far, points[0].frr) == (0.0, 1.0)
-        assert points[-1].threshold == math.inf
-        assert (points[-1].far, points[-1].frr) == (1.0, 0.0)
+        thresholds, far, frr = roc(records_from([0.1, 0.2], [0.8, 0.9]))
+        assert thresholds[0] == -math.inf
+        assert (far[0], frr[0]) == (0.0, 1.0)
+        assert thresholds[-1] == math.inf
+        assert (far[-1], frr[-1]) == (1.0, 0.0)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(51)
-        points = roc(records_from(rng.random(50), rng.random(70)))
-        for a, b in zip(points, points[1:]):
-            assert a.threshold < b.threshold
-            assert a.far <= b.far
-            assert a.frr >= b.frr
+        thresholds, far, frr = roc(records_from(rng.random(50), rng.random(70)))
+        assert np.all(np.diff(thresholds) > 0)
+        assert np.all(np.diff(far) >= 0)
+        assert np.all(np.diff(frr) <= 0)
 
     def test_acceptance_inclusive_at_threshold(self):
         # A score exactly at the threshold is accepted, so at the shared
         # value 0.5 every impostor is (wrongly) accepted and every
         # genuine claim (rightly) accepted.
-        points = roc(records_from([0.5], [0.5]))
-        at = [p for p in points if p.threshold == 0.5]
-        assert len(at) == 1
-        assert (at[0].far, at[0].frr) == (1.0, 0.0)
+        thresholds, far, frr = roc(records_from([0.5], [0.5]))
+        (at,) = np.flatnonzero(thresholds == 0.5)
+        assert (far[at], frr[at]) == (1.0, 0.0)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegenerateScores):
@@ -157,31 +151,14 @@ class TestFarFrrAt:
         impostor = list(rng.random(60))
         recs = records_from(genuine, impostor, subject="a")
         for t in (0.0, 0.25, 0.5, 1.0):
-            far, frr = far_frr_at(recs, {"a": t})
+            far, frr = far_frr_at(recs, t)
             assert (far, frr) == far_frr_oracle(genuine, impostor, t)
-
-    def test_per_subject_thresholds_respected(self):
-        recs = [
-            ScoreRecord("a", "a", 0.5, "G1"),   # accepted at t_a = 0.5
-            ScoreRecord("a", "z", 0.51, "G1"),  # rejected
-            ScoreRecord("b", "b", 0.5, "G1"),   # rejected at t_b = 0.4
-            ScoreRecord("b", "z", 0.39, "G1"),  # accepted
-        ]
-        far, frr = far_frr_at(recs, {"a": 0.5, "b": 0.4})
-        assert far == 0.5
-        assert frr == 0.5
-
-    def test_missing_threshold_raises(self):
-        recs = [ScoreRecord("a", "a", 0.5, "G1")]
-        with pytest.raises(MissingThreshold) as err:
-            far_frr_at(recs, {"b": 0.1})
-        assert err.value.subject_id == "a"
 
     def test_empty_class_rate_zero(self):
         only_genuine = [ScoreRecord("a", "a", 0.5, "G1")]
-        assert far_frr_at(only_genuine, {"a": 1.0}) == (0.0, 0.0)
+        assert far_frr_at(only_genuine, 1.0) == (0.0, 0.0)
         only_impostor = [ScoreRecord("a", "z", 0.5, "G1")]
-        assert far_frr_at(only_impostor, {"a": 1.0}) == (1.0, 0.0)
+        assert far_frr_at(only_impostor, 1.0) == (1.0, 0.0)
 
 
 class TestWer:

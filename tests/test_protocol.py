@@ -1,6 +1,7 @@
 """Two-group protocol runs on synthetic galleries with known outcomes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,11 @@ from graphsift.matcher import Constraint
 from conftest import random_graph, random_keypoint
 
 
-def make_population(seed=7, n_probes=2):
-    """Four subjects, two per group; probes are exact copies of the
-    first enrolled graph, so every genuine score is exactly 0."""
+def make_population(seed=7, n_probes=2, subjects=("a1", "a2", "b1", "b2")):
+    """Four subjects, the first two in G1; probes are exact copies of
+    the first enrolled graph, so every genuine score is exactly 0."""
     rng = np.random.default_rng(seed)
-    subjects = ["a1", "a2", "b1", "b2"]
-    assignment = {"a1": "G1", "a2": "G1", "b1": "G2", "b2": "G2"}
+    assignment = dict(zip(subjects, ("G1", "G1", "G2", "G2")))
     gallery, probes = [], []
     for s in subjects:
         base = random_graph(rng, 8, subject=s, image=f"{s}_t0")
@@ -137,3 +137,17 @@ class TestRunProtocol:
         assert "prior EER G1" in report
         assert "average prior EER" in report
         assert "WER(R=10)" in report
+
+    @pytest.mark.parametrize("bad", ["a,1", "a\n1", "a\r1"])
+    def test_id_that_breaks_csv_rows_rejected_before_writing(self, tmp_path, bad):
+        gallery, probes, assignment = make_population(
+            subjects=("a1", bad, "b1", "b2")
+        )
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            run_protocol(
+                gallery, probes, assignment, Constraint.RPBMC, out_dir=out
+            )
+        assert not out.exists()
+        # the same population scores normally when nothing is written
+        run_protocol(gallery, probes, assignment, Constraint.RPBMC)

@@ -159,12 +159,12 @@ def ramp_image(size, horizontal=True):
     return GrayImage(pixels)
 
 
-def center_point(ss, layer=1):
+def center_point(ss, cfg, layer=1):
     h, w = ss.octaves[0][layer].shape
-    sigma = float(ss.layer_sigmas[layer])
+    sigma = cfg.base_sigma * 2.0 ** (layer / cfg.scales_per_octave)
     return LocalizedPoint(
         octave=0, layer=layer, x=w / 2, y=h / 2, scale=sigma,
-        x_oct=w / 2, y_oct=h / 2, scale_oct=sigma, response=1.0,
+        x_oct=w / 2, y_oct=h / 2, scale_oct=sigma,
     )
 
 
@@ -172,7 +172,7 @@ class TestOrientation:
     def test_horizontal_ramp_orientation_zero(self):
         cfg = DetectorConfig(double_input=False)
         ss = build_scale_space(ramp_image(64), cfg)
-        oriented = assign_orientations(ss, center_point(ss), cfg)
+        oriented = assign_orientations(ss, center_point(ss, cfg), cfg)
         assert len(oriented) == 1
         o = oriented[0].orientation
         assert min(o, 2.0 * math.pi - o) < 0.1
@@ -180,7 +180,7 @@ class TestOrientation:
     def test_vertical_ramp_orientation_quarter_turn(self):
         cfg = DetectorConfig(double_input=False)
         ss = build_scale_space(ramp_image(64, horizontal=False), cfg)
-        oriented = assign_orientations(ss, center_point(ss), cfg)
+        oriented = assign_orientations(ss, center_point(ss, cfg), cfg)
         assert len(oriented) == 1
         assert abs(oriented[0].orientation - math.pi / 2) < 0.1
 
@@ -290,12 +290,12 @@ class TestDescriptor:
         ss = build_scale_space(img, cfg)
         near_border = LocalizedPoint(
             octave=0, layer=1, x=5.0, y=5.0, scale=3.0,
-            x_oct=5.0, y_oct=5.0, scale_oct=3.0, response=1.0,
+            x_oct=5.0, y_oct=5.0, scale_oct=3.0,
         )
         assert compute_descriptor(ss, OrientedPoint(near_border, 0.0), cfg) is None
         centered = LocalizedPoint(
             octave=0, layer=1, x=32.0, y=32.0, scale=1.8,
-            x_oct=32.0, y_oct=32.0, scale_oct=1.8, response=1.0,
+            x_oct=32.0, y_oct=32.0, scale_oct=1.8,
         )
         assert compute_descriptor(ss, OrientedPoint(centered, 0.0), cfg) is not None
 

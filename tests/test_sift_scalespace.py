@@ -88,15 +88,20 @@ def test_octave_count_formula():
 
 
 def test_sigma_schedule():
-    cfg = DetectorConfig()
-    img = GrayImage(np.zeros((32, 32), dtype=np.uint8))
-    ss = build_scale_space(img, cfg)
-    k = 2.0 ** (1.0 / cfg.scales_per_octave)
-    for i, sigma in enumerate(ss.layer_sigmas):
-        assert sigma == pytest.approx(cfg.base_sigma * k**i, rel=1e-12)
-    assert ss.layer_sigmas[cfg.scales_per_octave] == pytest.approx(
-        2.0 * cfg.base_sigma, rel=1e-12
-    )
+    # Gaussian layer k carries absolute blur base_sigma * 2**(k/s), so
+    # layer s has twice the base blur; an impulse's center value
+    # 1 / (2 pi var) reads each layer's blur off the stack
+    cfg = DetectorConfig(double_input=False, max_octaves=1)
+    pixels = np.zeros((65, 65), dtype=np.uint8)
+    pixels[32, 32] = 255
+    ss = build_scale_space(GrayImage(pixels), cfg)
+    s = cfg.scales_per_octave
+    assert len(ss.octaves[0]) == s + 3
+    for k, layer in enumerate(ss.octaves[0]):
+        sigma = cfg.base_sigma * 2.0 ** (k / s)
+        var = sigma**2 - cfg.assumed_blur**2
+        want = 1.0 / (2.0 * math.pi * var)
+        assert float(layer[32, 32]) == pytest.approx(want, rel=1e-3), f"layer {k}"
 
 
 def test_pixel_scale_accounts_for_doubling():
