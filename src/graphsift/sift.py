@@ -4,8 +4,11 @@ The pipeline is the staged one: build a difference-of-Gaussians scale
 space, pick 26-neighborhood extrema, refine them with a quadratic fit
 (rejecting low-contrast and edge-like points), assign dominant gradient
 orientations, and describe each oriented point with a 4x4 grid of
-8-orientation gradient histograms (128 values, unit norm, entries
-clamped at 0.2).
+8-orientation gradient histograms (128 values). ``compute_descriptor``
+returns the raw histogram; ``extract_features`` normalizes every
+descriptor of an image together (unit norm, entries clamped at 0.2), so
+each stage keeps one call per point while the clamp loop runs once per
+image.
 
 Everything here is deterministic: no RNG, no threading, pure numpy and
 scipy kernels, so identical input and config give bit-identical output.
@@ -247,34 +250,6 @@ def detect_keypoints(ss: ScaleSpace, cfg: DetectorConfig) -> list[Candidate]:
     return found
 
 
-def _cube(stack: list[np.ndarray], layer: int, y: int, x: int) -> np.ndarray:
-    return np.stack(
-        [
-            stack[layer - 1][y - 1 : y + 2, x - 1 : x + 2],
-            stack[layer][y - 1 : y + 2, x - 1 : x + 2],
-            stack[layer + 1][y - 1 : y + 2, x - 1 : x + 2],
-        ]
-    ).astype(np.float64)
-
-
-def _gradient(c: np.ndarray) -> np.ndarray:
-    dx = 0.5 * (c[1, 1, 2] - c[1, 1, 0])
-    dy = 0.5 * (c[1, 2, 1] - c[1, 0, 1])
-    ds = 0.5 * (c[2, 1, 1] - c[0, 1, 1])
-    return np.array([dx, dy, ds])
-
-
-def _hessian(c: np.ndarray) -> np.ndarray:
-    v = c[1, 1, 1]
-    dxx = c[1, 1, 2] - 2 * v + c[1, 1, 0]
-    dyy = c[1, 2, 1] - 2 * v + c[1, 0, 1]
-    dss = c[2, 1, 1] - 2 * v + c[0, 1, 1]
-    dxy = 0.25 * (c[1, 2, 2] - c[1, 2, 0] - c[1, 0, 2] + c[1, 0, 0])
-    dxs = 0.25 * (c[2, 1, 2] - c[2, 1, 0] - c[0, 1, 2] + c[0, 1, 0])
-    dys = 0.25 * (c[2, 2, 1] - c[2, 0, 1] - c[0, 2, 1] + c[0, 0, 1])
-    return np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
-
-
 def localize_keypoint(
     ss: ScaleSpace, cand: Candidate, cfg: DetectorConfig
 ) -> LocalizedPoint | Rejection:
@@ -290,39 +265,57 @@ def localize_keypoint(
     h, w = stack[0].shape
     x, y, layer = cand.x, cand.y, cand.layer
 
-    offset = grad = cube = hess = None
-    for step in range(_MAX_REFINE_STEPS):
-        cube = _cube(stack, layer, y, x)
-        grad = _gradient(cube)
-        hess = _hessian(cube)
+    for _ in range(_MAX_REFINE_STEPS):
+        # central differences on the 3x3x3 voxel cube, as Python floats:
+        # the same IEEE double arithmetic as numpy float64 scalars, at a
+        # fraction of the per-operation cost; lo/mid/hi are the layers
+        # below, at and above, each indexed [row][column]
+        lo, mid, hi = (
+            stack[k][y - 1 : y + 2, x - 1 : x + 2].tolist()
+            for k in (layer - 1, layer, layer + 1)
+        )
+        v = mid[1][1]
+        grad = np.array([
+            0.5 * (mid[1][2] - mid[1][0]),
+            0.5 * (mid[2][1] - mid[0][1]),
+            0.5 * (hi[1][1] - lo[1][1]),
+        ])
+        dxx = mid[1][2] - 2 * v + mid[1][0]
+        dyy = mid[2][1] - 2 * v + mid[0][1]
+        dss = hi[1][1] - 2 * v + lo[1][1]
+        dxy = 0.25 * (mid[2][2] - mid[2][0] - mid[0][2] + mid[0][0])
+        dxs = 0.25 * (hi[1][2] - hi[1][0] - lo[1][2] + lo[1][0])
+        dys = 0.25 * (hi[2][1] - hi[0][1] - lo[2][1] + lo[0][1])
+        hess = np.array([[dxx, dxy, dxs], [dxy, dyy, dys], [dxs, dys, dss]])
         try:
             offset = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             return Rejection(cand, RejectReason.MAX_ITERATIONS)
-        if np.all(np.abs(offset) < 0.5):
+        ox, oy, ol = offset.tolist()
+        if abs(ox) < 0.5 and abs(oy) < 0.5 and abs(ol) < 0.5:
             break
-        x += int(round(offset[0]))
-        y += int(round(offset[1]))
-        layer += int(round(offset[2]))
+        x += round(ox)
+        y += round(oy)
+        layer += round(ol)
         if not (1 <= layer <= n_layers - 2 and 1 <= x <= w - 2 and 1 <= y <= h - 2):
             return Rejection(cand, RejectReason.OUT_OF_BOUNDS)
     else:
         return Rejection(cand, RejectReason.MAX_ITERATIONS)
 
-    value = cube[1, 1, 1] + 0.5 * float(grad @ offset)
+    # numpy's dot, not a Python sum: its summation is part of the result
+    value = v + 0.5 * float(grad @ offset)
     if abs(value) < cfg.contrast_threshold:
         return Rejection(cand, RejectReason.LOW_CONTRAST)
 
-    dxx, dxy, dyy = hess[0, 0], hess[0, 1], hess[1, 1]
     trace = dxx + dyy
     det = dxx * dyy - dxy * dxy
     r = cfg.edge_ratio
     if det <= 0 or trace * trace * r >= det * (r + 1) ** 2:
         return Rejection(cand, RejectReason.EDGE_RESPONSE)
 
-    x_oct = x + float(offset[0])
-    y_oct = y + float(offset[1])
-    layer_ref = layer + float(offset[2])
+    x_oct = x + ox
+    y_oct = y + oy
+    layer_ref = layer + ol
     scale_oct = cfg.base_sigma * 2.0 ** (layer_ref / cfg.scales_per_octave)
     px = ss.pixel_scale(cand.octave)
     return LocalizedPoint(
@@ -356,12 +349,10 @@ def _orientation_histogram(
     hist = np.zeros(n_bins)
     if y1 < y0 or x1 < x0:
         return hist
-    dx = img[y0 : y1 + 1, x0 + 1 : x1 + 2].astype(np.float64) - img[
-        y0 : y1 + 1, x0 - 1 : x1
-    ].astype(np.float64)
-    dy = img[y0 + 1 : y1 + 2, x0 : x1 + 1].astype(np.float64) - img[
-        y0 - 1 : y1, x0 : x1 + 1
-    ].astype(np.float64)
+    # the window with a 1-px rim, cast once
+    win = img[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2].astype(np.float64)
+    dx = win[1:-1, 2:] - win[1:-1, :-2]
+    dy = win[2:, 1:-1] - win[:-2, 1:-1]
     mag = np.hypot(dx, dy)
     ori = np.arctan2(dy, dx)
     oy = np.arange(y0 - cy, y1 + 1 - cy)[:, None]
@@ -387,26 +378,27 @@ def assign_orientations(
     n_bins = cfg.orientation_bins
     hist = _orientation_histogram(
         img, point.x_oct, point.y_oct, point.scale_oct, n_bins
-    )
-    peak_max = hist.max()
+    ).tolist()
+    peak_max = max(hist)
     if peak_max <= 0.0:
         return [OrientedPoint(point, 0.0)]
-    wrap = np.concatenate((hist[-1:], hist, hist[:1]))
-    left, right = wrap[:-2], wrap[2:]
-    peak_bins = np.nonzero((hist > left) & (hist > right))[0]
-    if peak_bins.size == 0:
-        peak_bins = np.array([int(np.argmax(hist))])
+    # circular neighbours: hist[b - 1] wraps to the last bin by itself
+    peak_bins = [
+        b for b in range(n_bins)
+        if hist[b] > hist[b - 1] and hist[b] > hist[(b + 1) % n_bins]
+    ] or [hist.index(peak_max)]
     out = []
     for b in peak_bins:
-        if hist[b] < cfg.peak_ratio * peak_max:
+        cv = hist[b]
+        if cv < cfg.peak_ratio * peak_max:
             continue
-        lv, cv, rv = left[b], hist[b], right[b]
+        lv, rv = hist[b - 1], hist[(b + 1) % n_bins]
         denom = lv - 2.0 * cv + rv
         shift = 0.0 if denom == 0.0 else 0.5 * (lv - rv) / denom
         orientation = ((b + shift) % n_bins) * (TWO_PI / n_bins)
         out.append(OrientedPoint(point, orientation % TWO_PI))
     if not out:
-        b = int(np.argmax(hist))
+        b = hist.index(peak_max)
         out.append(OrientedPoint(point, (b * TWO_PI / n_bins) % TWO_PI))
     return out
 
@@ -414,13 +406,14 @@ def assign_orientations(
 def compute_descriptor(
     ss: ScaleSpace, oriented: OrientedPoint, cfg: DetectorConfig
 ) -> np.ndarray | None:
-    """4x4-cell, 8-orientation gradient descriptor in the keypoint frame.
+    """Raw 4x4-cell, 8-orientation gradient histogram in the keypoint frame.
 
     Gradients inside the rotated window (cell width 3x the keypoint
     scale, 16x16 samples nominal) are accumulated with trilinear
-    interpolation, then the vector is normalized to unit length with
-    entries clamped at ``cfg.descriptor_clamp``. Returns None when the
-    window does not fit inside the image (such keypoints are dropped).
+    interpolation into a float64 128-vector; ``extract_features``
+    normalizes it with the image's other descriptors. Returns None when
+    the window does not fit inside the image (such keypoints are
+    dropped).
     """
     point = oriented.point
     img = ss.octaves[point.octave][point.layer]
@@ -442,66 +435,82 @@ def compute_descriptor(
     v = (-ox * sin_t + oy * cos_t) / hist_width
     ubin = u + 0.5 * d - 0.5
     vbin = v + 0.5 * d - 0.5
-    keep = (ubin > -1) & (ubin < d) & (vbin > -1) & (vbin < d)
-    # every sample-wise value below is taken at the kept samples only
-    u, v, ub, vb = u[keep], v[keep], ubin[keep], vbin[keep]
-    rows, cols = np.nonzero(keep)
-    flat = (cy - half + rows) * w + (cx - half + cols)
-    dx = img.take(flat + 1).astype(np.float64) - img.take(flat - 1).astype(np.float64)
-    dy = img.take(flat + w).astype(np.float64) - img.take(flat - w).astype(np.float64)
+    # flat window positions of the kept samples; every sample-wise value
+    # below is taken at these only
+    keep = np.flatnonzero((ubin > -1) & (ubin < d) & (vbin > -1) & (vbin < d))
+    u, v, ub, vb = u.take(keep), v.take(keep), ubin.take(keep), vbin.take(keep)
+    # the window with a 1-px rim, cast once
+    win = img[cy - half - 1 : cy + half + 2, cx - half - 1 : cx + half + 2]
+    win = win.astype(np.float64)
+    dx = (win[1:-1, 2:] - win[1:-1, :-2]).take(keep)
+    dy = (win[2:, 1:-1] - win[:-2, 1:-1]).take(keep)
     mag = np.hypot(dx, dy)
     theta = np.arctan2(dy, dx)
     weight = np.exp(-(u * u + v * v) / (2.0 * (0.5 * d) ** 2))
-    ob = ((theta - oriented.orientation) % TWO_PI) * (n_bins / TWO_PI)
+    # theta - orientation lies in (-3 pi, pi]: adding 2 pi where it is
+    # negative, twice, gives its float remainder modulo 2 pi bit for bit
+    # (but for the sign of a zero, which no later step can see), at a
+    # fraction of the cost of np.remainder
+    rel = theta - oriented.orientation
+    np.add(rel, TWO_PI, out=rel, where=rel < 0)
+    np.add(rel, TWO_PI, out=rel, where=rel < 0)
+    ob = rel * (n_bins / TWO_PI)
     m = weight * mag
 
-    u0 = np.floor(ub).astype(np.int64)
-    v0 = np.floor(vb).astype(np.int64)
-    o0 = np.floor(ob).astype(np.int64)
-    fu = ub - u0
-    fv = vb - v0
-    fo = ob - o0
-    o0 %= n_bins
-
-    # trilinear weights and flat bins of the (d+2, d+2, n_bins) tensor, in
+    # each sample's cell and orientation bin, and its trilinear weight
+    # pairs (1 - f, f); ob lies in [0, n_bins], so bin n_bins wraps to 0
+    fv, fu, fo = np.floor(vb), np.floor(ub), np.floor(ob)
+    cell = ((fv.astype(np.int64) + 1) * (d + 2) + fu.astype(np.int64) + 1) * n_bins
+    o0 = fo.astype(np.int64)
+    o0[o0 == n_bins] = 0
+    o1 = o0 + 1
+    o1[o1 == n_bins] = 0
+    wv, wu, wo = np.empty((3, 2, keep.size))
+    for pair, coord, whole in ((wv, vb, fv), (wu, ub, fu), (wo, ob, fo)):
+        np.subtract(coord, whole, out=pair[1])
+        np.subtract(1.0, pair[1], out=pair[0])
+    # flat bins of the (d+2, d+2, n_bins) tensor and their weights, in
     # (dv, du, o0/o1, sample) order, the order bincount sums each bin in
-    wv = np.stack((1.0 - fv, fv))[:, None, None]
-    wu = np.stack((1.0 - fu, fu))[None, :, None]
-    wo = np.stack((1.0 - fo, fo))
-    cell = (v0 + 1) * (d + 2) + u0 + 1
-    corner = np.array([[0, 1], [d + 2, d + 3]])[:, :, None, None]
-    bins = (cell + corner) * n_bins + np.stack((o0, (o0 + 1) % n_bins))
-    hist = np.bincount(
-        bins.ravel(), (m * wv * wu * wo).ravel(), minlength=(d + 2) ** 2 * n_bins
-    )
-    vec = hist.reshape(d + 2, d + 2, n_bins)[1:-1, 1:-1].reshape(-1)
-    return _finalize_descriptor(vec, cfg.descriptor_clamp)
+    corner = np.array([[0, 1], [d + 2, d + 3]])[:, :, None, None] * n_bins
+    bins = corner + np.stack((cell + o0, cell + o1))
+    weights = m * wv[:, None, None] * wu[None, :, None] * wo
+    hist = np.bincount(bins.ravel(), weights.ravel(), minlength=(d + 2) ** 2 * n_bins)
+    return hist.reshape(d + 2, d + 2, n_bins)[1:-1, 1:-1].reshape(-1)
 
 
-def _finalize_descriptor(vec: np.ndarray, clamp: float) -> np.ndarray | None:
-    """Normalize to unit length with per-entry clamp.
+def _normalize_descriptors(
+    raw: np.ndarray, clamp: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each row of ``raw`` to unit length with per-entry clamp.
 
-    Clamp-and-renormalize is iterated to a fixed point so the result
+    Clamp-and-renormalize is iterated to a fixed point so each result
     satisfies both the unit-norm and max-entry contracts. A unit vector
     with fewer than 1/clamp**2 nonzero entries cannot keep every entry
     at or below the clamp, so descriptors whose energy is that sparse
-    never converge and are dropped as degenerate.
+    never converge and are dropped as degenerate, as are all-zero rows.
+
+    Every row goes through the float64 operations it would take alone:
+    ``np.vecdot`` sums each row in ``ndarray.dot``'s order, and a row
+    leaves the loop on the round its own test says it has converged.
+    Returns the indices of the kept rows and their float32 unit rows.
     """
-    norm = math.sqrt(vec.dot(vec))
-    if norm == 0.0:
-        return None
-    vec = vec / norm
-    top = vec.max()
+    norm = np.sqrt(np.vecdot(raw, raw))
+    live = np.flatnonzero(norm)
+    vec = raw[live] / norm[live, None]
+    top = vec.max(axis=1)
+    open_rows = np.flatnonzero(top > clamp + 1e-7)
     for _ in range(512):
-        if top <= clamp + 1e-7:
+        if open_rows.size == 0:
             break
-        np.minimum(vec, clamp, out=vec)
-        norm = math.sqrt(vec.dot(vec))
-        vec /= norm
-        top = clamp / norm  # top > clamp: the clamped entries stay the largest
-    if top > clamp + 1e-6:
-        return None
-    return vec.astype(np.float32)
+        sub = np.minimum(vec[open_rows], clamp)
+        norm = np.sqrt(np.vecdot(sub, sub))
+        sub /= norm[:, None]
+        vec[open_rows] = sub
+        # top > clamp: the clamped entries stay the largest
+        top[open_rows] = clamp / norm
+        open_rows = open_rows[top[open_rows] > clamp + 1e-7]
+    kept = top <= clamp + 1e-6
+    return live[kept], vec[kept].astype(np.float32)
 
 
 def _sort_unique(rows: np.ndarray) -> np.ndarray:
@@ -524,15 +533,22 @@ def extract_features(img: GrayImage, cfg: DetectorConfig | None = None) -> Keypo
     if cfg is None:
         cfg = DetectorConfig()
     ss = build_scale_space(img, cfg)
-    rows = []
+    heads = []
+    hists = []
     for cand in detect_keypoints(ss, cfg):
         loc = localize_keypoint(ss, cand, cfg)
         if isinstance(loc, Rejection):
             continue
         for oriented in assign_orientations(ss, loc, cfg):
-            desc = compute_descriptor(ss, oriented, cfg)
-            if desc is None:
+            hist = compute_descriptor(ss, oriented, cfg)
+            if hist is None:
                 continue
-            head = (loc.x, loc.y, loc.scale, oriented.orientation)
-            rows.append(np.concatenate((head, desc)))
-    return Keypoints(_sort_unique(np.array(rows, dtype=np.float32).reshape(-1, ROW_LEN)))
+            heads.append((loc.x, loc.y, loc.scale, oriented.orientation))
+            hists.append(hist)
+    kept, unit = _normalize_descriptors(
+        np.array(hists).reshape(-1, DESCRIPTOR_LEN), cfg.descriptor_clamp
+    )
+    rows = np.empty((len(kept), ROW_LEN), dtype=np.float32)
+    rows[:, :4] = np.array(heads).reshape(-1, 4)[kept]
+    rows[:, 4:] = unit
+    return Keypoints(_sort_unique(rows))

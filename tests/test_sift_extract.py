@@ -1,16 +1,26 @@
 """End-to-end feature extraction invariants."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphsift import sift
 from graphsift.config import DESCRIPTOR_LEN, DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.errors import ImageTooSmall
 from graphsift.imageio import GrayImage, histogram_equalize
-from graphsift.sift import ROW_LEN, Keypoints, _sort_unique, extract_features
+from graphsift.sift import (
+    ROW_LEN,
+    Keypoints,
+    Rejection,
+    _sort_unique,
+    build_scale_space,
+    detect_keypoints,
+    extract_features,
+)
 
 
 def texture_image(subject, image, size=64):
@@ -79,6 +89,75 @@ class TestExtractFeatures:
         rows = extract_features(texture_image(2, 2)).rows
         assert rows.dtype == np.float32 and rows.shape[1] == ROW_LEN
         assert rows.flags.c_contiguous and not rows.flags.writeable
+
+
+# sha256 of extract_features(...).rows.tobytes(), keyed by (config,
+# subject, size). A speed-up of the pipeline must leave every byte of
+# these tables as it is; the digests rest on OpenBLAS's ddot summation
+# order and numpy's SIMD loops, which CI prints before the tests.
+PIN_CONFIGS = {
+    "default": {},
+    "single": {"double_input": False},
+    "s2": {"scales_per_octave": 2},
+    "s4o2": {"scales_per_octave": 4, "max_octaves": 2},
+}
+KEYPOINT_TABLE_SHA256 = {
+    ("default", 0, 64): "a7ad2dce9b083e76dfdc7927a0e9817e54f7b66b9d3c5486fe1ffdd02af4cff6",
+    ("default", 1, 128): "c52c8c1d28c7a22e87be008f4c179af10e49cc0a4dd41c0af22d4814c14d18f7",
+    ("default", 2, 256): "a7300531198c4970a7b3978a8542f1aec0d9df06e0c13177434aded49cebc595",
+    ("single", 0, 64): "f74517f498d9986d1f9254b4c180bc456bcb743134ba175d5ce2479da5e6864a",
+    ("single", 1, 128): "f34ded9e909deb6f1aff6c402536ad1b6f48127146da31df19a15d50bbbd8881",
+    ("single", 2, 256): "ac26a520edb1c05703579561ad71f8cf11139d455c3e28bd5f4faa68ff64f853",
+    ("s2", 0, 64): "6586001b0f5d1bdafd3d79815180ae064270496063b7e2b2a666ed4d2a65fac0",
+    ("s2", 1, 128): "21ed23bbb31fb4b2497dd876a63321d72efc79bdb8b32f0b9dcee0c00f5bbc2c",
+    ("s2", 2, 256): "9c3632686870d4fa9a5008623baaa78db5f8f386270f3a31cd4134e62b2c93b2",
+    ("s4o2", 0, 64): "7e95ef45fc7f4aac9290cdb1556b675c84dfa36f0b44f881433cbc7988b3975f",
+    ("s4o2", 1, 128): "9769c2b0c2e598464854e9b65eba6e3ff02079ddb9d06addb91ec12e84760604",
+    ("s4o2", 2, 256): "a229055682707e0b5415120dd33c047343d41e98996d0ff89a782bc1445cac4e",
+}
+
+
+@pytest.mark.parametrize("config", sorted(PIN_CONFIGS))
+def test_keypoint_tables_pinned(config):
+    cfg = DetectorConfig(**PIN_CONFIGS[config])
+    for subject, size in ((0, 64), (1, 128), (2, 256)):
+        rows = extract_features(texture_image(subject, 0, size), cfg).rows
+        digest = hashlib.sha256(rows.tobytes()).hexdigest()
+        assert digest == KEYPOINT_TABLE_SHA256[(config, subject, size)], (subject, size)
+
+
+def test_stage_call_shapes(monkeypatch):
+    # the benchmark's tracer wraps these three functions by name and
+    # counts one call per candidate, per accepted point and per
+    # oriented point; batching any of them would silently change what
+    # its per-layer counts mean
+    calls = {"localize": 0, "orientation": 0, "descriptor": 0}
+    accepted = oriented = 0
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            nonlocal accepted, oriented
+            calls[name] += 1
+            out = fn(*args, **kwargs)
+            if name == "localize":
+                accepted += not isinstance(out, Rejection)
+            elif name == "orientation":
+                oriented += len(out)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(sift, "localize_keypoint", wrap("localize", sift.localize_keypoint))
+    monkeypatch.setattr(sift, "assign_orientations", wrap("orientation", sift.assign_orientations))
+    monkeypatch.setattr(sift, "compute_descriptor", wrap("descriptor", sift.compute_descriptor))
+    cfg = DetectorConfig()
+    img = texture_image(1, 0, 128)
+    candidates = len(detect_keypoints(build_scale_space(img, cfg), cfg))
+    kps = extract_features(img, cfg)
+    assert 0 < len(kps) and 0 < accepted < candidates
+    assert calls["localize"] == candidates
+    assert calls["orientation"] == accepted
+    assert calls["descriptor"] == oriented
 
 
 def sort_unique_oracle(rows):

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphsift import sift
 from graphsift.config import DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.sift import (
     LocalizedPoint,
     OrientedPoint,
-    _finalize_descriptor,
+    _normalize_descriptors,
     assign_orientations,
     build_scale_space,
     compute_descriptor,
@@ -76,6 +75,13 @@ def finalize_oracle(vec, clamp):
     if vec.max() > clamp + 1e-6:
         return None
     return vec.astype(np.float32)
+
+
+def normalized(raw, clamp):
+    """One raw histogram through the per-image normalizer: its float32
+    unit row, or None when the normalizer drops it."""
+    kept, unit = _normalize_descriptors(raw[None], clamp)
+    return unit[0] if kept.size else None
 
 
 def descriptor_histogram_oracle(ss, oriented, cfg):
@@ -140,11 +146,17 @@ def descriptor_histogram_oracle(ss, oriented, cfg):
 
 @st.composite
 def histogram_vectors(draw):
-    """Non-negative 128-vectors with 0 to 128 nonzero entries."""
-    k = draw(st.integers(0, 128))
+    """Non-negative 128-vectors of one of four kinds: all zero, fewer
+    than 25 nonzero entries (never within the clamp at unit norm), 100
+    or more entries in [1, 1.5] (already within the clamp: the largest
+    unit entry is at most 0.15), or any 0 to 128 nonzero entries."""
+    kind = draw(st.sampled_from(["zero", "sparse", "flat", "any"]))
+    k = draw({"zero": st.just(0), "sparse": st.integers(1, 24),
+              "flat": st.integers(100, 128), "any": st.integers(0, 128)}[kind])
+    low, high = (1.0, 1.5) if kind == "flat" else (1e-6, 1e3)
     values = draw(
         st.lists(
-            st.floats(1e-6, 1e3, allow_subnormal=False), min_size=k, max_size=k
+            st.floats(low, high, allow_subnormal=False), min_size=k, max_size=k
         )
     )
     where = draw(st.permutations(range(128)))[:k]
@@ -217,18 +229,9 @@ class TestDescriptor:
     @pytest.mark.parametrize("double_input", [True, False])
     @pytest.mark.parametrize("size", [64, 128])
     @pytest.mark.parametrize("seed,subject", [(12, 0), (13, 2)])
-    def test_matches_full_window_oracle(
-        self, monkeypatch, seed, subject, size, double_input
-    ):
+    def test_matches_full_window_oracle(self, seed, subject, size, double_input):
         # the raw histogram is compared too: the float32 result can hide
         # a float64 sum taken in another order
-        raw = []
-
-        def capture(vec, clamp):
-            raw.append(vec.copy())
-            return _finalize_descriptor(vec, clamp)
-
-        monkeypatch.setattr(sift, "_finalize_descriptor", capture)
         cfg = DetectorConfig(double_input=double_input)
         img = histogram_equalize(
             render_texture(subject_texture(seed, subject, size), size)
@@ -241,14 +244,14 @@ class TestDescriptor:
             if not isinstance(loc, LocalizedPoint):
                 continue
             for op in assign_orientations(ss, loc, cfg):
-                raw.clear()
-                got = compute_descriptor(ss, op, cfg)
+                raw = compute_descriptor(ss, op, cfg)
                 want_raw = descriptor_histogram_oracle(ss, op, cfg)
                 if want_raw is None:
-                    assert got is None and not raw
+                    assert raw is None
                     dropped += 1
                     continue
-                assert np.array_equal(raw[0], want_raw)
+                assert np.array_equal(raw, want_raw)
+                got = normalized(raw, cfg.descriptor_clamp)
                 want = finalize_oracle(want_raw, cfg.descriptor_clamp)
                 if want is None:
                     assert got is None
@@ -259,19 +262,64 @@ class TestDescriptor:
         # a 64-px input keeps descriptors only in octave 0 unless doubled
         assert len(octaves) >= (2 if size * (1 + double_input) >= 128 else 1)
 
+    @pytest.mark.parametrize("orientation", [0.0, 1e-17])
+    def test_orientation_bin_wraps_at_full_turn(self, orientation):
+        # every row of a horizontal ramp is equal, so each gradient points
+        # along theta = 0 exactly; one 1e-17 past it, theta - orientation
+        # taken modulo 2 pi rounds up to a full turn, the bin index
+        # reaches n_bins, and that sample must land in bin 0 of its cell
+        cfg = DetectorConfig(double_input=False)
+        ss = build_scale_space(ramp_image(64), cfg)
+        op = OrientedPoint(center_point(ss, cfg), orientation)
+        raw = compute_descriptor(ss, op, cfg)
+        assert raw.tobytes() == descriptor_histogram_oracle(ss, op, cfg).tobytes()
+        assert np.count_nonzero(raw) > 0
+
     @settings(max_examples=100, deadline=None)
-    @given(histogram_vectors())
-    def test_finalize_matches_oracle(self, vec):
-        got = _finalize_descriptor(vec.copy(), 0.2)
-        want = finalize_oracle(vec.copy(), 0.2)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None and np.array_equal(got, want)
+    @given(st.lists(histogram_vectors(), max_size=40))
+    def test_finalize_matches_oracle(self, vecs):
+        # the whole stack is normalized at once, as extract_features
+        # does per image; each row must come out as the one-vector
+        # oracle gives it, byte for byte, and drop where it drops
+        raw = np.array(vecs).reshape(-1, 128)
+        kept, unit = _normalize_descriptors(raw.copy(), 0.2)
+        want = [finalize_oracle(vec.copy(), 0.2) for vec in raw]
+        assert kept.tolist() == [i for i, w in enumerate(want) if w is not None]
+        assert unit.dtype == np.float32 and unit.shape == (len(kept), 128)
+        for i, got in zip(kept.tolist(), unit):
+            assert got.tobytes() == want[i].tobytes()
         # fewer than 1/clamp**2 = 25 nonzero entries cannot meet both
         # the unit-norm and the clamp contract
-        if np.count_nonzero(vec) < 25:
-            assert got is None
+        sparse = np.flatnonzero(np.count_nonzero(raw, axis=1) < 25)
+        assert not set(sparse.tolist()) & set(kept.tolist())
+
+    def test_vecdot_sums_like_ndarray_dot(self):
+        # the normalizer takes every row's squared norm with np.vecdot in
+        # place of one ndarray.dot per row; a numpy whose vecdot sums in
+        # another order changes descriptor bytes, and must fail here
+        rng = np.random.default_rng(5)
+        rows = [
+            rng.random((2000, 128)),
+            rng.standard_normal((1000, 128)) * 10.0 ** rng.integers(-150, 150, (1000, 1)),
+            np.where(rng.random((1000, 128)) < 0.2, rng.random((1000, 128)), 0.0),
+            rng.random((1000, 128)).astype(np.float32).astype(np.float64),
+        ]
+        img = histogram_equalize(render_texture(subject_texture(12, 0, 128), 128))
+        cfg = DetectorConfig()
+        ss = build_scale_space(img, cfg)
+        real = []
+        for cand in detect_keypoints(ss, cfg):
+            loc = localize_keypoint(ss, cand, cfg)
+            if isinstance(loc, LocalizedPoint):
+                for op in assign_orientations(ss, loc, cfg):
+                    raw = compute_descriptor(ss, op, cfg)
+                    if raw is not None:
+                        real.append(raw)
+        assert len(real) >= 40
+        rows.append(np.array(real))
+        for stack in rows:
+            want = np.array([row.dot(row) for row in stack])
+            assert np.vecdot(stack, stack).tobytes() == want.tobytes()
 
     def test_contracts_on_texture(self):
         img = histogram_equalize(render_texture(subject_texture(12, 0, 64), 64))
@@ -312,8 +360,12 @@ class TestDescriptor:
             if not isinstance(loc, LocalizedPoint):
                 continue
             for op in assign_orientations(ss1, loc, cfg):
-                d1 = compute_descriptor(ss1, op, cfg)
-                d2 = compute_descriptor(ss2, op, cfg)
+                raw1 = compute_descriptor(ss1, op, cfg)
+                raw2 = compute_descriptor(ss2, op, cfg)
+                if raw1 is None or raw2 is None:
+                    continue
+                d1 = normalized(raw1, cfg.descriptor_clamp)
+                d2 = normalized(raw2, cfg.descriptor_clamp)
                 if d1 is None or d2 is None:
                     continue
                 assert float(np.abs(d1 - d2).max()) < 1e-3
