@@ -50,6 +50,13 @@ def _positive_int(text: str) -> int:
     return v
 
 
+def _non_negative_int(text: str) -> int:
+    v = int(text)
+    if v < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return v
+
+
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     d = DetectorConfig()
     p.add_argument(
@@ -293,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identify", help="rank gallery subjects for a probe")
     p.add_argument("probe", help="probe image")
     p.add_argument("--db", required=True)
-    p.add_argument("--top", type=int, default=0, help="print only the best N")
+    p.add_argument("--top", type=_non_negative_int, default=0,
+                   help="print only the best N (default 0: all)")
     p.add_argument("--csv", action="store_true", help="machine-readable output")
     _add_detector_flags(p)
     _add_match_flags(p)

@@ -53,19 +53,22 @@ class FaceGraph:
 
     Every match reads the graph through arrays derived once from its
     keypoint table at construction: ``descriptors`` (float64, n x 128,
-    the transpose of a C-contiguous 128 x n array), ``sq_norms`` (each
-    descriptor's squared norm), ``geometry`` (4 x n rows x, y, theta
-    and logscale, the natural log of each scale) and ``diameter``, the
-    maximum pairwise endpoint distance.
+    the transpose of a C-contiguous 128 x n array), ``half_sq_norms``
+    (half of each descriptor's squared norm, the form the matching
+    estimate adds), ``geometry`` (4 x n rows x, y, theta and logscale,
+    the natural log of each scale) and ``diameter``, the maximum
+    pairwise endpoint distance. The largest squared norm, which the
+    matching error bound reads, is kept privately beside them.
     """
 
     vertices: Keypoints
     subject_id: str
     image_id: str
     descriptors: np.ndarray = field(init=False, repr=False, compare=False)
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    half_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     geometry: np.ndarray = field(init=False, repr=False, compare=False)
     diameter: float = field(init=False, compare=False)
+    _sq_norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kps = self.vertices
@@ -80,12 +83,16 @@ class FaceGraph:
         geometry = kps.rows.T[[0, 1, 3, 2]].astype(np.float64)
         geometry[3] = np.fromiter(map(math.log, kps.scale.tolist()), float, n)
         xy = geometry[:2].T
+        # in any summation order: the matching bound allows for it
+        sq_norms = np.einsum("ij,ij->j", by_dim, by_dim)
+        sq_norm_max = float(sq_norms.max())
+        sq_norms *= 0.5
         derived = {
             "descriptors": by_dim.T,
-            # in any summation order: the matching bound allows for it
-            "sq_norms": np.einsum("ij,ij->j", by_dim, by_dim),
+            "half_sq_norms": sq_norms,
             "geometry": geometry,
             "diameter": float(cdist(xy, xy).max()),
+            "_sq_norm_max": sq_norm_max,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -120,15 +127,14 @@ def _triu_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def edge_component_arrays(
-    g: FaceGraph, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def edge_component_arrays(g: FaceGraph, idx: np.ndarray) -> np.ndarray:
     """Edge attributes for all edges of the sub-graph on ``idx``.
 
     Edges follow np.triu_indices order over the given vertex sequence.
-    Returns the length normalized by the graph diameter (in [0, 1]),
-    the orientation difference wrapped to (-pi, pi], and the log-scale
-    difference; the last two flip sign when an edge's endpoints swap.
+    Returns one C-contiguous (3, edges) float64 array whose rows are the
+    length normalized by the graph diameter (in [0, 1]), the orientation
+    difference wrapped to (-pi, pi], and the log-scale difference; the
+    last two flip sign when an edge's endpoints swap.
     """
     idx = np.asarray(idx, dtype=np.intp)
     k = len(idx)
@@ -138,12 +144,16 @@ def edge_component_arrays(
     sub = g.geometry.take(idx, axis=1)
     diff = sub.take(a, axis=1)
     diff -= sub.take(b, axis=1)
-    length = np.hypot(diff[0], diff[1])
+    # rows 1-3 of the difference become the attributes in place
+    length, dtheta = diff[1], diff[2]
+    np.hypot(diff[0], length, out=length)
     if g.diameter > 0.0:
         length /= g.diameter
-    dtheta = (diff[2] + math.pi) % (2.0 * math.pi) - math.pi
+    dtheta += math.pi
+    np.remainder(dtheta, 2.0 * math.pi, out=dtheta)
+    dtheta -= math.pi
     dtheta[dtheta == -math.pi] = math.pi
-    return length, dtheta, diff[3]
+    return diff[1:]
 
 
 # --- exact nearest neighbours ---
@@ -200,13 +210,18 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 
 def _exact_distances(
-    at: np.ndarray, bt: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    at: np.ndarray, bt: np.ndarray, rows: np.ndarray | None, cols: np.ndarray
 ) -> np.ndarray:
     """cdist's distance between column rows[k] of ``at`` and column
     cols[k] of ``bt``, for every k, bit for bit; both are C-contiguous
-    (128, n) descriptor arrays."""
-    diff = at.take(rows, axis=1)
-    diff -= bt.take(cols, axis=1)
+    (128, n) descriptor arrays. ``rows`` None pairs every column of
+    ``at``, in order, without gathering them."""
+    cols_b = bt.take(cols, axis=1)
+    if rows is None:
+        diff = np.subtract(at, cols_b, out=cols_b)
+    else:
+        diff = at.take(rows, axis=1)
+        diff -= cols_b
     diff *= diff
     # A sum over the outer axis of a C-contiguous (128, k) array adds in
     # dimension order. A single column is summed pairwise instead, which
@@ -222,10 +237,10 @@ def _half_squared(g1: FaceGraph, g2: FaceGraph, full: bool) -> tuple[np.ndarray,
     Without ``full`` each row lacks its own |a|^2/2, which no comparison
     within a row needs."""
     h = g1.descriptors @ g2.descriptors.T
-    np.subtract(0.5 * g2.sq_norms, h, out=h)
+    np.subtract(g2.half_sq_norms, h, out=h)
     if full:
-        h += (0.5 * g1.sq_norms)[:, None]
-    bound = _BOUND * (float(g1.sq_norms.max()) + float(g2.sq_norms.max()))
+        h += g1.half_sq_norms[:, None]
+    bound = _BOUND * (g1._sq_norm_max + g2._sq_norm_max)
     return h, bound if _TINY <= bound < math.inf else math.inf
 
 
@@ -247,18 +262,20 @@ def _nearest(
     candidate columns.
     """
     n_rows, n_cols = h.shape
-    rows = np.arange(n_rows)
     if n_cols == 1:
         best = np.zeros(n_rows, dtype=np.intp)
         if ratio is None:
             return best, None
         # no second neighbour: d2 is infinite, so a row passes unless
         # its own distance is infinite too
-        return best, _exact_distances(at, bt, rows, best) < ratio * math.inf
+        return best, _exact_distances(at, bt, None, best) < ratio * math.inf
+    rows = np.arange(n_rows)
     best = h.argmin(axis=1)
     h1 = h[rows, best]
+    # the second smallest estimate, with the best column masked; a NaN
+    # left in the row propagates, as an argmin would pick it
     h[rows, best] = math.inf
-    h2 = h[rows, h.argmin(axis=1)]
+    h2 = h.min(axis=1)
     h[rows, best] = h1
     if ratio is None:
         is_open = ~(h2 - h1 > 2.0 * bound)
@@ -290,7 +307,7 @@ def nearest(g1: FaceGraph, g2: FaceGraph) -> tuple[np.ndarray, np.ndarray]:
     at, bt = g1.descriptors.T, g2.descriptors.T
     h, bound = _half_squared(g1, g2, full=False)
     best = _nearest(h, bound, at, bt)[0]
-    return best, _exact_distances(at, bt, np.arange(len(best)), best)
+    return best, _exact_distances(at, bt, None, best)
 
 
 def mutual_correspondence(
@@ -301,6 +318,11 @@ def mutual_correspondence(
     at, bt = g1.descriptors.T, g2.descriptors.T
     h, bound = _half_squared(g1, g2, full=True)
     fwd, fwd_ok = _nearest(h, bound, at, bt, ratio)
+    if not fwd_ok.any():
+        # no row passes its ratio test, so no pair is mutual
+        return CorrespondenceSet(
+            pairs=np.empty((0, 2), dtype=np.intp), distances=np.empty(0)
+        )
     bwd, bwd_ok = _nearest(h.T, bound, bt, at, ratio)
     rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
     cols = fwd[rows]

@@ -103,9 +103,12 @@ def gibmc_edge_score(
     if len(vertex_pairs) < 2:
         return np.empty(0), 0.0
     pairs = np.asarray(vertex_pairs, dtype=np.intp)
-    gl, gt, gs = edge_component_arrays(g_gallery, pairs[:, 0])
-    pl, pt, ps = edge_component_arrays(g_probe, pairs[:, 1])
-    dists = np.sqrt((gl - pl) ** 2 + (gt - pt) ** 2 + (gs - ps) ** 2)
+    diff = edge_component_arrays(g_gallery, pairs[:, 0])
+    diff -= edge_component_arrays(g_probe, pairs[:, 1])
+    diff *= diff
+    # a sum over the outer axis of the C-contiguous (3, edges) array adds
+    # its rows in order: (length^2 + angle^2) + log-scale^2
+    dists = np.sqrt(np.add.reduce(diff, axis=0))
     return dists, float(dists.sum() / len(dists))
 
 
@@ -137,13 +140,25 @@ def band_multipliers(
     Bands are closed on the outer edge: within 1 sigma of the mean
     (inclusive) takes the first multiplier, then (1, 2] sigma the
     second, (2, 3] sigma the third, and beyond 3 sigma the multiplier
-    is 0. A zero sigma keeps only the values equal to the mean.
+    is 0. A zero sigma keeps only the values equal to the mean; a
+    negative or NaN sigma keeps nothing.
     """
     z = np.abs(np.asarray(distances, dtype=np.float64) - mu)
-    # band = how many of the edges sigma, 2 sigma, 3 sigma z is not within;
-    # 3 (beyond 3 sigma, or a NaN no comparison admits) takes the last 0
-    band = 3 - (z <= sigma) - (z <= 2.0 * sigma) - (z <= 3.0 * sigma)
-    return np.array((*multipliers, 0.0))[band]
+    return _band_multipliers(z, sigma, multipliers)
+
+
+def _band_multipliers(
+    z: np.ndarray, sigma: float, multipliers: tuple[float, float, float]
+) -> np.ndarray:
+    """band_multipliers for the absolute deviations ``z`` from the mean."""
+    if not sigma >= 0.0:
+        # no deviation lies within a negative or NaN sigma
+        return np.zeros(z.shape)
+    # band = how many of the edges sigma, 2 sigma, 3 sigma lie below z;
+    # 3 (beyond 3 sigma, or a NaN, which sorts after every edge) takes
+    # the last 0
+    band = np.array((sigma, 2.0 * sigma, 3.0 * sigma)).searchsorted(z)
+    return np.array((*multipliers, 0.0)).take(band)
 
 
 # Below 2**480 in magnitude, entries keep their sum and every squared
@@ -171,19 +186,18 @@ def weighted_mean(
     if n == 0:
         raise ValueError("cannot weight an empty distance list")
     # checked before the sums, which warn on opposite infinities and on
-    # overflow; a NaN fails the comparison too. count_nonzero costs less
-    # than .all() on arrays this short
-    if np.count_nonzero(np.abs(arr) < _MAGNITUDE_LIMIT) != n:
+    # overflow; a NaN maximum fails the comparison too
+    if not np.abs(arr).max() < _MAGNITUDE_LIMIT:
         raise ValueError("cannot weight distances whose mean or spread is not finite")
     # the reductions np.mean and np.std (population) run, without their
     # per-call dispatch: sum over n, then squared deviations over n
     mu = float(np.add.reduce(arr) / n)
     dev = arr - mu
     sigma = math.sqrt(float(np.add.reduce(dev * dev) / n))
-    mults = band_multipliers(arr, mu, sigma, multipliers)
+    z = np.abs(dev, out=dev)
+    mults = _band_multipliers(z, sigma, multipliers)
     kept = np.count_nonzero(mults)
     if kept == 0:
-        z = np.abs(dev)
         mults = np.where(z == z.min(), multipliers[0], 0.0)
         kept = np.count_nonzero(mults)
     return float(np.add.reduce(arr * mults) / kept)

@@ -131,7 +131,8 @@ def load(path: str | Path) -> GalleryDb:
         raise BadMagic(f"expected {MAGIC!r}, found {data[:4]!r}")
     if len(data) < 24:
         raise TruncatedFile(f"{len(data)} bytes is shorter than a header")
-    intact = zlib.crc32(data[:-4]) == struct.unpack("<I", data[-4:])[0]
+    # a memoryview slice, so the checksum reads the bytes without a copy
+    intact = zlib.crc32(memoryview(data)[:-4]) == struct.unpack("<I", data[-4:])[0]
     try:
         db = _parse(data)
     except TruncatedFile:

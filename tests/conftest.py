@@ -171,7 +171,8 @@ def descriptor_graph(rows, subject="s", image="i") -> FaceGraph:
         with np.errstate(over="ignore"):
             sq_norms = (by_dim * by_dim).sum(axis=0)
         object.__setattr__(g, "descriptors", by_dim.T)
-        object.__setattr__(g, "sq_norms", sq_norms)
+        object.__setattr__(g, "half_sq_norms", 0.5 * sq_norms)
+        object.__setattr__(g, "_sq_norm_max", float(sq_norms.max()))
     return g
 
 

@@ -106,6 +106,27 @@ class TestIdentify:
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
+    def test_top_zero_lists_every_subject(self, cli_corpus, enrolled_db, capsys):
+        code = main([
+            "identify", str(cli_corpus / "s001_i01.pgm"), "--db", str(enrolled_db),
+            "--top", "0",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert sorted(line.split()[1] for line in lines) == [
+            "s000", "s001", "s002", "s003"
+        ]
+
+    def test_negative_top_rejected(self, cli_corpus, enrolled_db, capsys):
+        # a negative count once printed the whole ranking
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "identify", str(cli_corpus / "s001_i01.pgm"), "--db", str(enrolled_db),
+                "--top", "-1",
+            ])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
     def test_csv_output(self, cli_corpus, enrolled_db, capsys):
         code = main([
             "identify", str(cli_corpus / "s000_i01.pgm"), "--db", str(enrolled_db),

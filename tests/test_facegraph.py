@@ -139,10 +139,10 @@ class TestBuildGraph:
         assert g.geometry.shape == (4, len(kps))
         # any summation order is within gamma_128 (about 128 ulp) of
         # the exact squared norm, as the matching bound assumes
-        np.testing.assert_allclose(
-            g.sq_norms, [math.fsum(v * v for v in d) for d in g.descriptors.tolist()],
-            rtol=128 * 2.0**-53,
-        )
+        exact = [math.fsum(v * v for v in d) for d in g.descriptors.tolist()]
+        np.testing.assert_allclose(2.0 * g.half_sq_norms, exact, rtol=128 * 2.0**-53)
+        # the bound reads the largest of the squared norms halved above
+        assert g._sq_norm_max == float((2.0 * g.half_sq_norms).max())
 
 
 class TestEdgeAttr:
@@ -211,6 +211,15 @@ class TestEdgeAttr:
             assert length[k] == attr.length
             assert dtheta[k] == attr.dtheta
             assert dlog[k] == attr.dlogscale
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5])
+    def test_component_arrays_stacked(self, k):
+        # one C-contiguous (3, edges) array, so the edge stage can
+        # difference and reduce it whole
+        g = random_graph(np.random.default_rng(5), 6)
+        out = edge_component_arrays(g, np.arange(k))
+        assert out.shape == (3, k * (k - 1) // 2)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
 
 
 def edge_arrays_reference(g, idx):
@@ -305,6 +314,19 @@ class TestMutualCorrespondence:
             want = mutual_oracle(*rows, ratio)
             assert cs.pairs.tolist() == [[i, j] for i, j, _ in want]
             assert cs.distances.tolist() == [d for _, _, d in want]
+
+    @pytest.mark.parametrize("ratio", [-0.5, 0.01])
+    def test_empty_set_typed_like_a_full_one(self, ratio):
+        # no forward row passes, so the set is returned before the
+        # backward search; it must look like the full path's empty set
+        rng = np.random.default_rng(9)
+        g1, g2 = random_graph(rng, 7), random_graph(rng, 5)
+        cs = mutual_correspondence(g1, g2, ratio)
+        want_pairs, want_distances = dense_mutual(g1, g2, ratio)
+        assert len(want_pairs) == 0
+        for got, want in ((cs.pairs, want_pairs), (cs.distances, want_distances)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert (cs.pairs.dtype, cs.pairs.shape) == (np.intp, (0, 2))
 
     def test_subset_of_directional_and_injective(self):
         rng = np.random.default_rng(8)

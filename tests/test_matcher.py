@@ -1,6 +1,8 @@
 """Vertex/edge scoring, empirical-rule weighting, and match/identify."""
 
+import hashlib
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from graphsift import matcher
+from graphsift import evaluation, matcher
 from graphsift.config import MatchConfig
 from graphsift.errors import EmptyGallery, TooFewKeypoints
 from graphsift.facegraph import (
     CorrespondenceSet,
     FaceGraph,
     build_graph,
+    edge_component_arrays,
     mutual_correspondence,
 )
 from graphsift.matcher import (
@@ -298,6 +301,30 @@ class TestEdgeScore:
         np.testing.assert_allclose(dists, want, rtol=1e-9)
         assert mean == pytest.approx(sum(want) / len(want), rel=1e-9)
 
+    # sha256 of the distances' and the mean's bytes, recorded with the
+    # three-array expression below before the edge stage was rewritten
+    EDGE_SCORE_SHA256 = {
+        2: "0c10da778976a5ed097094ba579a9332af93965f351e821cf661e65a5a8589f8",
+        3: "21d3f22f780d3764dd8bfad7aa282af0a6dbe1b347e2b329b677cc14c1137900",
+        28: "74a9795e602a9d45cf22d632d7bd9ec4e84e1b6f628c09f39f8b94f2c4412e26",
+        129: "5ec0148989d094a149a9f3236d7cce91b0fe0bdcfbebdc96091698f66371efc2",
+    }
+
+    @pytest.mark.parametrize("k", sorted(EDGE_SCORE_SHA256))
+    def test_bytes_match_three_array_expression(self, k):
+        # 129 pairs cross _TRIU_CACHE_MAX_K; 2 pairs give a single edge
+        rng = np.random.default_rng(k)
+        g1, g2 = random_graph(rng, 140), random_graph(rng, 135)
+        pairs = np.column_stack([rng.permutation(140)[:k], rng.permutation(135)[:k]])
+        dists, mean = gibmc_edge_score(g1, g2, pairs)
+        gl, gt, gs = edge_component_arrays(g1, pairs[:, 0])
+        pl, pt, ps = edge_component_arrays(g2, pairs[:, 1])
+        want = np.sqrt((gl - pl) ** 2 + (gt - pt) ** 2 + (gs - ps) ** 2)
+        assert dists.tobytes() == want.tobytes()
+        assert same_bits(mean, float(want.sum() / len(want)))
+        digest = hashlib.sha256(dists.tobytes() + np.float64(mean).tobytes())
+        assert digest.hexdigest() == self.EDGE_SCORE_SHA256[k]
+
     @pytest.mark.parametrize("n_pairs", [0, 1])
     def test_fewer_than_two_pairs(self, n_pairs):
         rng = np.random.default_rng(27)
@@ -447,13 +474,14 @@ class TestBanding:
             band_multipliers_oracle(arr, mu, sigma, mults),
         )
         # the mean and sigma weighted_mean bands with are numpy's, to the
-        # bit: they move the result only where a value sits on an edge
+        # bit: they move the result only where a value sits on an edge.
+        # The shared banding helper sees the mean through the deviations.
         with mock.patch.object(
-            matcher, "band_multipliers", wraps=matcher.band_multipliers
+            matcher, "_band_multipliers", wraps=matcher._band_multipliers
         ) as spy:
             got = weighted_mean(arr, mults)
-        (_, mu_used, sigma_used, _), _ = spy.call_args
-        assert same_bits(mu_used, mu) and same_bits(sigma_used, sigma)
+        (z_used, sigma_used, _), _ = spy.call_args
+        assert same_bits(z_used, np.abs(arr - mu)) and same_bits(sigma_used, sigma)
         assert same_bits(got, weighted_mean_oracle(arr, mults))
 
     @given(
@@ -654,3 +682,79 @@ class TestReportRows:
         assert float(row[7]) == pytest.approx(s.combined, rel=1e-8)
         assert int(row[8]) == s.n_vertex_pairs
         assert int(row[9]) == s.n_edge_pairs
+
+
+def test_match_call_shapes(monkeypatch, corpus_graphs, corpus_rows):
+    # The benchmark's tracer wraps these bindings by name and counts one
+    # call per match, per weighted list and per paired sub-graph; folding
+    # pairs into batched calls would silently change what its counts mean.
+    calls = Counter()
+    matches = []  # (score, calls made inside that match)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            before = calls.copy()
+            score = fn(*args, **kwargs)
+            matches.append((score, calls - before))
+            return score
+
+        return wrapper
+
+    for name in ("mutual_correspondence", "gibmc_vertex_score",
+                 "edge_component_arrays", "weighted_mean"):
+        monkeypatch.setattr(matcher, name, counted(name, getattr(matcher, name)))
+    monkeypatch.setattr(evaluation, "match", recorded(evaluation.match))
+    monkeypatch.setattr(matcher, "match", recorded(matcher.match))
+
+    # two subjects of each group; each enrolls its train image and its
+    # last test view, so a claim takes two matches
+    groups = {r.subject_id: r.group for r in corpus_rows}
+    kept = [s for g in ("G1", "G2") for s in sorted(s for s in groups if groups[s] == g)[:2]]
+    views = {s: [r.image_id for r in corpus_rows if r.subject_id == s] for s in kept}
+    gallery = [corpus_graphs[(s, views[s][0])] for s in kept]
+    gallery += [corpus_graphs[(s, views[s][-1])] for s in kept]
+    probes = [corpus_graphs[(s, i)] for s in kept for i in views[s][1:-1]]
+    for constraint in Constraint:
+        matches.clear()
+        result = evaluation.run_protocol(gallery, probes, groups, constraint)
+        # every probe claims both subjects of its group
+        assert len(result.records) == 2 * len(probes)
+        assert len(matches) == 2 * len(result.records)
+        seen = check_call_shapes(matches, constraint)
+        assert seen == ({"inf", "edges"} if constraint is Constraint.RPBMC else {"edges"})
+    # a probe whose vertices share one descriptor collapses every gibmc
+    # pairing onto its first vertex
+    rows_q = probes[0].vertices.rows[:2].copy()
+    rows_q[1, 4:] = rows_q[0, 4:]
+    probe = build_graph(table(rows_q), "q", "q")
+    matches.clear()
+    identify(probe, gallery, Constraint.GIBMC)
+    assert len(matches) == len(gallery)
+    assert check_call_shapes(matches, Constraint.GIBMC) == {"collapsed"}
+
+
+def check_call_shapes(matches, constraint):
+    """Assert each match's calls against its score; return the kinds seen."""
+    seen = set()
+    for score, made in matches:
+        assert score.constraint is constraint
+        if constraint is Constraint.RPBMC:
+            want = Counter(mutual_correspondence=1)
+            kind = "inf" if math.isinf(score.combined) else "edges"
+        else:
+            want = Counter(gibmc_vertex_score=1)
+            kind = "edges" if score.n_edge_pairs else "collapsed"
+        if kind == "edges":
+            want.update(edge_component_arrays=2, weighted_mean=2)
+        elif kind == "collapsed":
+            want.update(weighted_mean=1)
+        assert made == want, (kind, score)
+        seen.add(kind)
+    return seen
