@@ -133,16 +133,20 @@ def _extract_graph(
     return build_graph(extract_features(img, det), subject_id, image_id)
 
 
+def _load_checked(path: str | Path, det: DetectorConfig) -> GalleryDb:
+    """The gallery at path, which must come from the same detector config."""
+    db = load(path)
+    if db.detector_cfg_hash != det.digest():
+        raise GraphSiftError(
+            f"{path}: gallery was built with a different detector config"
+        )
+    return db
+
+
 def _load_or_new_db(path: Path, det: DetectorConfig) -> GalleryDb:
-    digest = det.digest()
     if path.exists():
-        db = load(path)
-        if db.detector_cfg_hash != digest:
-            raise GraphSiftError(
-                f"{path}: gallery was built with a different detector config"
-            )
-        return db
-    return GalleryDb(detector_cfg_hash=digest, entries=())
+        return _load_checked(path, det)
+    return GalleryDb(detector_cfg_hash=det.digest(), entries=())
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -176,11 +180,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 def cmd_identify(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
     mcfg = _match_cfg(args)
-    db = load(args.db)
-    if db.detector_cfg_hash != det.digest():
-        raise GraphSiftError(
-            f"{args.db}: gallery was built with a different detector config"
-        )
+    db = _load_checked(args.db, det)
     if not db.entries:
         raise EmptyGallery(f"{args.db} holds no enrolled images")
     probe_path = Path(args.probe)
@@ -254,8 +254,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_corpus(args: argparse.Namespace) -> int:
-    if args.subjects < 2:
-        raise GraphSiftError(f"need at least 2 subjects, got {args.subjects}")
     manifest = generate_corpus(
         args.out,
         seed=args.seed,

@@ -25,10 +25,6 @@ class TooFewKeypoints(GraphSiftError):
     """Fewer keypoints than a face graph needs (minimum 2)."""
 
 
-class EmptyGraph(GraphSiftError):
-    """A face graph was constructed with no vertices."""
-
-
 class NonFiniteKeypoint(GraphSiftError):
     """A keypoint table holds a NaN or infinite value."""
 

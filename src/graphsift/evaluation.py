@@ -124,25 +124,6 @@ def client_eer_stats(
     return out
 
 
-def far_frr_at(
-    records: list[ScoreRecord], threshold: float
-) -> tuple[float, float]:
-    """FAR/FRR with every claim judged at one threshold. An empty claim
-    class contributes rate 0."""
-    n_gen = n_imp = fr = fa = 0
-    for r in records:
-        accepted = r.score <= threshold
-        if r.genuine:
-            n_gen += 1
-            fr += not accepted
-        else:
-            n_imp += 1
-            fa += accepted
-    far = fa / n_imp if n_imp else 0.0
-    frr = fr / n_gen if n_gen else 0.0
-    return far, frr
-
-
 def wer(far: float, frr: float, r: float) -> float:
     """Weighted error rate (FRR + R * FAR) / (1 + R)."""
     if not (0.0 <= far <= 1.0 and 0.0 <= frr <= 1.0):
@@ -255,7 +236,11 @@ def run_protocol(
 
     wer_rows = []
     for src, dst in zip(GROUPS, reversed(GROUPS)):
-        far, frr = far_frr_at(by_group[dst], thr[src])
+        # dst's rates at thr[src] are those of its last sweep point at or
+        # below it: no dst score lies between the two
+        thresholds, far_curve, frr_curve = curves[dst]
+        i = int(np.searchsorted(thresholds, thr[src], side="right")) - 1
+        far, frr = float(far_curve[i]), float(frr_curve[i])
         for r in WER_RATIOS:
             wer_rows.append(WerReport(r, src, far, frr, wer(far, frr, r)))
 

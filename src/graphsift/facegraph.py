@@ -30,7 +30,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .config import DESCRIPTOR_LEN
-from .errors import EmptyGraph, TooFewKeypoints
+from .errors import TooFewKeypoints
 from .sift import Keypoints
 
 
@@ -49,7 +49,8 @@ class CorrespondenceSet:
 
 @dataclass(frozen=True)
 class FaceGraph:
-    """Complete graph over a face's keypoints.
+    """Complete graph over a face's keypoints; at least two, so that the
+    graph has an edge (fewer raise TooFewKeypoints).
 
     Every match reads the graph through arrays derived once from its
     keypoint table at construction: ``descriptors`` (float64, n x 128,
@@ -73,8 +74,10 @@ class FaceGraph:
     def __post_init__(self):
         kps = self.vertices
         n = len(kps)
-        if n == 0:
-            raise EmptyGraph(f"{self.image_id!r}: a face graph needs vertices")
+        if n < 2:
+            raise TooFewKeypoints(
+                f"{self.image_id!r}: got {n} keypoints, need at least 2"
+            )
         # one descriptor per column, so exact distances gather columns
         by_dim = kps.descriptors.T.astype(np.float64, order="C")
         # rows x, y, orientation and scale, the last replaced by its log;
@@ -103,11 +106,7 @@ class FaceGraph:
 
 
 def build_graph(kps: Keypoints, subject_id: str, image_id: str) -> FaceGraph:
-    """Assemble a face graph; needs at least two keypoints."""
-    if len(kps) < 2:
-        raise TooFewKeypoints(
-            f"{image_id!r}: got {len(kps)} keypoints, need at least 2"
-        )
+    """Assemble a face graph; FaceGraph rejects fewer than two keypoints."""
     return FaceGraph(vertices=kps, subject_id=subject_id, image_id=image_id)
 
 
@@ -254,22 +253,15 @@ def _nearest(
     """Per row of ``h``: the column cdist + argmin would pick (the lowest
     index among equal distances) and, given a ratio, whether the row
     passes d1 < ratio * d2, d2 being the row's second smallest distance
-    (equal to d1 when the minimum repeats; infinite with one column).
+    (equal to d1 when the minimum repeats). Both graphs hold at least
+    two vertices, so ``h`` has at least two columns.
 
     ``at`` and ``bt`` hold the rows' and the columns' descriptors; ``h``
     is modified while this runs and restored before it returns. Rows the
     bound leaves open are settled from exact distances of their
     candidate columns.
     """
-    n_rows, n_cols = h.shape
-    if n_cols == 1:
-        best = np.zeros(n_rows, dtype=np.intp)
-        if ratio is None:
-            return best, None
-        # no second neighbour: d2 is infinite, so a row passes unless
-        # its own distance is infinite too
-        return best, _exact_distances(at, bt, None, best) < ratio * math.inf
-    rows = np.arange(n_rows)
+    rows = np.arange(len(h))
     best = h.argmin(axis=1)
     h1 = h[rows, best]
     # the second smallest estimate, with the best column masked; a NaN

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .config import MatchConfig
-from .errors import EmptyGallery, TooFewKeypoints
+from .errors import EmptyGallery
 from .facegraph import (
     CorrespondenceSet,
     FaceGraph,
@@ -129,13 +129,11 @@ def rpbmc_pairs(
     return cs
 
 
-def band_multipliers(
-    distances: np.ndarray,
-    mu: float,
-    sigma: float,
-    multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025),
+def _band_multipliers(
+    z: np.ndarray, sigma: float, multipliers: tuple[float, float, float]
 ) -> np.ndarray:
-    """Empirical-rule multiplier for each distance.
+    """Empirical-rule multiplier for each absolute deviation ``z`` from
+    the mean.
 
     Bands are closed on the outer edge: within 1 sigma of the mean
     (inclusive) takes the first multiplier, then (1, 2] sigma the
@@ -143,14 +141,6 @@ def band_multipliers(
     is 0. A zero sigma keeps only the values equal to the mean; a
     negative or NaN sigma keeps nothing.
     """
-    z = np.abs(np.asarray(distances, dtype=np.float64) - mu)
-    return _band_multipliers(z, sigma, multipliers)
-
-
-def _band_multipliers(
-    z: np.ndarray, sigma: float, multipliers: tuple[float, float, float]
-) -> np.ndarray:
-    """band_multipliers for the absolute deviations ``z`` from the mean."""
     if not sigma >= 0.0:
         # no deviation lies within a negative or NaN sigma
         return np.zeros(z.shape)
@@ -215,8 +205,6 @@ def match(
     """Score one gallery/probe pair under the chosen constraint."""
     if cfg is None:
         cfg = _DEFAULT_MATCH_CONFIG
-    if g_gallery.n_vertices < 2 or g_probe.n_vertices < 2:
-        raise TooFewKeypoints("matching needs graphs with at least 2 vertices")
 
     if constraint is Constraint.GIBMC:
         vertex_dists, vertex_raw, pairs = gibmc_vertex_score(g_gallery, g_probe)

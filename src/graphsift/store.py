@@ -61,9 +61,6 @@ class GalleryDb:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def subjects(self) -> list[str]:
-        return sorted({g.subject_id for g in self.entries})
-
 
 def merge(db: GalleryDb, graphs: list[FaceGraph]) -> GalleryDb:
     """New db with graphs appended; duplicate keys are rejected by the

@@ -179,15 +179,10 @@ def descriptor_graph(rows, subject="s", image="i") -> FaceGraph:
 def dense_ratio_accepted(dist: np.ndarray, ratio: float):
     """Row-wise nearest neighbor (argmin, so the lowest column among
     equal distances) and whether it passes d1 < ratio * d2, d2 being the
-    second value np.partition gives (d1 again for a repeated minimum,
-    infinite with a single column)."""
-    n_rows, n_cols = dist.shape
+    second value np.partition gives (d1 again for a repeated minimum)."""
     best = dist.argmin(axis=1)
-    d1 = dist[np.arange(n_rows), best]
-    if n_cols == 1:
-        d2 = np.full(n_rows, math.inf)
-    else:
-        d2 = np.partition(dist, 1, axis=1)[:, 1]
+    d1 = dist[np.arange(len(dist)), best]
+    d2 = np.partition(dist, 1, axis=1)[:, 1]
     return best, d1 < ratio * d2
 
 
@@ -238,12 +233,12 @@ def descriptor_pairs(draw, max_rows=12):
     the one-ulp copies scaled by 1e-150, 1e150 or 1e160 (the estimate's
     error bound underflows, is huge, or overflows along with the squared
     distances), and a graph against itself (the exact-0 self match).
-    Either side may have a single row.
+    Each side has at least two rows, the fewest a graph holds.
     """
     family = draw(st.sampled_from(
         ["grid", "ulp32", "ulp64", "far", "tiny", "huge", "vast", "self"]
     ))
-    n1, n2 = draw(st.integers(1, max_rows)), draw(st.integers(1, max_rows))
+    n1, n2 = draw(st.integers(2, max_rows)), draw(st.integers(2, max_rows))
     if family == "grid":
         grid = st.lists(st.integers(0, 2), min_size=3, max_size=3)
         rows1, rows2 = (

@@ -24,7 +24,7 @@ from graphsift.facegraph import build_graph
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.matcher import (
     Constraint,
-    band_multipliers,
+    _band_multipliers,
     gibmc_vertex_score,
     match,
     report_row,
@@ -268,7 +268,8 @@ def test_weight_bands_match_scalar_oracle():
         rng = np.random.default_rng(99)
         values = rng.normal(10.0, 4.0, 10_000)
         mu, sigma = float(values.mean()), float(values.std())
-        weighted = values * band_multipliers(values, mu, sigma)
+        mults = (0.075, 0.05, 0.025)
+        weighted = values * _band_multipliers(np.abs(values - mu), sigma, mults)
         for v, w in zip(values, weighted):
             z = abs(v - mu)
             if z <= sigma:
@@ -281,7 +282,7 @@ def test_weight_bands_match_scalar_oracle():
                 m = 0.0
             assert w == v * m
 
-        flat = band_multipliers(np.full(100, 2.5), 2.5, 0.0)
+        flat = _band_multipliers(np.abs(np.full(100, 2.5) - 2.5), 0.0, mults)
         assert np.all(flat == 0.075)
 
 

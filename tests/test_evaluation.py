@@ -9,7 +9,6 @@ from graphsift.errors import DegenerateScores, GroupOverlap, InsufficientClaims
 from graphsift.evaluation import (
     ScoreRecord,
     client_eer_stats,
-    far_frr_at,
     normalize_groups,
     prior_eer,
     roc,
@@ -142,23 +141,6 @@ class TestClientStats:
         with pytest.raises(InsufficientClaims) as err:
             client_eer_stats(recs)
         assert err.value.subject_id == "b"
-
-
-class TestFarFrrAt:
-    def test_matches_counting_oracle(self):
-        rng = np.random.default_rng(53)
-        genuine = list(rng.random(40))
-        impostor = list(rng.random(60))
-        recs = records_from(genuine, impostor, subject="a")
-        for t in (0.0, 0.25, 0.5, 1.0):
-            far, frr = far_frr_at(recs, t)
-            assert (far, frr) == far_frr_oracle(genuine, impostor, t)
-
-    def test_empty_class_rate_zero(self):
-        only_genuine = [ScoreRecord("a", "a", 0.5, "G1")]
-        assert far_frr_at(only_genuine, 1.0) == (0.0, 0.0)
-        only_impostor = [ScoreRecord("a", "z", 0.5, "G1")]
-        assert far_frr_at(only_impostor, 1.0) == (1.0, 0.0)
 
 
 class TestWer:

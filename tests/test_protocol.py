@@ -94,6 +94,32 @@ class TestRunProtocol:
         with pytest.raises(DegenerateScores, match=r"^group G1: .*0 impostor"):
             run_protocol([g], [p], {"s000": "G1"}, Constraint.GIBMC)
 
+    def test_transferred_rates_match_direct_counting(self):
+        # probes unrelated to the gallery: genuine and impostor claims
+        # overlap, so a transferred threshold makes errors
+        rng = np.random.default_rng(11)
+        subjects = ("a1", "a2", "a3", "b1", "b2", "b3")
+        assignment = {s: "G1" if s[0] == "a" else "G2" for s in subjects}
+        gallery = [
+            random_graph(rng, 8, subject=s, image=f"{s}_t0") for s in subjects
+        ]
+        probes = [
+            random_graph(rng, 8, subject=s, image=f"{s}_p{k}")
+            for s in subjects
+            for k in range(3)
+        ]
+        for constraint in Constraint:
+            result = run_protocol(gallery, probes, assignment, constraint)
+            for row in result.wer_rows:
+                src = row.threshold_source_group
+                t = result.eer_threshold[src]
+                claims = [r for r in result.records if r.group != src]
+                genuine = [r.score for r in claims if r.genuine]
+                impostor = [r.score for r in claims if not r.genuine]
+                assert row.far == sum(s <= t for s in impostor) / len(impostor)
+                assert row.frr == sum(s > t for s in genuine) / len(genuine)
+            assert any(row.far or row.frr for row in result.wer_rows)
+
     def test_wer_recomputable_from_rates(self):
         gallery, probes, assignment = make_population()
         result = run_protocol(gallery, probes, assignment, Constraint.RPBMC)

@@ -136,10 +136,6 @@ class TestRoundTrip:
         assert loaded.entries[0].subject_id == "sübject_π"
         assert loaded.entries[0].image_id == "imô"
 
-    def test_subjects_sorted_unique(self):
-        db = random_db(6, n_entries=4)
-        assert db.subjects() == ["s0", "s1"]
-
 
 class TestCorruption:
     def valid_bytes(self, tmp_path, seed=8):
