@@ -16,6 +16,15 @@ from typing import ClassVar
 DESCRIPTOR_LEN = 128  # floats per descriptor in the gallery store
 
 
+def _real(name: str, value) -> float:
+    """value as a float; a bool or a non-real raises ValueError naming the
+    field. Storing floats makes an int render and digest like the float
+    it equals, and keeps a config hashable."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Keypoint detector parameters.
@@ -45,13 +54,8 @@ class DetectorConfig:
     descriptor_clamp: ClassVar[float] = 0.2
 
     def __post_init__(self):
-        # the real-valued fields are stored as float, so an int value
-        # renders and digests like the float it equals
         for name in ("base_sigma", "contrast_threshold", "edge_ratio"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, not {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if type(self.double_input) is not bool:
             raise ValueError(f"double_input must be a bool, not {self.double_input!r}")
         # type(...) is int, not isinstance: bool is an int subclass
@@ -104,9 +108,12 @@ class MatchConfig:
     blend: float = 0.5
 
     def __post_init__(self):
+        for name in ("ratio", "blend"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        m = tuple(_real("multipliers", v) for v in self.multipliers)
+        object.__setattr__(self, "multipliers", m)
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
-        m = self.multipliers
         if len(m) != 3 or not all(0 <= v < math.inf for v in m) or not m[0] > 0:
             raise ValueError(
                 "multipliers must be three finite non-negative reals, the first positive"

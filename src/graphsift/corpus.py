@@ -140,6 +140,8 @@ def generate_corpus(
         raise ValueError(f"need at least 2 subjects, got {n_subjects}")
     if images_per_subject < 1:
         raise ValueError(f"need at least 1 image per subject, got {images_per_subject}")
+    if size < 1:
+        raise ValueError(f"size must be at least 1, got {size}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -128,8 +128,8 @@ def wer(far: float, frr: float, r: float) -> float:
     """Weighted error rate (FRR + R * FAR) / (1 + R)."""
     if not (0.0 <= far <= 1.0 and 0.0 <= frr <= 1.0):
         raise ValueError(f"rates must lie in [0, 1], got far={far}, frr={frr}")
-    if r <= 0.0:
-        raise ValueError(f"cost ratio must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"cost ratio must be positive and finite, got {r}")
     return (frr + r * far) / (1.0 + r)
 
 

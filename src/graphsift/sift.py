@@ -94,10 +94,6 @@ class ScaleSpace:
     dog: list[list[np.ndarray]]
     first_scale: float
 
-    @property
-    def n_octaves(self) -> int:
-        return len(self.octaves)
-
     def pixel_scale(self, octave: int) -> float:
         """Input-image units per pixel of the given octave."""
         return self.first_scale * (1 << octave)
@@ -121,28 +117,23 @@ class RejectReason(enum.Enum):
 
 @dataclass(frozen=True)
 class Rejection:
-    candidate: Candidate
     reason: RejectReason
 
 
 @dataclass(frozen=True)
 class LocalizedPoint:
-    """Sub-pixel refined extremum, in both octave-grid and input coords."""
+    """Sub-pixel refined extremum in its octave's pixel grid.
+
+    ``x_oct``/``y_oct`` are the refined column/row and ``scale_oct`` the
+    detection sigma, all in units of octave ``octave``'s pixels; times
+    ``ScaleSpace.pixel_scale(octave)`` they give input-image units.
+    """
 
     octave: int
     layer: int  # integer layer whose Gaussian image serves the windows
-    x: float
-    y: float
-    scale: float
     x_oct: float
     y_oct: float
     scale_oct: float
-
-
-@dataclass(frozen=True)
-class OrientedPoint:
-    point: LocalizedPoint
-    orientation: float  # radians in [0, 2*pi)
 
 
 def _upsample2x(a: np.ndarray) -> np.ndarray:
@@ -159,8 +150,6 @@ def _upsample2x(a: np.ndarray) -> np.ndarray:
 
 
 def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return a.copy()
     return ndimage.gaussian_filter(
         a, sigma, mode="mirror", truncate=_GAUSS_TRUNCATE
     )
@@ -194,15 +183,15 @@ def build_scale_space(img: GrayImage, cfg: DetectorConfig) -> ScaleSpace:
     # incremental blur from layer i-1 to layer i
     increments = np.sqrt(layer_sigmas[1:] ** 2 - layer_sigmas[:-1] ** 2)
 
-    n_octaves = int(math.floor(math.log2(min(base.shape) / 8.0))) + 1
-    n_octaves = max(n_octaves, 1)
+    # the size check above leaves min(base.shape) >= 16: at least 2 octaves
+    depth = int(math.floor(math.log2(min(base.shape) / 8.0))) + 1
     if cfg.max_octaves > 0:
-        n_octaves = min(n_octaves, cfg.max_octaves)
+        depth = min(depth, cfg.max_octaves)
 
     octaves = []
     dogs = []
     current = base
-    for _ in range(n_octaves):
+    for _ in range(depth):
         stack = [current]
         for inc in increments:
             stack.append(_blur(stack[-1], float(inc)))
@@ -290,7 +279,7 @@ def localize_keypoint(
         try:
             offset = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
-            return Rejection(cand, RejectReason.MAX_ITERATIONS)
+            return Rejection(RejectReason.MAX_ITERATIONS)
         ox, oy, ol = offset.tolist()
         if abs(ox) < 0.5 and abs(oy) < 0.5 and abs(ol) < 0.5:
             break
@@ -298,36 +287,23 @@ def localize_keypoint(
         y += round(oy)
         layer += round(ol)
         if not (1 <= layer <= n_layers - 2 and 1 <= x <= w - 2 and 1 <= y <= h - 2):
-            return Rejection(cand, RejectReason.OUT_OF_BOUNDS)
+            return Rejection(RejectReason.OUT_OF_BOUNDS)
     else:
-        return Rejection(cand, RejectReason.MAX_ITERATIONS)
+        return Rejection(RejectReason.MAX_ITERATIONS)
 
     # numpy's dot, not a Python sum: its summation is part of the result
     value = v + 0.5 * float(grad @ offset)
     if abs(value) < cfg.contrast_threshold:
-        return Rejection(cand, RejectReason.LOW_CONTRAST)
+        return Rejection(RejectReason.LOW_CONTRAST)
 
     trace = dxx + dyy
     det = dxx * dyy - dxy * dxy
     r = cfg.edge_ratio
     if det <= 0 or trace * trace * r >= det * (r + 1) ** 2:
-        return Rejection(cand, RejectReason.EDGE_RESPONSE)
+        return Rejection(RejectReason.EDGE_RESPONSE)
 
-    x_oct = x + ox
-    y_oct = y + oy
-    layer_ref = layer + ol
-    scale_oct = cfg.base_sigma * 2.0 ** (layer_ref / cfg.scales_per_octave)
-    px = ss.pixel_scale(cand.octave)
-    return LocalizedPoint(
-        octave=cand.octave,
-        layer=layer,
-        x=x_oct * px,
-        y=y_oct * px,
-        scale=scale_oct * px,
-        x_oct=x_oct,
-        y_oct=y_oct,
-        scale_oct=scale_oct,
-    )
+    scale_oct = cfg.base_sigma * 2.0 ** ((layer + ol) / cfg.scales_per_octave)
+    return LocalizedPoint(cand.octave, layer, x + ox, y + oy, scale_oct)
 
 
 def _orientation_histogram(
@@ -367,8 +343,9 @@ def _orientation_histogram(
 
 def assign_orientations(
     ss: ScaleSpace, point: LocalizedPoint, cfg: DetectorConfig
-) -> list[OrientedPoint]:
-    """One oriented point per histogram peak within 80% of the maximum.
+) -> list[float]:
+    """The point's orientations in [0, 2*pi), one per histogram peak
+    within 80% of the maximum.
 
     Peaks are refined by parabolic interpolation over the neighboring
     bins. Always returns at least one orientation (0.0 for the
@@ -381,7 +358,7 @@ def assign_orientations(
     ).tolist()
     peak_max = max(hist)
     if peak_max <= 0.0:
-        return [OrientedPoint(point, 0.0)]
+        return [0.0]
     # circular neighbours: hist[b - 1] wraps to the last bin by itself
     peak_bins = [
         b for b in range(n_bins)
@@ -396,17 +373,18 @@ def assign_orientations(
         denom = lv - 2.0 * cv + rv
         shift = 0.0 if denom == 0.0 else 0.5 * (lv - rv) / denom
         orientation = ((b + shift) % n_bins) * (TWO_PI / n_bins)
-        out.append(OrientedPoint(point, orientation % TWO_PI))
+        out.append(orientation % TWO_PI)
     if not out:
         b = hist.index(peak_max)
-        out.append(OrientedPoint(point, (b * TWO_PI / n_bins) % TWO_PI))
+        out.append((b * TWO_PI / n_bins) % TWO_PI)
     return out
 
 
 def compute_descriptor(
-    ss: ScaleSpace, oriented: OrientedPoint, cfg: DetectorConfig
+    ss: ScaleSpace, point: LocalizedPoint, orientation: float, cfg: DetectorConfig
 ) -> np.ndarray | None:
-    """Raw 4x4-cell, 8-orientation gradient histogram in the keypoint frame.
+    """Raw 4x4-cell, 8-orientation gradient histogram in the frame of
+    ``point`` rotated by ``orientation`` (radians).
 
     Gradients inside the rotated window (cell width 3x the keypoint
     scale, 16x16 samples nominal) are accumulated with trilinear
@@ -415,7 +393,6 @@ def compute_descriptor(
     the window does not fit inside the image (such keypoints are
     dropped).
     """
-    point = oriented.point
     img = ss.octaves[point.octave][point.layer]
     h, w = img.shape
     d = cfg.descriptor_grid
@@ -429,8 +406,8 @@ def compute_descriptor(
 
     ox = np.arange(-half, half + 1)
     oy = ox[:, None]
-    cos_t = math.cos(oriented.orientation)
-    sin_t = math.sin(oriented.orientation)
+    cos_t = math.cos(orientation)
+    sin_t = math.sin(orientation)
     u = (ox * cos_t + oy * sin_t) / hist_width
     v = (-ox * sin_t + oy * cos_t) / hist_width
     ubin = u + 0.5 * d - 0.5
@@ -451,7 +428,7 @@ def compute_descriptor(
     # negative, twice, gives its float remainder modulo 2 pi bit for bit
     # (but for the sign of a zero, which no later step can see), at a
     # fraction of the cost of np.remainder
-    rel = theta - oriented.orientation
+    rel = theta - orientation
     np.add(rel, TWO_PI, out=rel, where=rel < 0)
     np.add(rel, TWO_PI, out=rel, where=rel < 0)
     ob = rel * (n_bins / TWO_PI)
@@ -539,11 +516,12 @@ def extract_features(img: GrayImage, cfg: DetectorConfig | None = None) -> Keypo
         loc = localize_keypoint(ss, cand, cfg)
         if isinstance(loc, Rejection):
             continue
-        for oriented in assign_orientations(ss, loc, cfg):
-            hist = compute_descriptor(ss, oriented, cfg)
+        px = ss.pixel_scale(loc.octave)
+        for orientation in assign_orientations(ss, loc, cfg):
+            hist = compute_descriptor(ss, loc, orientation, cfg)
             if hist is None:
                 continue
-            heads.append((loc.x, loc.y, loc.scale, oriented.orientation))
+            heads.append((loc.x_oct * px, loc.y_oct * px, loc.scale_oct * px, orientation))
             hists.append(hist)
     kept, unit = _normalize_descriptors(
         np.array(hists).reshape(-1, DESCRIPTOR_LEN), cfg.descriptor_clamp

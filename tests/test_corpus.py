@@ -86,12 +86,20 @@ class TestGenerateCorpus:
         direct = render_texture(subject_texture(7, subject_index, 128), 128)
         assert load_image(train.image_path) == direct
 
-    @pytest.mark.parametrize("n_subjects,images", [(1, 4), (0, 4), (2, 0)])
-    def test_degenerate_sizes_rejected(self, tmp_path, n_subjects, images):
-        with pytest.raises(ValueError):
-            generate_corpus(
-                tmp_path, n_subjects=n_subjects, images_per_subject=images
-            )
+    @pytest.mark.parametrize(
+        "n_subjects,images,size,field",
+        [
+            pytest.param(1, 4, 128, "subjects", id="1-4"),
+            pytest.param(0, 4, 128, "subjects", id="0-4"),
+            pytest.param(2, 0, 128, "image", id="2-0"),
+            pytest.param(2, 4, -3, "size", id="size=-3"),
+        ],
+    )
+    def test_degenerate_sizes_rejected(self, tmp_path, n_subjects, images, size, field):
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError, match=field):
+            generate_corpus(out, n_subjects=n_subjects, images_per_subject=images, size=size)
+        assert not out.exists()
 
 
 class TestReadManifest:

@@ -169,6 +169,10 @@ class TestWer:
             wer(0.1, -0.1, 1.0)
         with pytest.raises(ValueError):
             wer(0.1, 0.1, 0.0)
+        # (frr + r * far) / (1 + r) is NaN for either
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="cost ratio"):
+                wer(0.1, 0.2, r)
 
 
 class TestGroups:

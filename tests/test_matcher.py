@@ -628,6 +628,23 @@ class TestMatchConfig:
         with pytest.raises(ValueError, match="multipliers"):
             MatchConfig(multipliers=multipliers)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"ratio": "0.8"}, {"ratio": True}, {"blend": True}, {"blend": None},
+         {"multipliers": (0.075, 0.05, "x")}, {"multipliers": (True, 0.05, 0.025)}],
+        ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
+    )
+    def test_non_real_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a real number"):
+            MatchConfig(**kwargs)
+
+    def test_values_stored_as_floats(self):
+        # a list kept as given would leave the config unhashable
+        cfg = MatchConfig(ratio=1, multipliers=[1, 2, 3], blend=0)
+        assert cfg.multipliers == (1.0, 2.0, 3.0)
+        assert all(type(v) is float for v in (cfg.ratio, cfg.blend, *cfg.multipliers))
+        assert hash(cfg) == hash(MatchConfig(ratio=1.0, multipliers=(1.0, 2.0, 3.0), blend=0.0))
+
 
 class TestIdentify:
     def test_rank_one_for_exact_copy(self):

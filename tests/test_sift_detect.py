@@ -1,5 +1,8 @@
 """Extrema detection and refinement against a brute-force voxel oracle."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,12 +58,14 @@ def blob_image(size, blobs, background=20.0):
 
 
 def accepted_points(img, cfg):
+    """Input-image (x, y) of every candidate that localizes."""
     ss = build_scale_space(img, cfg)
     out = []
     for cand in detect_keypoints(ss, cfg):
         loc = localize_keypoint(ss, cand, cfg)
         if isinstance(loc, LocalizedPoint):
-            out.append(loc)
+            px = ss.pixel_scale(loc.octave)
+            out.append((loc.x_oct * px, loc.y_oct * px))
     return out
 
 
@@ -99,16 +104,16 @@ def test_single_blob_localizes_at_center():
     img = blob_image(64, [(32.0, 32.0, 3.0, 200.0)])
     points = accepted_points(img, cfg)
     assert points, "blob produced no accepted keypoints"
-    for p in points:
-        assert np.hypot(p.x - 32.0, p.y - 32.0) < 1.5
+    for x, y in points:
+        assert np.hypot(x - 32.0, y - 32.0) < 1.5
 
 
 def test_two_blobs_two_clusters():
     cfg = DetectorConfig()
     img = blob_image(64, [(20.0, 20.0, 2.5, 200.0), (44.0, 44.0, 2.5, 200.0)])
     points = accepted_points(img, cfg)
-    near_a = [p for p in points if np.hypot(p.x - 20, p.y - 20) < 1.5]
-    near_b = [p for p in points if np.hypot(p.x - 44, p.y - 44) < 1.5]
+    near_a = [(x, y) for x, y in points if np.hypot(x - 20, y - 20) < 1.5]
+    near_b = [(x, y) for x, y in points if np.hypot(x - 44, y - 44) < 1.5]
     assert near_a and near_b
     assert len(near_a) + len(near_b) == len(points)
 
@@ -178,3 +183,16 @@ def test_localize_out_of_bounds_candidate():
     fake = Candidate(octave=0, layer=1, x=5, y=5)
     result = localize_keypoint(ss, fake, cfg)
     assert isinstance(result, (Rejection, LocalizedPoint))
+
+
+def test_reject_reasons_match_benchmark_counts():
+    # the benchmark's tracer names a rejection's count after
+    # reason.value, but its list of reported counts is fixed: a renamed
+    # reason would read 0 there without failing the benchmark's tests
+    bench = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+    prefix = "sift.localize.reject."
+    declared = {
+        m["name"] for m in json.loads(bench.read_text())["per_layer"]
+        if m["name"].startswith(prefix)
+    }
+    assert declared == {prefix + r.value for r in RejectReason}

@@ -12,7 +12,6 @@ from graphsift.corpus import render_texture, subject_texture
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.sift import (
     LocalizedPoint,
-    OrientedPoint,
     _normalize_descriptors,
     assign_orientations,
     build_scale_space,
@@ -84,12 +83,11 @@ def normalized(raw, clamp):
     return unit[0] if kept.size else None
 
 
-def descriptor_histogram_oracle(ss, oriented, cfg):
+def descriptor_histogram_oracle(ss, point, orientation, cfg):
     """Reference raw descriptor, before normalization: gradients over
     the whole square window, masked afterwards, and one np.add.at
     scatter per trilinear corner and orientation neighbour. None when
     the window leaves the image."""
-    point = oriented.point
     img = ss.octaves[point.octave][point.layer]
     h, w = img.shape
     d = cfg.descriptor_grid
@@ -103,8 +101,8 @@ def descriptor_histogram_oracle(ss, oriented, cfg):
 
     offs = np.arange(-half, half + 1)
     oy, ox = np.meshgrid(offs, offs, indexing="ij")
-    cos_t = math.cos(oriented.orientation)
-    sin_t = math.sin(oriented.orientation)
+    cos_t = math.cos(orientation)
+    sin_t = math.sin(orientation)
     u = (ox * cos_t + oy * sin_t) / hist_width
     v = (-ox * sin_t + oy * cos_t) / hist_width
     ubin = u + 0.5 * d - 0.5
@@ -118,7 +116,7 @@ def descriptor_histogram_oracle(ss, oriented, cfg):
     mag = np.hypot(dx, dy)
     theta = np.arctan2(dy, dx)
     weight = np.exp(-(u * u + v * v) / (2.0 * (0.5 * d) ** 2))
-    obin = ((theta - oriented.orientation) % (2.0 * math.pi)) * (n_bins / (2.0 * math.pi))
+    obin = ((theta - orientation) % (2.0 * math.pi)) * (n_bins / (2.0 * math.pi))
 
     ub = ubin[keep]
     vb = vbin[keep]
@@ -174,27 +172,24 @@ def ramp_image(size, horizontal=True):
 def center_point(ss, cfg, layer=1):
     h, w = ss.octaves[0][layer].shape
     sigma = cfg.base_sigma * 2.0 ** (layer / cfg.scales_per_octave)
-    return LocalizedPoint(
-        octave=0, layer=layer, x=w / 2, y=h / 2, scale=sigma,
-        x_oct=w / 2, y_oct=h / 2, scale_oct=sigma,
-    )
+    return LocalizedPoint(octave=0, layer=layer, x_oct=w / 2, y_oct=h / 2, scale_oct=sigma)
 
 
 class TestOrientation:
     def test_horizontal_ramp_orientation_zero(self):
         cfg = DetectorConfig(double_input=False)
         ss = build_scale_space(ramp_image(64), cfg)
-        oriented = assign_orientations(ss, center_point(ss, cfg), cfg)
-        assert len(oriented) == 1
-        o = oriented[0].orientation
+        orientations = assign_orientations(ss, center_point(ss, cfg), cfg)
+        assert len(orientations) == 1
+        o = orientations[0]
         assert min(o, 2.0 * math.pi - o) < 0.1
 
     def test_vertical_ramp_orientation_quarter_turn(self):
         cfg = DetectorConfig(double_input=False)
         ss = build_scale_space(ramp_image(64, horizontal=False), cfg)
-        oriented = assign_orientations(ss, center_point(ss, cfg), cfg)
-        assert len(oriented) == 1
-        assert abs(oriented[0].orientation - math.pi / 2) < 0.1
+        orientations = assign_orientations(ss, center_point(ss, cfg), cfg)
+        assert len(orientations) == 1
+        assert abs(orientations[0] - math.pi / 2) < 0.1
 
     def test_peaks_validated_by_oracle(self):
         cfg = DetectorConfig()
@@ -212,8 +207,8 @@ class TestOrientation:
             peak = max(hist)
             if peak <= 0.0:
                 continue
-            for op in assign_orientations(ss, loc, cfg):
-                b = int(np.rint(op.orientation * cfg.orientation_bins / (2 * math.pi)))
+            for theta in assign_orientations(ss, loc, cfg):
+                b = int(np.rint(theta * cfg.orientation_bins / (2 * math.pi)))
                 b %= cfg.orientation_bins
                 assert hist[b] >= cfg.peak_ratio * peak * (1.0 - 1e-9)
                 checked += 1
@@ -243,9 +238,9 @@ class TestDescriptor:
             loc = localize_keypoint(ss, cand, cfg)
             if not isinstance(loc, LocalizedPoint):
                 continue
-            for op in assign_orientations(ss, loc, cfg):
-                raw = compute_descriptor(ss, op, cfg)
-                want_raw = descriptor_histogram_oracle(ss, op, cfg)
+            for theta in assign_orientations(ss, loc, cfg):
+                raw = compute_descriptor(ss, loc, theta, cfg)
+                want_raw = descriptor_histogram_oracle(ss, loc, theta, cfg)
                 if want_raw is None:
                     assert raw is None
                     dropped += 1
@@ -270,9 +265,10 @@ class TestDescriptor:
         # reaches n_bins, and that sample must land in bin 0 of its cell
         cfg = DetectorConfig(double_input=False)
         ss = build_scale_space(ramp_image(64), cfg)
-        op = OrientedPoint(center_point(ss, cfg), orientation)
-        raw = compute_descriptor(ss, op, cfg)
-        assert raw.tobytes() == descriptor_histogram_oracle(ss, op, cfg).tobytes()
+        point = center_point(ss, cfg)
+        raw = compute_descriptor(ss, point, orientation, cfg)
+        want = descriptor_histogram_oracle(ss, point, orientation, cfg)
+        assert raw.tobytes() == want.tobytes()
         assert np.count_nonzero(raw) > 0
 
     @settings(max_examples=100, deadline=None)
@@ -311,8 +307,8 @@ class TestDescriptor:
         for cand in detect_keypoints(ss, cfg):
             loc = localize_keypoint(ss, cand, cfg)
             if isinstance(loc, LocalizedPoint):
-                for op in assign_orientations(ss, loc, cfg):
-                    raw = compute_descriptor(ss, op, cfg)
+                for theta in assign_orientations(ss, loc, cfg):
+                    raw = compute_descriptor(ss, loc, theta, cfg)
                     if raw is not None:
                         real.append(raw)
         assert len(real) >= 40
@@ -336,16 +332,10 @@ class TestDescriptor:
         cfg = DetectorConfig(double_input=False)
         img = render_texture(subject_texture(12, 1, 64), 64)
         ss = build_scale_space(img, cfg)
-        near_border = LocalizedPoint(
-            octave=0, layer=1, x=5.0, y=5.0, scale=3.0,
-            x_oct=5.0, y_oct=5.0, scale_oct=3.0,
-        )
-        assert compute_descriptor(ss, OrientedPoint(near_border, 0.0), cfg) is None
-        centered = LocalizedPoint(
-            octave=0, layer=1, x=32.0, y=32.0, scale=1.8,
-            x_oct=32.0, y_oct=32.0, scale_oct=1.8,
-        )
-        assert compute_descriptor(ss, OrientedPoint(centered, 0.0), cfg) is not None
+        near_border = LocalizedPoint(octave=0, layer=1, x_oct=5.0, y_oct=5.0, scale_oct=3.0)
+        assert compute_descriptor(ss, near_border, 0.0, cfg) is None
+        centered = LocalizedPoint(octave=0, layer=1, x_oct=32.0, y_oct=32.0, scale_oct=1.8)
+        assert compute_descriptor(ss, centered, 0.0, cfg) is not None
 
     def test_uniform_gain_invariance(self):
         cfg = DetectorConfig()
@@ -359,9 +349,9 @@ class TestDescriptor:
             loc = localize_keypoint(ss1, cand, cfg)
             if not isinstance(loc, LocalizedPoint):
                 continue
-            for op in assign_orientations(ss1, loc, cfg):
-                raw1 = compute_descriptor(ss1, op, cfg)
-                raw2 = compute_descriptor(ss2, op, cfg)
+            for theta in assign_orientations(ss1, loc, cfg):
+                raw1 = compute_descriptor(ss1, loc, theta, cfg)
+                raw2 = compute_descriptor(ss2, loc, theta, cfg)
                 if raw1 is None or raw2 is None:
                     continue
                 d1 = normalized(raw1, cfg.descriptor_clamp)

@@ -38,7 +38,10 @@ def test_too_small_raises():
 def test_minimum_size_builds():
     img = GrayImage(np.random.default_rng(0).integers(0, 256, (16, 16), dtype=np.uint8))
     ss = build_scale_space(img, DetectorConfig())
-    assert ss.n_octaves >= 1
+    assert len(ss.octaves) >= 1
+    # floor(log2(16 / 8)) + 1: the smallest input still gets two octaves
+    ss = build_scale_space(img, DetectorConfig(double_input=False))
+    assert len(ss.octaves) == 2
 
 
 def test_constant_image_zero_dog():
@@ -65,7 +68,7 @@ def test_layer_counts_and_octave_halving():
     img = GrayImage(np.random.default_rng(1).integers(0, 256, (64, 48), dtype=np.uint8))
     ss = build_scale_space(img, cfg)
     s = cfg.scales_per_octave
-    assert ss.n_octaves == len(ss.dog)
+    assert len(ss.octaves) == len(ss.dog)
     for o, (gauss, dog) in enumerate(zip(ss.octaves, ss.dog)):
         assert len(gauss) == s + 3
         assert len(dog) == s + 2
@@ -80,11 +83,11 @@ def test_octave_count_formula():
     img = GrayImage(np.zeros((128, 128), dtype=np.uint8))
     ss = build_scale_space(img, DetectorConfig())
     # doubled input: 256 -> floor(log2(256 / 8)) + 1
-    assert ss.n_octaves == 6
+    assert len(ss.octaves) == 6
     ss = build_scale_space(img, DetectorConfig(double_input=False))
-    assert ss.n_octaves == 5
+    assert len(ss.octaves) == 5
     ss = build_scale_space(img, DetectorConfig(max_octaves=3))
-    assert ss.n_octaves == 3
+    assert len(ss.octaves) == 3
 
 
 def test_sigma_schedule():
