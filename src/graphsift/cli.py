@@ -2,7 +2,10 @@
 
 All knobs are flags (no environment variables), every command is
 deterministic given its inputs, and any pipeline error exits 1 with a
-one-line diagnostic on standard error.
+one-line diagnostic on standard error. Numeric flags only parse here:
+DetectorConfig, MatchConfig and generate_corpus check their ranges, so
+a value out of range exits 1 with a message naming the setting, while
+one that does not parse as a number exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -22,35 +25,8 @@ from .sift import extract_features
 from .store import FORMAT_VERSION, GalleryDb, export_text, load, merge, save
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if v <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return v
-
-
-def _ratio_value(text: str) -> float:
-    v = float(text)
-    if not 0.0 < v <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in (0, 1]")
-    return v
-
-
-def _unit_value(text: str) -> float:
-    v = float(text)
-    if not 0.0 <= v <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
-    return v
-
-
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return v
-
-
 def _non_negative_int(text: str) -> int:
+    # the one rule the CLI owns: identify returns the whole ranking
     v = int(text)
     if v < 0:
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
@@ -60,20 +36,20 @@ def _non_negative_int(text: str) -> int:
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     d = DetectorConfig()
     p.add_argument(
-        "--scales-per-octave", type=_positive_int, default=d.scales_per_octave,
+        "--scales-per-octave", type=int, default=d.scales_per_octave,
         help=f"DoG layers sampled per octave (default {d.scales_per_octave})",
     )
     p.add_argument(
-        "--base-sigma", type=_positive_float, default=d.base_sigma,
+        "--base-sigma", type=float, default=d.base_sigma,
         help=f"blur of the pyramid base image (default {d.base_sigma})",
     )
     p.add_argument(
-        "--contrast-threshold", type=_positive_float, default=d.contrast_threshold,
+        "--contrast-threshold", type=float, default=d.contrast_threshold,
         help=f"minimum refined DoG response on [0,1] intensities "
         f"(default {d.contrast_threshold})",
     )
     p.add_argument(
-        "--edge-ratio", type=_positive_float, default=d.edge_ratio,
+        "--edge-ratio", type=float, default=d.edge_ratio,
         help=f"maximum principal-curvature ratio (default {d.edge_ratio})",
     )
     p.add_argument(
@@ -85,7 +61,7 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
 def _add_match_flags(p: argparse.ArgumentParser) -> None:
     m = MatchConfig()
     p.add_argument(
-        "--ratio", type=_ratio_value, default=m.ratio,
+        "--ratio", type=float, default=m.ratio,
         help=f"nearest/second-nearest acceptance ratio (default {m.ratio})",
     )
     p.add_argument(
@@ -95,13 +71,13 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
         f"(default {' '.join(str(v) for v in m.multipliers)})",
     )
     p.add_argument(
-        "--blend", type=_unit_value, default=m.blend,
+        "--blend", type=float, default=m.blend,
         help=f"vertex share of the combined score (default {m.blend})",
     )
 
 
 def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -> None:
-    choices = ["gibmc", "rpbmc"] + (["both"] if allow_both else [])
+    choices = [c.value for c in Constraint] + (["both"] if allow_both else [])
     default = "both" if allow_both else "rpbmc"
     p.add_argument(
         "--constraint", choices=choices, default=default,
@@ -190,9 +166,10 @@ def cmd_identify(args: argparse.Namespace) -> int:
     if args.top > 0:
         ranking = ranking[: args.top]
     if args.csv:
-        print(REPORT_HEADER)
-        for subject, score in ranking:
-            print(report_row(probe.image_id, subject, score))
+        # every row is formatted first: an id that cannot go into a row
+        # fails the command before anything is printed
+        rows = [report_row(probe.image_id, s, score) for s, score in ranking]
+        print("\n".join([REPORT_HEADER, *rows]))
     else:
         for rank, (subject, score) in enumerate(ranking, start=1):
             print(f"{rank}  {subject}  {score.combined:.9g}")
@@ -326,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--images", type=_positive_int, default=4,
+    p.add_argument("--images", type=int, default=4,
                    help="images per subject (default 4)")
-    p.add_argument("--size", type=_positive_int, default=128)
+    p.add_argument("--size", type=int, default=128)
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("export", help="dump a gallery db as text")

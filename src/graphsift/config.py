@@ -25,6 +25,16 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least least; a bool or a non-integer raises
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Keypoint detector parameters.
@@ -56,13 +66,10 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("base_sigma", "contrast_threshold", "edge_ratio"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
+        for name, least in (("scales_per_octave", 1), ("max_octaves", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if type(self.double_input) is not bool:
             raise ValueError(f"double_input must be a bool, not {self.double_input!r}")
-        # type(...) is int, not isinstance: bool is an int subclass
-        if type(self.scales_per_octave) is not int or self.scales_per_octave < 1:
-            raise ValueError("scales_per_octave must be an int >= 1")
-        if type(self.max_octaves) is not int or self.max_octaves < 0:
-            raise ValueError("max_octaves must be an int >= 0")
         if not 0 < self.base_sigma < math.inf:
             raise ValueError("base_sigma must be positive and finite")
         if not 0 < self.contrast_threshold < 1:
@@ -110,7 +117,10 @@ class MatchConfig:
     def __post_init__(self):
         for name in ("ratio", "blend"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        m = tuple(_real("multipliers", v) for v in self.multipliers)
+        try:
+            m = tuple(_real("multipliers", v) for v in self.multipliers)
+        except TypeError:  # not iterable: the length rule below rejects it
+            m = ()
         object.__setattr__(self, "multipliers", m)
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")

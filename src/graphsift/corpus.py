@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _integer
 from .imageio import GrayImage, save_pgm
 
 MANIFEST_HEADER = "image_path,subject_id,image_id,group,role"
@@ -136,12 +137,10 @@ def generate_corpus(
     perturbed test views. The first half of the subjects form group G1,
     the rest G2; manifest paths are relative to the manifest itself.
     """
-    if n_subjects < 2:
-        raise ValueError(f"need at least 2 subjects, got {n_subjects}")
-    if images_per_subject < 1:
-        raise ValueError(f"need at least 1 image per subject, got {images_per_subject}")
-    if size < 1:
-        raise ValueError(f"size must be at least 1, got {size}")
+    seed = _integer("seed", seed, 0)
+    n_subjects = _integer("n_subjects", n_subjects, 2)
+    images_per_subject = _integer("images_per_subject", images_per_subject, 1)
+    size = _integer("size", size, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

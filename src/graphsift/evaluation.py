@@ -26,7 +26,7 @@ import numpy as np
 from .config import MatchConfig
 from .errors import DegenerateScores, GroupOverlap, InsufficientClaims
 from .facegraph import FaceGraph
-from .matcher import Constraint, match
+from .matcher import Constraint, _csv_field, match
 
 GROUPS = ("G1", "G2")
 WER_RATIOS = (0.1, 1.0, 10.0)
@@ -273,9 +273,8 @@ def write_artifacts(
     a comma or a line break raises ValueError before any file is written.
     """
     ids = {i for r in result.records for i in (r.claimed_id, r.true_id)}
-    bad = sorted(i for i in ids if any(c in i for c in ",\n\r"))
-    if bad:
-        raise ValueError(f"subject id {bad[0]!r} cannot go into a CSV row")
+    for i in sorted(ids):
+        _csv_field("subject id", i)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["claimed_id,true_id,group,score"]

@@ -268,12 +268,21 @@ REPORT_HEADER = (
 )
 
 
+def _csv_field(name: str, text: str) -> str:
+    """text, which goes into a CSV row unquoted; a comma or a line break
+    in it raises ValueError naming the field."""
+    if any(c in text for c in ",\n\r"):
+        raise ValueError(f"{name} {text!r} cannot go into a CSV row")
+    return text
+
+
 def report_row(probe_image_id: str, subject_id: str, score: MatchScore) -> str:
-    """One CSV line in the score-report format."""
+    """One CSV line in the score-report format; an id holding a comma or
+    a line break raises ValueError."""
     return ",".join(
         [
-            probe_image_id,
-            subject_id,
+            _csv_field("probe image id", probe_image_id),
+            _csv_field("subject id", subject_id),
             score.constraint.value,
             f"{score.vertex_raw:.9g}",
             f"{score.edge_raw:.9g}",

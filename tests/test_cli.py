@@ -53,7 +53,7 @@ class TestGenCorpus:
     def test_single_subject_fails(self, tmp_path, capsys):
         assert main(["gen-corpus", "--out", str(tmp_path), "--subjects", "1"]) == 1
         err = capsys.readouterr().err
-        assert err == "error: need at least 2 subjects, got 1\n"
+        assert err == "error: n_subjects must be at least 2, got 1\n"
 
 
 class TestExtract:
@@ -141,6 +141,17 @@ class TestIdentify:
             fields = line.split(",")
             assert fields[0] == "s000_i01"
             assert fields[2] == "rpbmc"
+
+    def test_csv_rejects_unwritable_subject_id(self, cli_corpus, tmp_path, capsys):
+        # an unquoted comma would split the row into 11 fields
+        db = tmp_path / "comma.db"
+        img = str(cli_corpus / "s000_i00.pgm")
+        assert main(["extract", img, "--db", str(db), "--subject", "a,b"]) == 0
+        capsys.readouterr()
+        assert main(["identify", img, "--db", str(db), "--csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: subject id 'a,b' cannot go into a CSV row\n"
 
     def test_config_mismatch_fails(self, cli_corpus, enrolled_db, capsys):
         code = main([
@@ -238,10 +249,44 @@ class TestParsing:
         assert command in capsys.readouterr().out
 
     def test_bad_ratio_rejected(self, cli_corpus, capsys):
+        # in range or not is MatchConfig's rule, so the library names it
+        img = str(cli_corpus / "s000_i00.pgm")
+        assert main(["match", img, img, "--ratio", "1.5"]) == 1
+        assert re.fullmatch(r"error: [^\n]*\bratio\b[^\n]*\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            pytest.param(["--scales-per-octave", "0"], "scales_per_octave", id="scales"),
+            pytest.param(["--base-sigma", "nan"], "base_sigma", id="sigma"),
+            pytest.param(["--contrast-threshold", "2"], "contrast_threshold", id="contrast"),
+            pytest.param(["--edge-ratio", "0"], "edge_ratio", id="edge"),
+            pytest.param(["--ratio", "1.5"], "ratio", id="ratio"),
+            pytest.param(["--blend", "2"], "blend", id="blend"),
+            pytest.param(["--multipliers", "0", "0", "0"], "multipliers", id="multipliers"),
+            pytest.param(["--seed", "-1"], "seed", id="seed"),
+            pytest.param(["--images", "0"], "images_per_subject", id="images"),
+            pytest.param(["--size", "0"], "size", id="size"),
+            pytest.param(["--subjects", "1"], "n_subjects", id="subjects"),
+        ],
+    )
+    def test_out_of_range_value_names_field(self, cli_corpus, tmp_path, capsys, argv, field):
+        gen = field in ("seed", "images_per_subject", "size", "n_subjects")
+        out = tmp_path / "corpus"
+        img = str(cli_corpus / "s000_i00.pgm")
+        prefix = ["gen-corpus", "--out", str(out)] if gen else ["match", img, img]
+        assert main(prefix + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"error: [^\n]*\b{field}\b[^\n]*\n", captured.err)
+        assert not out.exists()
+
+    def test_unparsable_number_rejected(self, cli_corpus, capsys):
         img = str(cli_corpus / "s000_i00.pgm")
         with pytest.raises(SystemExit) as exc:
-            main(["match", img, img, "--ratio", "1.5"])
+            main(["match", img, img, "--ratio", "abc"])
         assert exc.value.code == 2
+        assert "--ratio" in capsys.readouterr().err
 
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -87,18 +87,22 @@ class TestGenerateCorpus:
         assert load_image(train.image_path) == direct
 
     @pytest.mark.parametrize(
-        "n_subjects,images,size,field",
+        "kwargs",
         [
-            pytest.param(1, 4, 128, "subjects", id="1-4"),
-            pytest.param(0, 4, 128, "subjects", id="0-4"),
-            pytest.param(2, 0, 128, "image", id="2-0"),
-            pytest.param(2, 4, -3, "size", id="size=-3"),
+            pytest.param({"n_subjects": 1}, id="1-4"),
+            pytest.param({"n_subjects": 0}, id="0-4"),
+            pytest.param({"images_per_subject": 0}, id="2-0"),
+            pytest.param({"size": -3}, id="size=-3"),
+            pytest.param({"seed": -1}, id="seed=-1"),
+            pytest.param({"size": 2.5}, id="size=2.5"),
+            pytest.param({"n_subjects": True}, id="n_subjects=True"),
         ],
     )
-    def test_degenerate_sizes_rejected(self, tmp_path, n_subjects, images, size, field):
+    def test_degenerate_sizes_rejected(self, tmp_path, kwargs):
         out = tmp_path / "corpus"
-        with pytest.raises(ValueError, match=field):
-            generate_corpus(out, n_subjects=n_subjects, images_per_subject=images, size=size)
+        args = {"n_subjects": 2, "images_per_subject": 4, "size": 128, **kwargs}
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            generate_corpus(out, **args)
         assert not out.exists()
 
 

@@ -638,6 +638,10 @@ class TestMatchConfig:
         with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a real number"):
             MatchConfig(**kwargs)
 
+    def test_non_iterable_multipliers_rejected(self):
+        with pytest.raises(ValueError, match="multipliers"):
+            MatchConfig(multipliers=5)
+
     def test_values_stored_as_floats(self):
         # a list kept as given would leave the config unhashable
         cfg = MatchConfig(ratio=1, multipliers=[1, 2, 3], blend=0)
@@ -703,6 +707,15 @@ class TestReportRows:
         assert float(row[7]) == pytest.approx(s.combined, rel=1e-8)
         assert int(row[8]) == s.n_vertex_pairs
         assert int(row[9]) == s.n_edge_pairs
+
+    @pytest.mark.parametrize("char", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
+    def test_unwritable_ids_rejected(self, char):
+        rng = np.random.default_rng(44)
+        s = match(random_graph(rng, 8), random_graph(rng, 8), Constraint.RPBMC)
+        with pytest.raises(ValueError, match="probe image id"):
+            report_row(f"p{char}01", "s03", s)
+        with pytest.raises(ValueError, match="subject id"):
+            report_row("p01", f"s{char}03", s)
 
 
 def test_match_call_shapes(monkeypatch, corpus_graphs, corpus_rows):

@@ -272,6 +272,11 @@ class TestDetectorConfig:
         assert cfg.to_text() == DEFAULT_TEXT
         assert cfg.digest() == 0xF8D243CE070BC5DA
 
+    def test_numpy_int_keeps_default_digest(self):
+        cfg = DetectorConfig(scales_per_octave=np.int64(3))
+        assert type(cfg.scales_per_octave) is int
+        assert cfg.digest() == DetectorConfig().digest()
+
     @pytest.mark.parametrize("name", ["base_sigma", "contrast_threshold", "edge_ratio"])
     def test_bool_real_field_rejected(self, name):
         with pytest.raises(ValueError, match=name):
