@@ -64,16 +64,6 @@ def _add_match_flags(p: argparse.ArgumentParser) -> None:
         "--ratio", type=float, default=m.ratio,
         help=f"nearest/second-nearest acceptance ratio (default {m.ratio})",
     )
-    p.add_argument(
-        "--multipliers", type=float, nargs=3, default=list(m.multipliers),
-        metavar=("M1", "M2", "M3"),
-        help="weight multipliers for the 1/2/3 sigma bands "
-        f"(default {' '.join(str(v) for v in m.multipliers)})",
-    )
-    p.add_argument(
-        "--blend", type=float, default=m.blend,
-        help=f"vertex share of the combined score (default {m.blend})",
-    )
 
 
 def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -> None:
@@ -96,10 +86,7 @@ def _detector_cfg(args: argparse.Namespace) -> DetectorConfig:
 
 
 def _match_cfg(args: argparse.Namespace) -> MatchConfig:
-    m1, m2, m3 = args.multipliers
-    return MatchConfig(
-        ratio=args.ratio, multipliers=(m1, m2, m3), blend=args.blend
-    )
+    return MatchConfig(ratio=args.ratio)
 
 
 def _extract_graph(

@@ -98,35 +98,17 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Graph matching and score weighting parameters.
+    """Graph matching parameters.
 
     ``ratio`` is the nearest/second-nearest acceptance ratio for
-    correspondences; ``multipliers`` are the weights for distances
-    falling within 1, 2 and 3 standard deviations of the pair-distance
-    mean; ``blend`` mixes the weighted vertex and edge scores
-    (0.5 = plain average).
-
-    The first multiplier must be positive: the distances closest to the
-    mean always take it, so the weighted means never divide by zero.
+    correspondences. The score's band weights, and its even split
+    between the vertex and edge terms, are the paper's fixed values
+    (see matcher).
     """
 
     ratio: float = 0.8
-    multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025)
-    blend: float = 0.5
 
     def __post_init__(self):
-        for name in ("ratio", "blend"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        try:
-            m = tuple(_real("multipliers", v) for v in self.multipliers)
-        except TypeError:  # not iterable: the length rule below rejects it
-            m = ()
-        object.__setattr__(self, "multipliers", m)
+        object.__setattr__(self, "ratio", _real("ratio", self.ratio))
         if not 0 < self.ratio <= 1:
             raise ValueError("ratio must be in (0, 1]")
-        if len(m) != 3 or not all(0 <= v < math.inf for v in m) or not m[0] > 0:
-            raise ValueError(
-                "multipliers must be three finite non-negative reals, the first positive"
-            )
-        if not 0 <= self.blend <= 1:
-            raise ValueError("blend must be in [0, 1]")

@@ -113,14 +113,10 @@ def client_eer_stats(
         by_subject.setdefault(r.claimed_id, []).append(r)
     out: dict[str, tuple[float, float]] = {}
     for subject in sorted(by_subject):
-        claims = by_subject[subject]
-        n_gen = sum(r.genuine for r in claims)
-        n_imp = len(claims) - n_gen
-        if n_gen == 0 or n_imp == 0:
-            raise InsufficientClaims(
-                subject, f"{n_gen} genuine / {n_imp} impostor claims"
-            )
-        out[subject] = prior_eer(claims)
+        try:
+            out[subject] = prior_eer(by_subject[subject])
+        except DegenerateScores as err:
+            raise InsufficientClaims(subject, str(err)) from None
     return out
 
 

@@ -12,10 +12,10 @@ without computing every distance.
 Either way the vertex stage yields a list of pair distances and the
 edge stage compares edge attributes over the paired sub-graphs. Both
 lists are then weighted by the Gaussian empirical rule: distances
-within 1, 2 and 3 standard deviations of the list mean are multiplied
-by 0.075, 0.05 and 0.025; anything farther is dropped. The combined
-score blends the two weighted means (equal weight by default). Lower
-is always more similar.
+within 1, 2 and 3 standard deviations of the list mean take the
+paper's fixed weights in ``_WEIGHTS``; anything farther is dropped. The
+combined score is the plain mean of the two weighted means. Lower is
+always more similar.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class MatchScore:
     """Scores for one gallery/probe graph pair.
 
     vertex_raw and edge_raw are plain means of the pair distances;
-    the weighted fields apply the empirical-rule multipliers first.
+    the weighted fields apply the empirical-rule weights first, and
+    combined is the plain mean of the two weighted fields.
     n_edge_pairs = 0 flags a pairing too small to form edges: under
     GIBMC the vertex component then carries the combined score alone,
     and under RPBMC (where the vertex evidence itself is the pairing)
@@ -129,17 +130,22 @@ def rpbmc_pairs(
     return cs
 
 
-def _band_multipliers(
-    z: np.ndarray, sigma: float, multipliers: tuple[float, float, float]
-) -> np.ndarray:
-    """Empirical-rule multiplier for each absolute deviation ``z`` from
-    the mean.
+# The paper's weights for distances within 1, 2 and 3 sigma of the mean,
+# then 0 beyond 3 sigma. The first is positive: the distances closest to
+# the mean always take it, so a weighted mean never divides by zero.
+_WEIGHTS = np.array((0.075, 0.05, 0.025, 0.0))
+_WEIGHTS.flags.writeable = False
+
+
+def _band_multipliers(z: np.ndarray, sigma: float) -> np.ndarray:
+    """Empirical-rule weight for each absolute deviation ``z`` from the
+    mean.
 
     Bands are closed on the outer edge: within 1 sigma of the mean
-    (inclusive) takes the first multiplier, then (1, 2] sigma the
-    second, (2, 3] sigma the third, and beyond 3 sigma the multiplier
-    is 0. A zero sigma keeps only the values equal to the mean; a
-    negative or NaN sigma keeps nothing.
+    (inclusive) takes the first weight, then (1, 2] sigma the second,
+    (2, 3] sigma the third, and beyond 3 sigma the weight is 0. A zero
+    sigma keeps only the values equal to the mean; a negative or NaN
+    sigma keeps nothing.
     """
     if not sigma >= 0.0:
         # no deviation lies within a negative or NaN sigma
@@ -148,7 +154,7 @@ def _band_multipliers(
     # 3 (beyond 3 sigma, or a NaN, which sorts after every edge) takes
     # the last 0
     band = np.array((sigma, 2.0 * sigma, 3.0 * sigma)).searchsorted(z)
-    return np.array((*multipliers, 0.0)).take(band)
+    return _WEIGHTS.take(band)
 
 
 # Below 2**480 in magnitude, entries keep their sum and every squared
@@ -156,20 +162,17 @@ def _band_multipliers(
 _MAGNITUDE_LIMIT = 2.0**480
 
 
-def weighted_mean(
-    distances: np.ndarray | list[float],
-    multipliers: tuple[float, float, float] = (0.075, 0.05, 0.025),
-) -> float:
+def weighted_mean(distances: np.ndarray | list[float]) -> float:
     """Mean of the weighted distances over the surviving entries only.
 
     Beyond-3-sigma entries carry weight 0 and are excluded from the
     denominator. In exact arithmetic the entries closest to the mean lie
     within one sigma, so one always survives; where rounding leaves none
     (sigma rounded just below equal deviations, or squared deviations
-    that underflow to 0), those closest entries take the first
-    multiplier. An empty list raises ValueError, and so does one with an
-    inf or NaN entry (whose mean is not finite) or with an entry of
-    magnitude 2**480 or more (whose sum or spread could overflow).
+    that underflow to 0), those closest entries take the first weight.
+    An empty list raises ValueError, and so does one with an inf or NaN
+    entry (whose mean is not finite) or with an entry of magnitude
+    2**480 or more (whose sum or spread could overflow).
     """
     arr = np.asarray(distances, dtype=np.float64)
     n = arr.size
@@ -185,10 +188,10 @@ def weighted_mean(
     dev = arr - mu
     sigma = math.sqrt(float(np.add.reduce(dev * dev) / n))
     z = np.abs(dev, out=dev)
-    mults = _band_multipliers(z, sigma, multipliers)
+    mults = _band_multipliers(z, sigma)
     kept = np.count_nonzero(mults)
     if kept == 0:
-        mults = np.where(z == z.min(), multipliers[0], 0.0)
+        mults = np.where(z == z.min(), _WEIGHTS[0], 0.0)
         kept = np.count_nonzero(mults)
     return float(np.add.reduce(arr * mults) / kept)
 
@@ -219,10 +222,12 @@ def match(
         vertex_raw = float(vertex_dists.sum() / len(vertex_dists))
 
     edge_dists, edge_raw = gibmc_edge_score(g_gallery, g_probe, pairs)
-    vertex_weighted = weighted_mean(vertex_dists, cfg.multipliers)
+    vertex_weighted = weighted_mean(vertex_dists)
     if edge_dists.size:
-        edge_weighted = weighted_mean(edge_dists, cfg.multipliers)
-        combined = cfg.blend * vertex_weighted + (1.0 - cfg.blend) * edge_weighted
+        edge_weighted = weighted_mean(edge_dists)
+        # halving each term first: 0.5 * (v + e) rounds differently
+        # where the scores are subnormal
+        combined = 0.5 * vertex_weighted + 0.5 * edge_weighted
     else:
         # GIBMC with a collapsed pairing: no edge evidence either way,
         # so the vertex component carries the whole score

@@ -48,13 +48,19 @@ _CRC_MISMATCH = "payload CRC does not match the stored value"
 @dataclass(frozen=True)
 class GalleryDb:
     """Loaded gallery: graphs plus the digest of the detector config
-    that produced them. (subject_id, image_id) pairs must be unique."""
+    that produced them. (subject_id, image_id) pairs must be unique, and
+    no id may hold whitespace, which would break the text export's
+    space-separated lines."""
 
     detector_cfg_hash: int
     entries: tuple[FaceGraph, ...]
 
     def __post_init__(self):
         keys = [(g.subject_id, g.image_id) for g in self.entries]
+        for key in keys:
+            for name, text in zip(("subject id", "image id"), key):
+                if any(c.isspace() for c in text):
+                    raise StoreError(f"{name} {text!r} holds whitespace")
         if len(set(keys)) != len(keys):
             raise StoreError("duplicate (subject_id, image_id) in gallery")
 
@@ -182,8 +188,6 @@ def export_text(db: GalleryDb, path: str | Path) -> None:
         f"entries {len(db.entries)}",
     ]
     for g in db.entries:
-        if any(c.isspace() for c in g.subject_id + g.image_id):
-            raise ValueError("ids with whitespace cannot be exported as text")
         for row in g.vertices.rows.tolist():
             fields = [g.subject_id, g.image_id] + [format(v, ".9g") for v in row]
             lines.append(" ".join(fields))

@@ -268,8 +268,7 @@ def test_weight_bands_match_scalar_oracle():
         rng = np.random.default_rng(99)
         values = rng.normal(10.0, 4.0, 10_000)
         mu, sigma = float(values.mean()), float(values.std())
-        mults = (0.075, 0.05, 0.025)
-        weighted = values * _band_multipliers(np.abs(values - mu), sigma, mults)
+        weighted = values * _band_multipliers(np.abs(values - mu), sigma)
         for v, w in zip(values, weighted):
             z = abs(v - mu)
             if z <= sigma:
@@ -282,7 +281,7 @@ def test_weight_bands_match_scalar_oracle():
                 m = 0.0
             assert w == v * m
 
-        flat = _band_multipliers(np.abs(np.full(100, 2.5) - 2.5), 0.0, mults)
+        flat = _band_multipliers(np.abs(np.full(100, 2.5) - 2.5), 0.0)
         assert np.all(flat == 0.075)
 
 

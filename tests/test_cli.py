@@ -74,6 +74,14 @@ class TestExtract:
         assert main(["extract", img, "--db", str(db)]) == 1
         assert "duplicate" in capsys.readouterr().err
 
+    def test_whitespace_subject_fails(self, cli_corpus, tmp_path, capsys):
+        # a line break in the id would split identify's output and the export
+        db = tmp_path / "ws.db"
+        img = str(cli_corpus / "s000_i00.pgm")
+        assert main(["extract", img, "--db", str(db), "--subject", "c\nd"]) == 1
+        assert "whitespace" in capsys.readouterr().err
+        assert not db.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["extract", str(tmp_path / "no.pgm"), "--db", str(tmp_path / "x.db")])
         assert code == 1
@@ -262,8 +270,6 @@ class TestParsing:
             pytest.param(["--contrast-threshold", "2"], "contrast_threshold", id="contrast"),
             pytest.param(["--edge-ratio", "0"], "edge_ratio", id="edge"),
             pytest.param(["--ratio", "1.5"], "ratio", id="ratio"),
-            pytest.param(["--blend", "2"], "blend", id="blend"),
-            pytest.param(["--multipliers", "0", "0", "0"], "multipliers", id="multipliers"),
             pytest.param(["--seed", "-1"], "seed", id="seed"),
             pytest.param(["--images", "0"], "images_per_subject", id="images"),
             pytest.param(["--size", "0"], "size", id="size"),
@@ -293,13 +299,18 @@ class TestParsing:
             main([])
         assert exc.value.code == 2
 
-    def test_zero_multipliers_rejected(self, cli_corpus, capsys):
-        # all-zero bands would make every weighted mean 0/0 = NaN
+    @pytest.mark.parametrize(
+        "argv",
+        [["--blend", "0.3"], ["--multipliers", "1", "2", "3"]],
+        ids=["blend", "multipliers"],
+    )
+    def test_fixed_weights_take_no_flag(self, cli_corpus, capsys, argv):
+        # the band weights and the even blend are the paper's constants
         img = str(cli_corpus / "s000_i00.pgm")
-        assert main(["match", img, img, "--multipliers", "0", "0", "0"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"error: .*multipliers.*\n", captured.err)
+        with pytest.raises(SystemExit) as exc:
+            main(["match", img, img] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_version_matches_pyproject():

@@ -43,6 +43,7 @@ from conftest import (
     table,
 )
 
+# the paper's band weights, stated here apart from matcher's own copy
 DEFAULT_MULTS = (0.075, 0.05, 0.025)
 
 
@@ -102,50 +103,46 @@ def edge_score_oracle(g1, g2, pairs):
     return dists
 
 
-def band_oracle(value, mu, sigma, mults=DEFAULT_MULTS):
+def band_oracle(value, mu, sigma):
     """Scalar empirical-rule classifier."""
     z = abs(value - mu)
     if z <= sigma:
-        return mults[0]
+        return DEFAULT_MULTS[0]
     if z <= 2.0 * sigma:
-        return mults[1]
+        return DEFAULT_MULTS[1]
     if z <= 3.0 * sigma:
-        return mults[2]
+        return DEFAULT_MULTS[2]
     return 0.0
 
 
-def band_multipliers_oracle(distances, mu, sigma, multipliers=DEFAULT_MULTS):
+def band_multipliers_oracle(distances, mu, sigma):
     """Three-mask banding: each band assigned by its own mask."""
     z = np.abs(np.asarray(distances, dtype=np.float64) - mu)
     out = np.zeros(z.shape)
-    out[z <= sigma] = multipliers[0]
-    out[(z > sigma) & (z <= 2.0 * sigma)] = multipliers[1]
-    out[(z > 2.0 * sigma) & (z <= 3.0 * sigma)] = multipliers[2]
+    out[z <= sigma] = DEFAULT_MULTS[0]
+    out[(z > sigma) & (z <= 2.0 * sigma)] = DEFAULT_MULTS[1]
+    out[(z > 2.0 * sigma) & (z <= 3.0 * sigma)] = DEFAULT_MULTS[2]
     return out
 
 
-def weighted_mean_oracle(distances, multipliers=DEFAULT_MULTS):
+def weighted_mean_oracle(distances):
     """Weighted mean with numpy's own mean and population std; where
     rounding leaves no entry in a band, the entries closest to the mean
-    take the first multiplier."""
+    take the first weight."""
     arr = np.asarray(distances, dtype=np.float64)
     mu = float(arr.mean())
-    mults = band_multipliers_oracle(arr, mu, float(arr.std()), multipliers)
+    mults = band_multipliers_oracle(arr, mu, float(arr.std()))
     if not mults.any():
         z = np.abs(arr - mu)
-        mults = np.array([multipliers[0] if v == z.min() else 0.0 for v in z])
+        mults = np.array([DEFAULT_MULTS[0] if v == z.min() else 0.0 for v in z])
     return float((arr * mults).sum() / np.count_nonzero(mults))
 
 
 # two values, 18 of each: sigma rounds just below their equal deviations,
-# so no entry lies within one sigma
+# so every entry falls from the first band into the second
 ROUNDED_OUT = [0.7344835717887294] * 18 + [7.111428779897499] * 18
 
 
-# the paper's weights, and weights that zero the second or third band
-MULTIPLIER_SETS = st.sampled_from(
-    [DEFAULT_MULTS, (0.075, 0.0, 0.025), (0.075, 0.05, 0.0), (1.0, 0.0, 0.0)]
-)
 # small integers, halved: sums and squares stay exact, so values land
 # exactly on the 1, 2 and 3 sigma edges and sigma = 0 occurs
 GRID_LISTS = st.lists(
@@ -375,24 +372,24 @@ class TestBanding:
         rng = np.random.default_rng(30)
         values = rng.normal(5.0, 2.0, size=10_000)
         mu, sigma = float(values.mean()), float(values.std())
-        got = _band_multipliers(np.abs(values - mu), sigma, DEFAULT_MULTS)
+        got = _band_multipliers(np.abs(values - mu), sigma)
         for v, m in zip(values, got):
             assert m == band_oracle(v, mu, sigma)
 
     def test_zero_sigma_first_band(self):
         values = np.full(50, 3.25)
-        got = _band_multipliers(np.abs(values - 3.25), 0.0, DEFAULT_MULTS)
+        got = _band_multipliers(np.abs(values - 3.25), 0.0)
         assert np.all(got == 0.075)
 
     def test_band_edges_inclusive(self):
         d = np.array([5.0, 6.0, 6.5, 7.0, 7.5, 8.0, 8.5])
-        mults = _band_multipliers(np.abs(d - 5.0), 1.0, DEFAULT_MULTS)
+        mults = _band_multipliers(np.abs(d - 5.0), 1.0)
         assert list(mults) == [0.075, 0.075, 0.05, 0.05, 0.025, 0.025, 0.0]
 
     def test_two_value_hand_case(self):
         # mean 5 and population sigma 5 put both values on the 1-sigma edge
         d = np.array([0.0, 10.0])
-        assert list(_band_multipliers(np.abs(d - 5.0), 5.0, DEFAULT_MULTS)) == [
+        assert list(_band_multipliers(np.abs(d - 5.0), 5.0)) == [
             0.075, 0.075
         ]
         assert weighted_mean([0.0, 10.0]) == 0.375
@@ -401,7 +398,7 @@ class TestBanding:
         rng = np.random.default_rng(31)
         arr = rng.random(64)
         mults = _band_multipliers(
-            np.abs(arr - float(arr.mean())), float(arr.std()), DEFAULT_MULTS
+            np.abs(arr - float(arr.mean())), float(arr.std())
         )
         assert weighted_mean(arr) == float(
             (arr * mults).sum() / np.count_nonzero(mults)
@@ -414,14 +411,24 @@ class TestBanding:
             weighted_mean(np.empty(0))
 
     def test_no_survivor_falls_back_to_closest_entries(self):
-        # at the 1-sigma edge in exact arithmetic, just outside it after
-        # rounding: every entry is equally close, so all of them weigh 1
+        # rounding can move entries by a band, never past 3 sigma: only
+        # squared deviations that underflow to 0, making sigma 0, leave
+        # no survivor under the paper's weights
         arr = np.array(ROUNDED_OUT)
         z = np.abs(arr - arr.mean())
         assert (z > arr.std()).all()
-        assert weighted_mean(arr, (1.0, 0.0, 0.0)) == float(arr.sum() / arr.size)
-        # deviations of 4e-237 square to 0, so sigma is 0
-        assert weighted_mean([0.0, 8e-237]) == 0.075 * 8e-237 / 2
+        assert (_band_multipliers(z, float(arr.std())) == DEFAULT_MULTS[1]).all()
+        # deviations of 4e-237 and of 2.5e-201 or more square to 0: the
+        # entries closest to the mean take the first weight, the rest none
+        for values, want in (
+            ([0.0, 8e-237], 0.075 * 8e-237 / 2),
+            ([1e-200] * 3 + [0.0], 0.075 * 1e-200),
+        ):
+            arr = np.array(values)
+            z = np.abs(arr - arr.mean())
+            assert not _band_multipliers(z, float(arr.std())).any()
+            assert same_bits(weighted_mean(arr), weighted_mean_oracle(arr))
+            assert weighted_mean(arr) == want
 
     @pytest.mark.parametrize(
         "values",
@@ -443,7 +450,7 @@ class TestBanding:
         for _ in range(200):
             arr = rng.normal(0.0, rng.uniform(0.1, 10.0), size=int(rng.integers(1, 40)))
             mults = _band_multipliers(
-                np.abs(arr - float(arr.mean())), float(arr.std()), DEFAULT_MULTS
+                np.abs(arr - float(arr.mean())), float(arr.std())
             )
             assert np.count_nonzero(mults) >= 1
 
@@ -458,32 +465,33 @@ class TestBanding:
         b = a + float(shift)
         ma, mb = (
             _band_multipliers(
-                np.abs(x - float(x.mean())), float(x.std()), DEFAULT_MULTS
+                np.abs(x - float(x.mean())), float(x.std())
             )
             for x in (a, b)
         )
         assert np.array_equal(ma, mb)
 
-    @given(st.one_of(GRID_LISTS, FLOAT_LISTS), MULTIPLIER_SETS)
+    @given(st.one_of(GRID_LISTS, FLOAT_LISTS))
     # mean 5, sigma 5: both on the 1-sigma edge; mean 1, sigma 2 and 3:
     # the 5 and the 10 sit on the 2- and 3-sigma edges; one value and
     # equal values give sigma 0
-    @example([0.0, 10.0], DEFAULT_MULTS)
-    @example([0.0] * 4 + [5.0], DEFAULT_MULTS)
-    @example([0.0] * 9 + [10.0], DEFAULT_MULTS)
-    @example([0.0] * 9 + [10.0], (0.075, 0.05, 0.0))
-    @example([2.5], DEFAULT_MULTS)
-    @example([4.0] * 7, DEFAULT_MULTS)
-    # no entry survives the bands: rounding, and squares that underflow
-    @example(ROUNDED_OUT, (1.0, 0.0, 0.0))
-    @example([0.0, 7.553245349284459e-237], DEFAULT_MULTS)
+    @example([0.0, 10.0])
+    @example([0.0] * 4 + [5.0])
+    @example([0.0] * 9 + [10.0])
+    @example([2.5])
+    @example([4.0] * 7)
+    # rounding off the 1-sigma edge; squares that underflow, so that no
+    # entry survives the bands
+    @example(ROUNDED_OUT)
+    @example([0.0, 7.553245349284459e-237])
+    @example([1e-200] * 3 + [0.0])
     @settings(max_examples=300, deadline=None)
-    def test_weighting_matches_numpy_oracle_bit_for_bit(self, values, mults):
+    def test_weighting_matches_numpy_oracle_bit_for_bit(self, values):
         arr = np.array(values)
         mu, sigma = float(arr.mean()), float(arr.std())
         assert same_bits(
-            _band_multipliers(np.abs(arr - mu), sigma, mults),
-            band_multipliers_oracle(arr, mu, sigma, mults),
+            _band_multipliers(np.abs(arr - mu), sigma),
+            band_multipliers_oracle(arr, mu, sigma),
         )
         # the mean and sigma weighted_mean bands with are numpy's, to the
         # bit: they move the result only where a value sits on an edge.
@@ -491,27 +499,26 @@ class TestBanding:
         with mock.patch.object(
             matcher, "_band_multipliers", wraps=matcher._band_multipliers
         ) as spy:
-            got = weighted_mean(arr, mults)
-        (z_used, sigma_used, _), _ = spy.call_args
+            got = weighted_mean(arr)
+        (z_used, sigma_used), _ = spy.call_args
         assert same_bits(z_used, np.abs(arr - mu)) and same_bits(sigma_used, sigma)
-        assert same_bits(got, weighted_mean_oracle(arr, mults))
+        assert same_bits(got, weighted_mean_oracle(arr))
 
     @given(
         FLOAT_LISTS,
         st.floats(-1e6, 1e6, allow_nan=False),
         st.one_of(st.floats(allow_nan=True), st.sampled_from([0.0, -0.0])),
-        MULTIPLIER_SETS,
     )
-    @example([1.0, 2.0], 1.0, math.nan, DEFAULT_MULTS)
-    @example([1.0, 2.0], 1.0, -1.0, DEFAULT_MULTS)
-    @example([1.0, 2.0], 1.0, math.inf, DEFAULT_MULTS)
+    @example([1.0, 2.0], 1.0, math.nan)
+    @example([1.0, 2.0], 1.0, -1.0)
+    @example([1.0, 2.0], 1.0, math.inf)
     @settings(max_examples=200, deadline=None)
-    def test_band_multipliers_match_oracle_any_sigma(self, values, mu, sigma, mults):
+    def test_band_multipliers_match_oracle_any_sigma(self, values, mu, sigma):
         # a negative, infinite or NaN sigma bands exactly as the masks do
         d = np.array(values, dtype=np.float64)
         assert same_bits(
-            _band_multipliers(np.abs(d - mu), sigma, mults),
-            band_multipliers_oracle(d, mu, sigma, mults),
+            _band_multipliers(np.abs(d - mu), sigma),
+            band_multipliers_oracle(d, mu, sigma),
         )
 
 
@@ -546,13 +553,15 @@ class TestMatch:
         assert s.n_vertex_pairs <= match(g1, g2, Constraint.GIBMC).n_vertex_pairs
 
     def test_combined_blend_formula(self):
+        # each weighted mean halved, then summed: 0.5 * (v + e) differs
+        # where the scores are subnormal
         rng = np.random.default_rng(36)
         g1, g2 = random_graph(rng, 10), random_graph(rng, 10)
-        cfg = MatchConfig(ratio=1.0, blend=0.3)
-        s = match(g1, g2, Constraint.GIBMC, cfg)
-        if s.n_edge_pairs > 0:
-            assert s.combined == pytest.approx(
-                0.3 * s.vertex_weighted + 0.7 * s.edge_weighted, rel=1e-12
+        for constraint in Constraint:
+            s = match(g1, g2, constraint, MatchConfig(ratio=1.0))
+            assert s.n_edge_pairs > 0
+            assert same_bits(
+                s.combined, 0.5 * s.vertex_weighted + 0.5 * s.edge_weighted
             )
 
     def test_probe_permutation_invariance(self):
@@ -619,35 +628,19 @@ class TestMatch:
 
 class TestMatchConfig:
     @pytest.mark.parametrize(
-        "multipliers",
-        [(0.0, 0.0, 0.0), (0.0, 0.05, 0.025), (-0.1, 0.05, 0.025),
-         (math.nan, 0.05, 0.025), (0.075, math.inf, 0.025)],
-    )
-    def test_first_band_must_weigh(self, multipliers):
-        # A zero first band leaves every weighted mean at 0/0 = NaN.
-        with pytest.raises(ValueError, match="multipliers"):
-            MatchConfig(multipliers=multipliers)
-
-    @pytest.mark.parametrize(
         "kwargs",
-        [{"ratio": "0.8"}, {"ratio": True}, {"blend": True}, {"blend": None},
-         {"multipliers": (0.075, 0.05, "x")}, {"multipliers": (True, 0.05, 0.025)}],
+        [{"ratio": "0.8"}, {"ratio": True}],
         ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
     )
     def test_non_real_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a real number"):
             MatchConfig(**kwargs)
 
-    def test_non_iterable_multipliers_rejected(self):
-        with pytest.raises(ValueError, match="multipliers"):
-            MatchConfig(multipliers=5)
-
     def test_values_stored_as_floats(self):
-        # a list kept as given would leave the config unhashable
-        cfg = MatchConfig(ratio=1, multipliers=[1, 2, 3], blend=0)
-        assert cfg.multipliers == (1.0, 2.0, 3.0)
-        assert all(type(v) is float for v in (cfg.ratio, cfg.blend, *cfg.multipliers))
-        assert hash(cfg) == hash(MatchConfig(ratio=1.0, multipliers=(1.0, 2.0, 3.0), blend=0.0))
+        # an int renders and hashes like the float it equals
+        cfg = MatchConfig(ratio=1)
+        assert type(cfg.ratio) is float
+        assert hash(cfg) == hash(MatchConfig(ratio=1.0))
 
 
 class TestIdentify:

@@ -198,11 +198,14 @@ class TestCorruption:
             load(tmp_path / "nope.db")
 
     @pytest.mark.parametrize(
-        "subject_id, n_kps, x",
-        [(b"\xff", 2, 1.0), (b"s", 1, 1.0), (b"s", 2, float("nan"))],
-        ids=["invalid_utf8_id", "one_keypoint", "nan_keypoint"],
+        "subject_id, n_kps, x, message",
+        [(b"\xff", 2, 1.0, "malformed"), (b"s", 1, 1.0, "malformed"),
+         (b"s", 2, float("nan"), "malformed"), (b"c\nd", 2, 1.0, "whitespace")],
+        ids=["invalid_utf8_id", "one_keypoint", "nan_keypoint", "whitespace_id"],
     )
-    def test_malformed_entry_under_valid_crc(self, tmp_path, subject_id, n_kps, x):
+    def test_malformed_entry_under_valid_crc(
+        self, tmp_path, subject_id, n_kps, x, message
+    ):
         payload = b"".join([
             b"GSFT",
             struct.pack("<IQI", FORMAT_VERSION, 0, 1),
@@ -213,8 +216,9 @@ class TestCorruption:
         ])
         path = tmp_path / "m.db"
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
-        with pytest.raises(StoreError, match="malformed"):
+        with pytest.raises(StoreError, match=message) as err:
             load(path)
+        assert type(err.value) is StoreError
 
     @settings(max_examples=300, deadline=None)
     @given(offset=st.integers(0, 1 << 16), xor=st.integers(1, 255), cut=st.booleans())
@@ -295,25 +299,23 @@ class TestExportText:
                 parsed = np.array(fields[6:], dtype=np.float32)
                 assert np.array_equal(parsed, kps.descriptors[i])
 
-    def test_spaced_ids_rejected(self, tmp_path):
+    def test_spaced_ids_rejected(self):
         rng = np.random.default_rng(14)
-        db = GalleryDb(
-            detector_cfg_hash=0,
-            entries=(random_graph(rng, 2, subject="bad id", image="i"),),
-        )
-        with pytest.raises(ValueError):
-            export_text(db, tmp_path / "x.txt")
+        with pytest.raises(StoreError, match="whitespace"):
+            GalleryDb(
+                detector_cfg_hash=0,
+                entries=(random_graph(rng, 2, subject="bad id", image="i"),),
+            )
 
     @pytest.mark.parametrize(
         "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003"]
     )
     @pytest.mark.parametrize("field", ["subject", "image"])
-    def test_whitespace_ids_rejected(self, tmp_path, field, bad):
-        # any whitespace in an id would break the one-keypoint-per-line,
-        # space-separated format
+    def test_whitespace_ids_rejected(self, field, bad):
+        # any whitespace in an id would break the export's
+        # one-keypoint-per-line, space-separated format, so a gallery
+        # refuses such an id before it can be stored or exported
         rng = np.random.default_rng(15)
         ids = {"subject": "s", "image": "i", field: bad}
-        db = GalleryDb(detector_cfg_hash=0, entries=(random_graph(rng, 2, **ids),))
-        with pytest.raises(ValueError, match="whitespace"):
-            export_text(db, tmp_path / "x.txt")
-        assert not (tmp_path / "x.txt").exists()
+        with pytest.raises(StoreError, match="whitespace"):
+            GalleryDb(detector_cfg_hash=0, entries=(random_graph(rng, 2, **ids),))
