@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .config import DESCRIPTOR_LEN
+from .config import DESCRIPTOR_LEN, MatchConfig
 from .errors import TooFewKeypoints
 from .sift import Keypoints
 
@@ -62,7 +62,7 @@ class FaceGraph:
     matching error bound reads, is kept privately beside them.
     """
 
-    vertices: Keypoints
+    vertices: Keypoints = field(hash=False)  # hashed by its ids: tables are unhashable
     subject_id: str
     image_id: str
     descriptors: np.ndarray = field(init=False, repr=False, compare=False)
@@ -200,10 +200,8 @@ _BOUND = 2.0 * _gamma(DESCRIPTOR_LEN + 4)
 # each a factor 1 + u, squared) and certainly false where
 # s1 > ratio^2 * s2 * (1 + gamma_6). The two tests below (accept/reject)
 # bound s1/2 by h1 +/- B and s2/2 by h2 -/+ B (B - E covers the rounding
-# of h1 +/- B) and round five more times (this constant, ratio * |ratio|,
-# h2 -/+ B and two products), which 1 -/+ gamma_12 absorbs. ratio * |ratio|
-# keeps the sign, so a negative ratio, which nothing passes, is never
-# settled as passing.
+# of h1 +/- B) and round five more times (this constant, ratio * ratio,
+# h2 -/+ B and two products), which 1 -/+ gamma_12 absorbs.
 _RATIO_MARGIN = _gamma(12)
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -248,11 +246,11 @@ def _nearest(
     bound: float,
     at: np.ndarray,
     bt: np.ndarray,
-    ratio: float | None = None,
+    cfg: MatchConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per row of ``h``: the column cdist + argmin would pick (the lowest
-    index among equal distances) and, given a ratio, whether the row
-    passes d1 < ratio * d2, d2 being the row's second smallest distance
+    index among equal distances) and, given a config, whether the row
+    passes d1 < cfg.ratio * d2, d2 being the row's second smallest distance
     (equal to d1 when the minimum repeats). Both graphs hold at least
     two vertices, so ``h`` has at least two columns.
 
@@ -269,19 +267,18 @@ def _nearest(
     h[rows, best] = math.inf
     h2 = h.min(axis=1)
     h[rows, best] = h1
-    if ratio is None:
+    if cfg is None:
         is_open = ~(h2 - h1 > 2.0 * bound)
         accepted = None
     else:
-        ratio_sq = ratio * abs(ratio)
+        ratio = cfg.ratio
+        ratio_sq = ratio * ratio
         accepted = h1 + bound < (h2 - bound) * (ratio_sq * (1.0 - _RATIO_MARGIN))
         rejected = h1 - bound > (h2 + bound) * (ratio_sq * (1.0 + _RATIO_MARGIN))
-        # A rejected row needs no nearest column, and with |ratio| <= 1 an
+        # A rejected row needs no nearest column, and with ratio <= 1 an
         # accepted row's nearest column is settled: its bounds exclude
         # every other column.
         is_open = ~(accepted | rejected)
-        if abs(ratio) > 1.0:
-            is_open |= accepted & ~(h2 - h1 > 2.0 * bound)
     for i in is_open.nonzero()[0].tolist():
         # negated, so that NaN estimates stay candidates
         cand = np.flatnonzero(~(h[i] > h2[i] + 2.0 * bound))
@@ -303,19 +300,20 @@ def nearest(g1: FaceGraph, g2: FaceGraph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mutual_correspondence(
-    g1: FaceGraph, g2: FaceGraph, ratio: float = 0.8
+    g1: FaceGraph, g2: FaceGraph, cfg: MatchConfig
 ) -> CorrespondenceSet:
-    """Pairs kept iff each endpoint is the other's ratio-test-accepted
-    nearest neighbor; one-to-one in both coordinates by construction."""
+    """Pairs kept iff each endpoint is the other's nearest neighbor and
+    passes ``cfg``'s ratio test; one-to-one in both coordinates by
+    construction."""
     at, bt = g1.descriptors.T, g2.descriptors.T
     h, bound = _half_squared(g1, g2, full=True)
-    fwd, fwd_ok = _nearest(h, bound, at, bt, ratio)
+    fwd, fwd_ok = _nearest(h, bound, at, bt, cfg)
     if not fwd_ok.any():
         # no row passes its ratio test, so no pair is mutual
         return CorrespondenceSet(
             pairs=np.empty((0, 2), dtype=np.intp), distances=np.empty(0)
         )
-    bwd, bwd_ok = _nearest(h.T, bound, bt, at, ratio)
+    bwd, bwd_ok = _nearest(h.T, bound, bt, at, cfg)
     rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
     cols = fwd[rows]
     # the (k, 2) transpose of a (2, k) array; cheaper than column_stack

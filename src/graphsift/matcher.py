@@ -94,7 +94,8 @@ def gibmc_edge_score(
 ) -> tuple[np.ndarray, float]:
     """Edge-attribute distances over the paired sub-graphs.
 
-    ``vertex_pairs`` holds one (gallery, probe) index row per pair.
+    ``vertex_pairs`` is a (k, 2) intp array of (gallery, probe) index
+    rows, as both pairings return it.
     Edge (a, a') corresponds to (b, b') iff a-b and a'-b' are vertex
     pairs; the per-edge distance is the Euclidean norm of the
     component-wise difference of their edge attributes. Fewer than 2
@@ -103,9 +104,8 @@ def gibmc_edge_score(
     """
     if len(vertex_pairs) < 2:
         return np.empty(0), 0.0
-    pairs = np.asarray(vertex_pairs, dtype=np.intp)
-    diff = edge_component_arrays(g_gallery, pairs[:, 0])
-    diff -= edge_component_arrays(g_probe, pairs[:, 1])
+    diff = edge_component_arrays(g_gallery, vertex_pairs[:, 0])
+    diff -= edge_component_arrays(g_probe, vertex_pairs[:, 1])
     diff *= diff
     # a sum over the outer axis of the C-contiguous (3, edges) array adds
     # its rows in order: (length^2 + angle^2) + log-scale^2
@@ -114,20 +114,11 @@ def gibmc_edge_score(
 
 
 def rpbmc_pairs(
-    g_gallery: FaceGraph, g_probe: FaceGraph, ratio: float = 0.8
+    g_gallery: FaceGraph, g_probe: FaceGraph, cfg: MatchConfig
 ) -> CorrespondenceSet:
-    """Mutually-best vertex pairs; strictly one-to-one.
-
-    Reciprocity already forces one pair per target (any multiple
-    assignment keeps only its reciprocated, minimum-distance member);
-    the structural check here guards that contract.
-    """
-    cs = mutual_correspondence(g_gallery, g_probe, ratio)
-    # Python sets: a pairing holds a few pairs, too few for numpy calls to pay
-    gallery_ids, probe_ids = cs.pairs.T.tolist()
-    if len(set(gallery_ids)) != len(cs) or len(set(probe_ids)) != len(cs):
-        raise AssertionError("mutual correspondence produced a repeated vertex")
-    return cs
+    """Mutually-best vertex pairs under ``cfg``'s ratio test; strictly
+    one-to-one, since reciprocity leaves each vertex at most one pair."""
+    return mutual_correspondence(g_gallery, g_probe, cfg)
 
 
 # The paper's weights for distances within 1, 2 and 3 sigma of the mean,
@@ -144,15 +135,11 @@ def _band_multipliers(z: np.ndarray, sigma: float) -> np.ndarray:
     Bands are closed on the outer edge: within 1 sigma of the mean
     (inclusive) takes the first weight, then (1, 2] sigma the second,
     (2, 3] sigma the third, and beyond 3 sigma the weight is 0. A zero
-    sigma keeps only the values equal to the mean; a negative or NaN
-    sigma keeps nothing.
+    sigma keeps only the values equal to the mean. ``sigma`` is finite
+    and at least 0, as weighted_mean computes it.
     """
-    if not sigma >= 0.0:
-        # no deviation lies within a negative or NaN sigma
-        return np.zeros(z.shape)
     # band = how many of the edges sigma, 2 sigma, 3 sigma lie below z;
-    # 3 (beyond 3 sigma, or a NaN, which sorts after every edge) takes
-    # the last 0
+    # 3 (beyond 3 sigma) takes the last 0
     band = np.array((sigma, 2.0 * sigma, 3.0 * sigma)).searchsorted(z)
     return _WEIGHTS.take(band)
 
@@ -212,7 +199,7 @@ def match(
     if constraint is Constraint.GIBMC:
         vertex_dists, vertex_raw, pairs = gibmc_vertex_score(g_gallery, g_probe)
     else:
-        cs = rpbmc_pairs(g_gallery, g_probe, cfg.ratio)
+        cs = rpbmc_pairs(g_gallery, g_probe, cfg)
         if len(cs) < 2:
             # fewer than 2 mutual pairs: the reduced point sets cannot
             # form graphs, so the pair is maximally dissimilar

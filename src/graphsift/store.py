@@ -15,13 +15,16 @@ Layout (all integers little-endian):
     u32     CRC-32 of every preceding byte
 
 An empty gallery is exactly 24 bytes. Saving is deterministic:
-rewriting an unchanged db yields byte-identical files. Edges are not
+rewriting an unchanged db yields byte-identical files. A save writes
+``<path>.tmp`` beside the file and renames it over ``path``, so an
+interrupted save leaves the earlier gallery whole. Edges are not
 stored; the complete graph is implied and the diameter is recomputed
 on load.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -49,8 +52,8 @@ _CRC_MISMATCH = "payload CRC does not match the stored value"
 class GalleryDb:
     """Loaded gallery: graphs plus the digest of the detector config
     that produced them. (subject_id, image_id) pairs must be unique, and
-    no id may hold whitespace, which would break the text export's
-    space-separated lines."""
+    no id may be empty or hold whitespace, either of which would break
+    the text export's space-separated lines."""
 
     detector_cfg_hash: int
     entries: tuple[FaceGraph, ...]
@@ -59,6 +62,8 @@ class GalleryDb:
         keys = [(g.subject_id, g.image_id) for g in self.entries]
         for key in keys:
             for name, text in zip(("subject id", "image id"), key):
+                if not text:
+                    raise StoreError(f"{name} is empty")
                 if any(c.isspace() for c in text):
                     raise StoreError(f"{name} {text!r} holds whitespace")
         if len(set(keys)) != len(keys):
@@ -95,7 +100,14 @@ def save(db: GalleryDb, path: str | Path) -> None:
         parts.append(g.vertices.rows.astype("<f4", copy=False).tobytes())
     payload = b"".join(parts)
     payload += struct.pack("<I", zlib.crc32(payload))
-    Path(path).write_bytes(payload)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

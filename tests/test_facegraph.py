@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphsift import facegraph
+from graphsift.config import MatchConfig
 from graphsift.errors import NonFiniteKeypoint, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
@@ -92,6 +93,16 @@ class TestBuildGraph:
             build_graph(kps, "s", "i")
         with pytest.raises(TooFewKeypoints, match=f"got {n} keypoints"):
             FaceGraph(vertices=kps, subject_id="s", image_id="i")
+
+    def test_equal_graphs_hash_equal(self):
+        # a keypoint table is unhashable, so the hash reads the ids only;
+        # equal graphs share them
+        rng = np.random.default_rng(2)
+        rows = np.stack([random_keypoint(rng) for _ in range(4)])
+        g1, g2 = (build_graph(table(rows), "s", "i") for _ in range(2))
+        assert g1 == g2 and g1 is not g2
+        assert hash(g1) == hash(g2)
+        assert len({g1, g2}) == 1
 
     def test_diameter_hand_value(self):
         g = build_graph(
@@ -282,7 +293,7 @@ class TestMutualCorrespondence:
             r1 = rng.random((rng.integers(2, 12), 128))
             r2 = rng.random((rng.integers(2, 12), 128))
             g1, g2 = graph_with_descriptors(r1), graph_with_descriptors(r2)
-            got = mutual_correspondence(g1, g2, ratio=0.97)
+            got = mutual_correspondence(g1, g2, MatchConfig(ratio=0.97))
             want = mutual_oracle(
                 r1.astype(np.float32), r2.astype(np.float32), 0.97
             )
@@ -291,37 +302,38 @@ class TestMutualCorrespondence:
     @settings(max_examples=200, deadline=None)
     @given(
         descriptor_pairs(max_rows=30),
-        st.sampled_from([0.5, 0.8, 1.0, 1.25, -0.5]),
+        st.sampled_from([0.5, 0.8, 1.0]),
     )
     def test_matches_oracle_with_ties(self, rows, ratio):
         # Exact ties and duplicate rows (the {0, 1, 2}^3 grid, where an
         # array mutual check could part from the loop), near ties the
         # matrix-product estimate cannot order (one-ulp copies), bounds
         # that underflow or overflow, and the exact-0 self match: pairs
-        # and distances must be the dense path's to the bit, also for a
-        # ratio above 1 (an accepted row's nearest column is then not
-        # settled) and a negative one (which nothing passes).
+        # and distances must be the dense path's to the bit, and the
+        # pairing one-to-one.
         g1, g2 = (descriptor_graph(r) for r in rows)
         # only the 1e160 rows overflow, in both paths alike
         with np.errstate(over="ignore", invalid="ignore"):
-            cs = mutual_correspondence(g1, g2, ratio)
+            cs = mutual_correspondence(g1, g2, MatchConfig(ratio=ratio))
             want_pairs, want_distances = dense_mutual(g1, g2, ratio)
         assert cs.pairs.shape == want_pairs.shape
         assert cs.pairs.tobytes() == want_pairs.tobytes()
         assert cs.distances.tobytes() == want_distances.tobytes()
+        for col in cs.pairs.T:
+            assert len(np.unique(col)) == len(cs)
         if all(np.isin(r, (0.0, 1.0, 2.0)).all() for r in rows):
             # the grid: math.dist is exact, so the loop agrees too
             want = mutual_oracle(*rows, ratio)
             assert cs.pairs.tolist() == [[i, j] for i, j, _ in want]
             assert cs.distances.tolist() == [d for _, _, d in want]
 
-    @pytest.mark.parametrize("ratio", [-0.5, 0.01])
+    @pytest.mark.parametrize("ratio", [0.01])
     def test_empty_set_typed_like_a_full_one(self, ratio):
         # no forward row passes, so the set is returned before the
         # backward search; it must look like the full path's empty set
         rng = np.random.default_rng(9)
         g1, g2 = random_graph(rng, 7), random_graph(rng, 5)
-        cs = mutual_correspondence(g1, g2, ratio)
+        cs = mutual_correspondence(g1, g2, MatchConfig(ratio=ratio))
         want_pairs, want_distances = dense_mutual(g1, g2, ratio)
         assert len(want_pairs) == 0
         for got, want in ((cs.pairs, want_pairs), (cs.distances, want_distances)):
@@ -333,7 +345,7 @@ class TestMutualCorrespondence:
         for _ in range(10):
             g1 = random_graph(rng, int(rng.integers(3, 15)))
             g2 = random_graph(rng, int(rng.integers(3, 15)))
-            mutual = mutual_correspondence(g1, g2, ratio=0.99)
+            mutual = mutual_correspondence(g1, g2, MatchConfig(ratio=0.99))
             directional = ratio_oracle(g1.descriptors, g2.descriptors, 0.99)
             dir_pairs = {(i, j) for i, j, _ in directional}
             assert set(map(tuple, mutual.pairs.tolist())) <= dir_pairs
@@ -348,13 +360,14 @@ class TestMutualCorrespondence:
             np.tile(rng.random(128, dtype=np.float32), (2, 1))
         )
         # Second-nearest distance equals nearest, so nothing passes.
-        assert len(mutual_correspondence(g1, twins)) == 0
+        assert len(mutual_correspondence(g1, twins, MatchConfig())) == 0
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(9)
         g1, g2 = random_graph(rng, 9), random_graph(rng, 11)
-        fwd = mutual_correspondence(g1, g2, ratio=0.95)
-        rev = mutual_correspondence(g2, g1, ratio=0.95)
+        cfg = MatchConfig(ratio=0.95)
+        fwd = mutual_correspondence(g1, g2, cfg)
+        rev = mutual_correspondence(g2, g1, cfg)
         assert fwd.pairs.tolist() == sorted(rev.pairs[:, ::-1].tolist())
         order = np.argsort(rev.pairs[:, 1])
         assert fwd.distances.tolist() == rev.distances[order].tolist()
@@ -362,6 +375,6 @@ class TestMutualCorrespondence:
     def test_self_match_is_identity_with_zero_distance(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, 8)
-        cs = mutual_correspondence(g, g, ratio=0.8)
+        cs = mutual_correspondence(g, g, MatchConfig())
         assert cs.pairs.tolist() == [[i, i] for i in range(8)]
         assert cs.distances.tolist() == [0.0] * 8

@@ -1,8 +1,10 @@
 """Binary gallery format: round-trips, determinism, corruption handling."""
 
 import hashlib
+import os
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -118,6 +120,16 @@ class TestRoundTrip:
             "b6f8d17a209967c9a255323c0ac131030fb8e7beac91652840699c8d1e010413"
         )
 
+    def test_interrupted_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "g.db"
+        save(random_db(5), path)
+        before = path.read_bytes()
+        with mock.patch.object(os, "replace", side_effect=OSError("interrupted")):
+            with pytest.raises(OSError, match="interrupted"):
+                save(random_db(6, n_entries=3), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.db"]
+
     def test_load_save_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
         save(random_db(4), p1)
@@ -200,8 +212,10 @@ class TestCorruption:
     @pytest.mark.parametrize(
         "subject_id, n_kps, x, message",
         [(b"\xff", 2, 1.0, "malformed"), (b"s", 1, 1.0, "malformed"),
-         (b"s", 2, float("nan"), "malformed"), (b"c\nd", 2, 1.0, "whitespace")],
-        ids=["invalid_utf8_id", "one_keypoint", "nan_keypoint", "whitespace_id"],
+         (b"s", 2, float("nan"), "malformed"), (b"c\nd", 2, 1.0, "whitespace"),
+         (b"", 2, 1.0, "subject id is empty")],
+        ids=["invalid_utf8_id", "one_keypoint", "nan_keypoint", "whitespace_id",
+             "empty_id"],
     )
     def test_malformed_entry_under_valid_crc(
         self, tmp_path, subject_id, n_kps, x, message
@@ -308,14 +322,16 @@ class TestExportText:
             )
 
     @pytest.mark.parametrize(
-        "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003"]
+        "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003", ""]
     )
     @pytest.mark.parametrize("field", ["subject", "image"])
     def test_whitespace_ids_rejected(self, field, bad):
         # any whitespace in an id would break the export's
-        # one-keypoint-per-line, space-separated format, so a gallery
-        # refuses such an id before it can be stored or exported
+        # one-keypoint-per-line, space-separated format, and an empty id
+        # would shift its fields by one, so a gallery refuses such an id
+        # before it can be stored or exported
         rng = np.random.default_rng(15)
         ids = {"subject": "s", "image": "i", field: bad}
-        with pytest.raises(StoreError, match="whitespace"):
+        message = f"{field} id is empty" if bad == "" else "whitespace"
+        with pytest.raises(StoreError, match=message):
             GalleryDb(detector_cfg_hash=0, entries=(random_graph(rng, 2, **ids),))
