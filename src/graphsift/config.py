@@ -43,18 +43,19 @@ class DetectorConfig:
     base sigma 1.6, one initial doubling of the input, contrast
     threshold 0.03 on [0,1] intensities and edge ratio 10.
 
-    Six values of standard SIFT are fixed class constants that the
-    constructor does not take: ``assumed_blur`` (0.5 px), 36
-    ``orientation_bins`` with the 80% secondary-peak ``peak_ratio``,
-    and a 4x4 ``descriptor_grid`` of 8 ``descriptor_bins`` (the store's
-    128 floats, 16x16 sample window) clamped at ``descriptor_clamp`` 0.2.
+    Those five are settable. Seven values of standard SIFT are fixed
+    class constants: ``assumed_blur`` (0.5 px), ``max_octaves`` (0: the
+    octave count follows from the image size), 36 ``orientation_bins``
+    with the 80% secondary-peak ``peak_ratio``, and a 4x4
+    ``descriptor_grid`` of 8 ``descriptor_bins`` (the store's 128
+    floats, 16x16 sample window) clamped at ``descriptor_clamp`` 0.2.
     """
 
     scales_per_octave: int = 3
     base_sigma: float = 1.6
     assumed_blur: ClassVar[float] = 0.5
     double_input: bool = True
-    max_octaves: int = 0  # 0 = derive from image size
+    max_octaves: ClassVar[int] = 0
     contrast_threshold: float = 0.03
     edge_ratio: float = 10.0
     orientation_bins: ClassVar[int] = 36
@@ -66,8 +67,8 @@ class DetectorConfig:
     def __post_init__(self):
         for name in ("base_sigma", "contrast_threshold", "edge_ratio"):
             object.__setattr__(self, name, _real(name, getattr(self, name)))
-        for name, least in (("scales_per_octave", 1), ("max_octaves", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        n = _integer("scales_per_octave", self.scales_per_octave, 1)
+        object.__setattr__(self, "scales_per_octave", n)
         if type(self.double_input) is not bool:
             raise ValueError(f"double_input must be a bool, not {self.double_input!r}")
         if not 0 < self.base_sigma < math.inf:

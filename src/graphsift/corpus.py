@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import _integer
 from .imageio import GrayImage, save_pgm
+from .sift import MIN_IMAGE_SIDE
 
 MANIFEST_HEADER = "image_path,subject_id,image_id,group,role"
 
@@ -136,11 +137,13 @@ def generate_corpus(
     Image 0 of each subject is the unperturbed train view, the rest are
     perturbed test views. The first half of the subjects form group G1,
     the rest G2; manifest paths are relative to the manifest itself.
+    ``size`` is at least ``sift.MIN_IMAGE_SIDE``, the smallest side the
+    detector takes.
     """
     seed = _integer("seed", seed, 0)
     n_subjects = _integer("n_subjects", n_subjects, 2)
     images_per_subject = _integer("images_per_subject", images_per_subject, 1)
-    size = _integer("size", size, 1)
+    size = _integer("size", size, MIN_IMAGE_SIDE)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -29,6 +29,10 @@ class NonFiniteKeypoint(GraphSiftError):
     """A keypoint table holds a NaN or infinite value."""
 
 
+class NonPositiveScale(GraphSiftError):
+    """A keypoint table holds a scale of zero or less."""
+
+
 class EmptyGallery(GraphSiftError):
     """Identification against a gallery with no enrolled graphs."""
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import ndimage
 
 from .config import DESCRIPTOR_LEN, DetectorConfig
-from .errors import ImageTooSmall, NonFiniteKeypoint
+from .errors import ImageTooSmall, NonFiniteKeypoint, NonPositiveScale
 from .imageio import GrayImage
 
 MIN_IMAGE_SIDE = 16
@@ -47,7 +47,8 @@ class Keypoints:
     [0, 2*pi), and the 128 ``descriptors`` values. A row is exactly the
     per-keypoint record the gallery store writes. The constructor takes
     a private float32 copy of any (n, ROW_LEN) array; a value that is
-    NaN or infinite there raises NonFiniteKeypoint.
+    NaN or infinite there raises NonFiniteKeypoint, and a scale of 0 or
+    less, whose log a graph's edges would take, NonPositiveScale.
     """
 
     rows: np.ndarray
@@ -59,6 +60,9 @@ class Keypoints:
         if not np.isfinite(rows).all():
             bad = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
             raise NonFiniteKeypoint(f"keypoint row {bad} holds a NaN or infinite value")
+        if not (rows[:, 2] > 0).all():
+            bad = int(np.flatnonzero(rows[:, 2] <= 0)[0])
+            raise NonPositiveScale(f"keypoint row {bad} has scale {rows[bad, 2]} <= 0")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -185,8 +189,6 @@ def build_scale_space(img: GrayImage, cfg: DetectorConfig) -> ScaleSpace:
 
     # the size check above leaves min(base.shape) >= 16: at least 2 octaves
     depth = int(math.floor(math.log2(min(base.shape) / 8.0))) + 1
-    if cfg.max_octaves > 0:
-        depth = min(depth, cfg.max_octaves)
 
     octaves = []
     dogs = []
@@ -344,12 +346,10 @@ def _orientation_histogram(
 def assign_orientations(
     ss: ScaleSpace, point: LocalizedPoint, cfg: DetectorConfig
 ) -> list[float]:
-    """The point's orientations in [0, 2*pi), one per histogram peak
-    within 80% of the maximum.
-
-    Peaks are refined by parabolic interpolation over the neighboring
-    bins. Always returns at least one orientation (0.0 for the
-    degenerate all-zero histogram).
+    """The point's orientations in [0, 2*pi): one per strict histogram
+    peak within 80% of the maximum, else the first maximum bin, each
+    refined by parabolic interpolation over its neighbours (0.0 for the
+    all-zero histogram, which has no strict peak).
     """
     img = ss.octaves[point.octave][point.layer]
     n_bins = cfg.orientation_bins
@@ -357,26 +357,20 @@ def assign_orientations(
         img, point.x_oct, point.y_oct, point.scale_oct, n_bins
     ).tolist()
     peak_max = max(hist)
-    if peak_max <= 0.0:
-        return [0.0]
+    floor = cfg.peak_ratio * peak_max
     # circular neighbours: hist[b - 1] wraps to the last bin by itself
     peak_bins = [
         b for b in range(n_bins)
         if hist[b] > hist[b - 1] and hist[b] > hist[(b + 1) % n_bins]
+        and hist[b] >= floor
     ] or [hist.index(peak_max)]
     out = []
     for b in peak_bins:
-        cv = hist[b]
-        if cv < cfg.peak_ratio * peak_max:
-            continue
-        lv, rv = hist[b - 1], hist[(b + 1) % n_bins]
+        lv, cv, rv = hist[b - 1], hist[b], hist[(b + 1) % n_bins]
         denom = lv - 2.0 * cv + rv
         shift = 0.0 if denom == 0.0 else 0.5 * (lv - rv) / denom
         orientation = ((b + shift) % n_bins) * (TWO_PI / n_bins)
         out.append(orientation % TWO_PI)
-    if not out:
-        b = hist.index(peak_max)
-        out.append((b * TWO_PI / n_bins) % TWO_PI)
     return out
 
 

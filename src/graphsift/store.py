@@ -53,7 +53,8 @@ class GalleryDb:
     """Loaded gallery: graphs plus the digest of the detector config
     that produced them. (subject_id, image_id) pairs must be unique, and
     no id may be empty or hold whitespace, either of which would break
-    the text export's space-separated lines."""
+    the text export's space-separated lines, or a comma, which would
+    split a CSV row."""
 
     detector_cfg_hash: int
     entries: tuple[FaceGraph, ...]
@@ -66,6 +67,8 @@ class GalleryDb:
                     raise StoreError(f"{name} is empty")
                 if any(c.isspace() for c in text):
                     raise StoreError(f"{name} {text!r} holds whitespace")
+                if "," in text:
+                    raise StoreError(f"{name} {text!r} holds a comma")
         if len(set(keys)) != len(keys):
             raise StoreError("duplicate (subject_id, image_id) in gallery")
 

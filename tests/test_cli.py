@@ -150,16 +150,24 @@ class TestIdentify:
             assert fields[0] == "s000_i01"
             assert fields[2] == "rpbmc"
 
-    def test_csv_rejects_unwritable_subject_id(self, cli_corpus, tmp_path, capsys):
-        # an unquoted comma would split the row into 11 fields
+    def test_csv_rejects_unwritable_subject_id(
+        self, cli_corpus, enrolled_db, tmp_path, capsys
+    ):
+        # an unquoted comma would split the row into 11 fields, so a
+        # gallery refuses such a subject id before it is stored
         db = tmp_path / "comma.db"
-        img = str(cli_corpus / "s000_i00.pgm")
-        assert main(["extract", img, "--db", str(db), "--subject", "a,b"]) == 0
-        capsys.readouterr()
-        assert main(["identify", img, "--db", str(db), "--csv"]) == 1
+        img = cli_corpus / "s000_i00.pgm"
+        assert main(["extract", str(img), "--db", str(db), "--subject", "a,b"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: subject id 'a,b' holds a comma\n"
+        assert not db.exists()
+        # the probe's image id comes from its file name, not the gallery
+        probe = tmp_path / "a,b.pgm"
+        probe.write_bytes(img.read_bytes())
+        assert main(["identify", str(probe), "--db", str(enrolled_db), "--csv"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: subject id 'a,b' cannot go into a CSV row\n"
+        assert captured.err == "error: probe image id 'a,b' cannot go into a CSV row\n"
 
     def test_config_mismatch_fails(self, cli_corpus, enrolled_db, capsys):
         code = main([

@@ -95,6 +95,7 @@ class TestGenerateCorpus:
             pytest.param({"size": -3}, id="size=-3"),
             pytest.param({"seed": -1}, id="seed=-1"),
             pytest.param({"size": 2.5}, id="size=2.5"),
+            pytest.param({"size": 15}, id="size=15"),
             pytest.param({"n_subjects": True}, id="n_subjects=True"),
         ],
     )

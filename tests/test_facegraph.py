@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from graphsift import facegraph
 from graphsift.config import MatchConfig
-from graphsift.errors import NonFiniteKeypoint, TooFewKeypoints
+from graphsift.errors import NonFiniteKeypoint, NonPositiveScale, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
     build_graph,
@@ -123,6 +123,15 @@ class TestBuildGraph:
         rows[3, column] = value
         with pytest.raises(NonFiniteKeypoint, match="row 3"):
             table(rows)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0])
+    def test_non_positive_scale_rejected(self, scale):
+        # a graph takes the log of every scale: 0 or -1 once raised a
+        # bare "math domain error" from build_graph
+        rows = np.stack([random_keypoint(np.random.default_rng(s)) for s in range(6)])
+        rows[2, 2] = scale
+        with pytest.raises(NonPositiveScale, match="row 2"):
+            build_graph(table(rows), "s", "i")
 
     def test_vertex_arrays_match_keypoints(self):
         # Log-scales must be math.log to the bit, the value the scalar

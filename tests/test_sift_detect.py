@@ -86,7 +86,7 @@ def test_detection_matches_voxel_oracle():
     empty_layers = 0
     for i, img in enumerate(images):
         for double_input in (True, False):
-            cfg = DetectorConfig(max_octaves=3, double_input=double_input)
+            cfg = DetectorConfig(double_input=double_input)
             ss = build_scale_space(img, cfg)
             got = {(c.octave, c.layer, c.x, c.y) for c in detect_keypoints(ss, cfg)}
             assert got == extrema_oracle(ss, cfg), (i, double_input)
@@ -166,7 +166,7 @@ def test_refined_offset_within_half_pixel():
 
 
 def test_candidates_are_sorted_and_unique():
-    cfg = DetectorConfig(max_octaves=2)
+    cfg = DetectorConfig()
     img = render_texture(subject_texture(6, 1, 64), 64)
     cands = detect_keypoints(build_scale_space(img, cfg), cfg)
     as_tuples = [tuple(c) for c in cands]

@@ -99,7 +99,7 @@ PIN_CONFIGS = {
     "default": {},
     "single": {"double_input": False},
     "s2": {"scales_per_octave": 2},
-    "s4o2": {"scales_per_octave": 4, "max_octaves": 2},
+    "s4": {"scales_per_octave": 4},
 }
 KEYPOINT_TABLE_SHA256 = {
     ("default", 0, 64): "a7ad2dce9b083e76dfdc7927a0e9817e54f7b66b9d3c5486fe1ffdd02af4cff6",
@@ -111,9 +111,9 @@ KEYPOINT_TABLE_SHA256 = {
     ("s2", 0, 64): "6586001b0f5d1bdafd3d79815180ae064270496063b7e2b2a666ed4d2a65fac0",
     ("s2", 1, 128): "21ed23bbb31fb4b2497dd876a63321d72efc79bdb8b32f0b9dcee0c00f5bbc2c",
     ("s2", 2, 256): "9c3632686870d4fa9a5008623baaa78db5f8f386270f3a31cd4134e62b2c93b2",
-    ("s4o2", 0, 64): "7e95ef45fc7f4aac9290cdb1556b675c84dfa36f0b44f881433cbc7988b3975f",
-    ("s4o2", 1, 128): "9769c2b0c2e598464854e9b65eba6e3ff02079ddb9d06addb91ec12e84760604",
-    ("s4o2", 2, 256): "a229055682707e0b5415120dd33c047343d41e98996d0ff89a782bc1445cac4e",
+    ("s4", 0, 64): "7e95ef45fc7f4aac9290cdb1556b675c84dfa36f0b44f881433cbc7988b3975f",
+    ("s4", 1, 128): "b0636c260d18fe133a9b842ef7ca9ca67dd9d1f9ba306bac70bc33ac4b7158fc",
+    ("s4", 2, 256): "2ef824e36c8a159ab2398ce4885f0711cfe6573fdd1e55f41bb77dd0674e8f4a",
 }
 
 
@@ -234,7 +234,7 @@ class TestDetectorConfig:
 
     @pytest.mark.parametrize(
         "name",
-        ["assumed_blur", "orientation_bins", "peak_ratio",
+        ["assumed_blur", "max_octaves", "orientation_bins", "peak_ratio",
          "descriptor_grid", "descriptor_bins", "descriptor_clamp"],
     )
     def test_fixed_constants_not_settable(self, name):
@@ -246,9 +246,6 @@ class TestDetectorConfig:
         [
             {"scales_per_octave": 3.0},
             {"scales_per_octave": True},
-            {"max_octaves": 2.0},
-            {"max_octaves": True},
-            {"max_octaves": -1},
             {"base_sigma": math.inf},
             {"base_sigma": math.nan},
             {"edge_ratio": math.inf},

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphsift import sift
 from graphsift.config import DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.imageio import GrayImage, histogram_equalize
@@ -213,6 +214,26 @@ class TestOrientation:
                 assert hist[b] >= cfg.peak_ratio * peak * (1.0 - 1e-9)
                 checked += 1
         assert checked >= 10
+
+    def test_flat_window_gives_zero(self):
+        # no gradient gives the all-zero histogram: it has no strict peak,
+        # and its first bin interpolates to orientation 0.0
+        cfg = DetectorConfig(double_input=False)
+        flat = GrayImage(np.full((64, 64), 90, dtype=np.uint8))
+        ss = build_scale_space(flat, cfg)
+        assert assign_orientations(ss, center_point(ss, cfg), cfg) == [0.0]
+
+    def test_plateau_maximum_is_interpolated(self, monkeypatch):
+        # the maximum spans bins 10 and 11, so it is no strict peak, and
+        # the one strict peak (bin 20) is below 80% of it: the first
+        # maximum bin is kept and refined like a peak, to bin 10.5
+        hist = np.zeros(36)
+        hist[[9, 10, 11, 12, 20]] = [1.0, 4.0, 4.0, 1.0, 2.0]
+        monkeypatch.setattr(sift, "_orientation_histogram", lambda *args: hist)
+        cfg = DetectorConfig(double_input=False)
+        ss = build_scale_space(ramp_image(64), cfg)
+        got = assign_orientations(ss, center_point(ss, cfg), cfg)
+        assert got == [pytest.approx(10.5 * 2.0 * math.pi / 36, abs=1e-12)]
 
     def test_orientation_range(self):
         img = histogram_equalize(render_texture(subject_texture(11, 4, 64), 64))

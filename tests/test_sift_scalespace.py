@@ -53,7 +53,7 @@ def test_constant_image_zero_dog():
 
 
 def test_impulse_matches_closed_form():
-    cfg = DetectorConfig(double_input=False, max_octaves=1)
+    cfg = DetectorConfig(double_input=False)
     pixels = np.zeros((65, 65), dtype=np.uint8)
     pixels[32, 32] = 255  # becomes amplitude 1.0 after the /255 mapping
     ss = build_scale_space(GrayImage(pixels), cfg)
@@ -86,15 +86,13 @@ def test_octave_count_formula():
     assert len(ss.octaves) == 6
     ss = build_scale_space(img, DetectorConfig(double_input=False))
     assert len(ss.octaves) == 5
-    ss = build_scale_space(img, DetectorConfig(max_octaves=3))
-    assert len(ss.octaves) == 3
 
 
 def test_sigma_schedule():
     # Gaussian layer k carries absolute blur base_sigma * 2**(k/s), so
     # layer s has twice the base blur; an impulse's center value
     # 1 / (2 pi var) reads each layer's blur off the stack
-    cfg = DetectorConfig(double_input=False, max_octaves=1)
+    cfg = DetectorConfig(double_input=False)
     pixels = np.zeros((65, 65), dtype=np.uint8)
     pixels[32, 32] = 255
     ss = build_scale_space(GrayImage(pixels), cfg)

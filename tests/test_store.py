@@ -210,15 +210,18 @@ class TestCorruption:
             load(tmp_path / "nope.db")
 
     @pytest.mark.parametrize(
-        "subject_id, n_kps, x, message",
-        [(b"\xff", 2, 1.0, "malformed"), (b"s", 1, 1.0, "malformed"),
-         (b"s", 2, float("nan"), "malformed"), (b"c\nd", 2, 1.0, "whitespace"),
-         (b"", 2, 1.0, "subject id is empty")],
+        "subject_id, n_kps, x, scale, message",
+        [(b"\xff", 2, 1.0, 1.0, "malformed"), (b"s", 1, 1.0, 1.0, "malformed"),
+         (b"s", 2, float("nan"), 1.0, "malformed"),
+         (b"c\nd", 2, 1.0, 1.0, "whitespace"),
+         (b"", 2, 1.0, 1.0, "subject id is empty"),
+         (b"s", 2, 1.0, 0.0, "malformed gallery entry: keypoint row 0 has scale 0.0"),
+         (b"a,b", 2, 1.0, 1.0, "comma")],
         ids=["invalid_utf8_id", "one_keypoint", "nan_keypoint", "whitespace_id",
-             "empty_id"],
+             "empty_id", "zero_scale", "comma_id"],
     )
     def test_malformed_entry_under_valid_crc(
-        self, tmp_path, subject_id, n_kps, x, message
+        self, tmp_path, subject_id, n_kps, x, scale, message
     ):
         payload = b"".join([
             b"GSFT",
@@ -226,7 +229,7 @@ class TestCorruption:
             struct.pack("<I", len(subject_id)), subject_id,
             struct.pack("<I", 1), b"i",
             struct.pack("<I", n_kps),
-            (struct.pack("<ffff", x, 2.0, 1.0, 0.0) + bytes(4 * 128)) * n_kps,
+            (struct.pack("<ffff", x, 2.0, scale, 0.0) + bytes(4 * 128)) * n_kps,
         ])
         path = tmp_path / "m.db"
         path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
@@ -322,16 +325,18 @@ class TestExportText:
             )
 
     @pytest.mark.parametrize(
-        "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003", ""]
+        "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003", "", "a,b"]
     )
     @pytest.mark.parametrize("field", ["subject", "image"])
     def test_whitespace_ids_rejected(self, field, bad):
         # any whitespace in an id would break the export's
-        # one-keypoint-per-line, space-separated format, and an empty id
-        # would shift its fields by one, so a gallery refuses such an id
-        # before it can be stored or exported
+        # one-keypoint-per-line, space-separated format, an empty id
+        # would shift its fields by one, and a comma would split a CSV
+        # row, so a gallery refuses such an id before it can be stored,
+        # exported or reported
         rng = np.random.default_rng(15)
         ids = {"subject": "s", "image": "i", field: bad}
-        message = f"{field} id is empty" if bad == "" else "whitespace"
+        message = {"": f"{field} id is empty", "a,b": f"{field} id 'a,b' holds a comma"}
+        message = message.get(bad, "whitespace")
         with pytest.raises(StoreError, match=message):
             GalleryDb(detector_cfg_hash=0, entries=(random_graph(rng, 2, **ids),))
