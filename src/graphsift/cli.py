@@ -1,11 +1,14 @@
-"""Command-line surface: extract, enroll, identify, match, evaluate, gen-corpus.
+"""Command-line surface: extract, enroll, identify, match, evaluate,
+gen-corpus, export.
 
 All knobs are flags (no environment variables), every command is
 deterministic given its inputs, and any pipeline error exits 1 with a
-one-line diagnostic on standard error. Numeric flags only parse here:
-DetectorConfig, MatchConfig and generate_corpus check their ranges, so
-a value out of range exits 1 with a message naming the setting, while
-one that does not parse as a number exits 2 from argparse.
+one-line diagnostic on standard error. The detector takes one flag,
+``--no-double-input``; standard SIFT's other values are fixed (see
+DetectorConfig). Numeric flags only parse here: MatchConfig and
+generate_corpus check their ranges, so a value out of range exits 1
+with a message naming the setting, while one that does not parse as a
+number exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -34,24 +37,6 @@ def _non_negative_int(text: str) -> int:
 
 
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    d = DetectorConfig()
-    p.add_argument(
-        "--scales-per-octave", type=int, default=d.scales_per_octave,
-        help=f"DoG layers sampled per octave (default {d.scales_per_octave})",
-    )
-    p.add_argument(
-        "--base-sigma", type=float, default=d.base_sigma,
-        help=f"blur of the pyramid base image (default {d.base_sigma})",
-    )
-    p.add_argument(
-        "--contrast-threshold", type=float, default=d.contrast_threshold,
-        help=f"minimum refined DoG response on [0,1] intensities "
-        f"(default {d.contrast_threshold})",
-    )
-    p.add_argument(
-        "--edge-ratio", type=float, default=d.edge_ratio,
-        help=f"maximum principal-curvature ratio (default {d.edge_ratio})",
-    )
     p.add_argument(
         "--no-double-input", action="store_true",
         help="skip the initial 2x upsampling of the input image",
@@ -76,13 +61,7 @@ def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -
 
 
 def _detector_cfg(args: argparse.Namespace) -> DetectorConfig:
-    return DetectorConfig(
-        scales_per_octave=args.scales_per_octave,
-        base_sigma=args.base_sigma,
-        contrast_threshold=args.contrast_threshold,
-        edge_ratio=args.edge_ratio,
-        double_input=not args.no_double_input,
-    )
+    return DetectorConfig(double_input=not args.no_double_input)
 
 
 def _match_cfg(args: argparse.Namespace) -> MatchConfig:
@@ -115,8 +94,8 @@ def _load_or_new_db(path: Path, det: DetectorConfig) -> GalleryDb:
 def cmd_extract(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
     image = Path(args.image)
-    subject = args.subject or image.stem
-    image_id = args.image_id or image.stem
+    subject = image.stem if args.subject is None else args.subject
+    image_id = image.stem if args.image_id is None else args.image_id
     db = _load_or_new_db(Path(args.db), det)
     graph = _extract_graph(image, det, subject, image_id)
     save(merge(db, [graph]), args.db)
@@ -126,9 +105,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 def cmd_enroll(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
-    rows = [r for r in read_manifest(args.manifest) if r.role == args.role]
+    rows = [r for r in read_manifest(args.manifest) if r.role == "train"]
     if not rows:
-        raise GraphSiftError(f"{args.manifest}: no rows with role {args.role!r}")
+        raise GraphSiftError(f"{args.manifest}: no rows with role 'train'")
     db = _load_or_new_db(Path(args.db), det)
     graphs = []
     for row in rows:
@@ -251,11 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_flags(p)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("enroll", help="batch-extract manifest rows into a db")
+    p = sub.add_parser("enroll", help="batch-extract a manifest's train rows into a db")
     p.add_argument("manifest", help="corpus manifest CSV")
     p.add_argument("--db", required=True)
-    p.add_argument("--role", default="train", choices=["train", "test"],
-                   help="manifest role to enroll (default train)")
     _add_detector_flags(p)
     p.set_defaults(func=cmd_enroll)
 

@@ -39,11 +39,6 @@ class GrayImage:
     def height(self) -> int:
         return self.pixels.shape[0]
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major intensity vector of length width*height."""
-        return self.pixels.reshape(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GrayImage):
             return NotImplemented
@@ -135,7 +130,7 @@ def histogram_equalize(img: GrayImage) -> GrayImage:
     nonzero CDF value; ties round up. A constant image (the only case
     where the denominator vanishes) is returned unchanged.
     """
-    hist = np.bincount(img.data, minlength=256)
+    hist = np.bincount(img.pixels.ravel(), minlength=256)
     cdf = np.cumsum(hist)
     n = int(cdf[-1])
     cdf_min = int(cdf[np.flatnonzero(hist)[0]])

@@ -40,15 +40,16 @@ ROW_LEN = 4 + DESCRIPTOR_LEN
 class Keypoints:
     """Detected features as one read-only float32 table, one row each.
 
-    ``rows`` is a C-contiguous (n, ROW_LEN) array. Its columns are
-    ``x``/``y``, sub-pixel input-image coordinates (x = column,
-    y = row), ``scale``, the absolute detection sigma in input-image
-    units, ``orientation``, the dominant gradient direction in
-    [0, 2*pi), and the 128 ``descriptors`` values. A row is exactly the
-    per-keypoint record the gallery store writes. The constructor takes
-    a private float32 copy of any (n, ROW_LEN) array; a value that is
-    NaN or infinite there raises NonFiniteKeypoint, and a scale of 0 or
-    less, whose log a graph's edges would take, NonPositiveScale.
+    ``rows`` is a C-contiguous (n, ROW_LEN) array. Its columns are x
+    and y, sub-pixel input-image coordinates (x = column, y = row),
+    ``scale``, the absolute detection sigma in input-image units,
+    orientation, the dominant gradient direction in [0, 2*pi), and the
+    128 ``descriptors`` values; the two named ones are read-only views.
+    A row is exactly the per-keypoint record the gallery store writes.
+    The constructor takes a private float32 copy of any (n, ROW_LEN)
+    array; a value that is NaN or infinite there raises
+    NonFiniteKeypoint, and a scale of 0 or less, whose log a graph's
+    edges would take, NonPositiveScale.
     """
 
     rows: np.ndarray
@@ -66,12 +67,7 @@ class Keypoints:
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
-    # read-only views of the table's columns
-    x = property(lambda self: self.rows[:, 0])
-    y = property(lambda self: self.rows[:, 1])
-    xy = property(lambda self: self.rows[:, :2])
     scale = property(lambda self: self.rows[:, 2])
-    orientation = property(lambda self: self.rows[:, 3])
     descriptors = property(lambda self: self.rows[:, 4:])
 
     def __len__(self) -> int:

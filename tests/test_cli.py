@@ -75,12 +75,18 @@ class TestExtract:
         assert "duplicate" in capsys.readouterr().err
 
     def test_whitespace_subject_fails(self, cli_corpus, tmp_path, capsys):
-        # a line break in the id would split identify's output and the export
+        # a line break in the id would split identify's output and the
+        # export; an explicit empty id must not fall back to the stem
         db = tmp_path / "ws.db"
         img = str(cli_corpus / "s000_i00.pgm")
-        assert main(["extract", img, "--db", str(db), "--subject", "c\nd"]) == 1
-        assert "whitespace" in capsys.readouterr().err
-        assert not db.exists()
+        for flag, value, message in [
+            ("--subject", "c\nd", "whitespace"),
+            ("--subject", "", "subject id is empty"),
+            ("--image-id", "", "image id is empty"),
+        ]:
+            assert main(["extract", img, "--db", str(db), flag, value]) == 1
+            assert message in capsys.readouterr().err
+            assert not db.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["extract", str(tmp_path / "no.pgm"), "--db", str(tmp_path / "x.db")])
@@ -172,7 +178,7 @@ class TestIdentify:
     def test_config_mismatch_fails(self, cli_corpus, enrolled_db, capsys):
         code = main([
             "identify", str(cli_corpus / "s000_i00.pgm"), "--db", str(enrolled_db),
-            "--base-sigma", "2.0",
+            "--no-double-input",
         ])
         assert code == 1
         assert "different detector config" in capsys.readouterr().err
@@ -273,10 +279,6 @@ class TestParsing:
     @pytest.mark.parametrize(
         "argv,field",
         [
-            pytest.param(["--scales-per-octave", "0"], "scales_per_octave", id="scales"),
-            pytest.param(["--base-sigma", "nan"], "base_sigma", id="sigma"),
-            pytest.param(["--contrast-threshold", "2"], "contrast_threshold", id="contrast"),
-            pytest.param(["--edge-ratio", "0"], "edge_ratio", id="edge"),
             pytest.param(["--ratio", "1.5"], "ratio", id="ratio"),
             pytest.param(["--seed", "-1"], "seed", id="seed"),
             pytest.param(["--images", "0"], "images_per_subject", id="images"),
@@ -308,15 +310,27 @@ class TestParsing:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [["--blend", "0.3"], ["--multipliers", "1", "2", "3"]],
-        ids=["blend", "multipliers"],
+        "command,argv",
+        [
+            pytest.param("match", ["--blend", "0.3"], id="blend"),
+            pytest.param("match", ["--multipliers", "1", "2", "3"], id="multipliers"),
+            pytest.param("match", ["--scales-per-octave", "3"], id="scales"),
+            pytest.param("match", ["--base-sigma", "1.6"], id="sigma"),
+            pytest.param("match", ["--contrast-threshold", "0.03"], id="contrast"),
+            pytest.param("match", ["--edge-ratio", "10"], id="edge"),
+            pytest.param("enroll", ["--role", "test"], id="role"),
+        ],
     )
-    def test_fixed_weights_take_no_flag(self, cli_corpus, capsys, argv):
-        # the band weights and the even blend are the paper's constants
+    def test_fixed_weights_take_no_flag(self, cli_corpus, tmp_path, capsys, command, argv):
+        # the band weights, the even blend and standard SIFT's values
+        # are fixed, and enroll always takes the manifest's train rows
         img = str(cli_corpus / "s000_i00.pgm")
+        prefix = {
+            "match": ["match", img, img],
+            "enroll": ["enroll", str(cli_corpus / "manifest.csv"), "--db", str(tmp_path / "g.db")],
+        }[command]
         with pytest.raises(SystemExit) as exc:
-            main(["match", img, img] + argv)
+            main(prefix + argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -150,8 +150,8 @@ class TestBuildGraph:
         ])
         g = build_graph(kps, "s", "i")
         x, y, theta, logscale = g.geometry
-        assert np.column_stack([x, y]).tolist() == kps.xy.tolist()
-        assert theta.tolist() == kps.orientation.tolist()
+        assert np.column_stack([x, y]).tolist() == kps.rows[:, :2].tolist()
+        assert theta.tolist() == kps.rows[:, 3].tolist()
         assert logscale.tolist() == [math.log(s) for s in kps.scale.tolist()]
         assert np.array_equal(g.descriptors, kps.descriptors)
         for name, want in derived_oracle(kps).items():

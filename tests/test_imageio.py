@@ -45,7 +45,7 @@ class TestLoadPgm:
         p.write_bytes(pgm_bytes(2, 2, bytes([0, 85, 170, 255])))
         img = load_image(p)
         assert img.width == 2 and img.height == 2
-        assert list(img.data) == [0, 85, 170, 255]
+        assert list(img.pixels.ravel()) == [0, 85, 170, 255]
 
     def test_comments_in_header(self, tmp_path):
         p = tmp_path / "t.pgm"
@@ -141,7 +141,7 @@ class TestEqualize:
         out = histogram_equalize(img)
         # cdf: 10 -> 1, 20 -> 3, 30 -> 4; cdf_min = 1, N = 4
         # L(10) = round(255*0/3) = 0, L(20) = round(255*2/3) = 170, L(30) = 255
-        assert list(out.data) == [0, 170, 170, 255]
+        assert list(out.pixels.ravel()) == [0, 170, 170, 255]
         assert np.array_equal(out.pixels, equalize_oracle(img.pixels))
 
     def test_matches_oracle_random(self):

@@ -1,7 +1,6 @@
 """End-to-end feature extraction invariants."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -51,12 +50,12 @@ class TestExtractFeatures:
     def test_keypoints_in_bounds_sorted_unique(self):
         img = texture_image(1, 1)
         kps = extract_features(img)
-        columns = (kps.y, kps.x, kps.scale, kps.orientation)
-        keys = list(zip(*(col.tolist() for col in columns)))
+        keys = list(map(tuple, kps.rows[:, [1, 0, 2, 3]].tolist()))
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
-        assert np.all((0.0 <= kps.x) & (kps.x < img.width))
-        assert np.all((0.0 <= kps.y) & (kps.y < img.height))
+        x, y = kps.rows[:, 0], kps.rows[:, 1]
+        assert np.all((0.0 <= x) & (x < img.width))
+        assert np.all((0.0 <= y) & (y < img.height))
         assert np.all(kps.scale > 0.0)
 
     def test_translation_equivariance(self):
@@ -69,10 +68,10 @@ class TestExtractFeatures:
         )
         kp_base = extract_features(base)
         kp_moved = extract_features(moved)
-        moved_xy = kp_moved.xy.tolist()
+        moved_xy = kp_moved.rows[:, :2].tolist()
         margin = 24.0  # ignore content near borders where windows differ
         interior = [
-            (x, y) for x, y in kp_base.xy.tolist()
+            (x, y) for x, y in kp_base.rows[:, :2].tolist()
             if margin < x < 128 - margin - 16 and margin < y < 128 - margin - 8
         ]
         matched = 0
@@ -98,8 +97,6 @@ class TestExtractFeatures:
 PIN_CONFIGS = {
     "default": {},
     "single": {"double_input": False},
-    "s2": {"scales_per_octave": 2},
-    "s4": {"scales_per_octave": 4},
 }
 KEYPOINT_TABLE_SHA256 = {
     ("default", 0, 64): "a7ad2dce9b083e76dfdc7927a0e9817e54f7b66b9d3c5486fe1ffdd02af4cff6",
@@ -108,12 +105,6 @@ KEYPOINT_TABLE_SHA256 = {
     ("single", 0, 64): "f74517f498d9986d1f9254b4c180bc456bcb743134ba175d5ce2479da5e6864a",
     ("single", 1, 128): "f34ded9e909deb6f1aff6c402536ad1b6f48127146da31df19a15d50bbbd8881",
     ("single", 2, 256): "ac26a520edb1c05703579561ad71f8cf11139d455c3e28bd5f4faa68ff64f853",
-    ("s2", 0, 64): "6586001b0f5d1bdafd3d79815180ae064270496063b7e2b2a666ed4d2a65fac0",
-    ("s2", 1, 128): "21ed23bbb31fb4b2497dd876a63321d72efc79bdb8b32f0b9dcee0c00f5bbc2c",
-    ("s2", 2, 256): "9c3632686870d4fa9a5008623baaa78db5f8f386270f3a31cd4134e62b2c93b2",
-    ("s4", 0, 64): "7e95ef45fc7f4aac9290cdb1556b675c84dfa36f0b44f881433cbc7988b3975f",
-    ("s4", 1, 128): "b0636c260d18fe133a9b842ef7ca9ca67dd9d1f9ba306bac70bc33ac4b7158fc",
-    ("s4", 2, 256): "2ef824e36c8a159ab2398ce4885f0711cfe6573fdd1e55f41bb77dd0674e8f4a",
 }
 
 
@@ -230,54 +221,17 @@ class TestDetectorConfig:
         # every one of them fail the identify digest check
         assert DetectorConfig().to_text() == DEFAULT_TEXT
         assert DetectorConfig().digest() == 0xF8D243CE070BC5DA
-        assert DetectorConfig(base_sigma=2.0).digest() == 0x27B346B216E72F32
+        assert DetectorConfig(double_input=False).digest() == 0x286464ACFD51A5B0
 
     @pytest.mark.parametrize(
         "name",
-        ["assumed_blur", "max_octaves", "orientation_bins", "peak_ratio",
+        ["scales_per_octave", "base_sigma", "assumed_blur", "max_octaves",
+         "contrast_threshold", "edge_ratio", "orientation_bins", "peak_ratio",
          "descriptor_grid", "descriptor_bins", "descriptor_clamp"],
     )
     def test_fixed_constants_not_settable(self, name):
         with pytest.raises(TypeError):
             DetectorConfig(**{name: getattr(DetectorConfig, name)})
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"scales_per_octave": 3.0},
-            {"scales_per_octave": True},
-            {"base_sigma": math.inf},
-            {"base_sigma": math.nan},
-            {"edge_ratio": math.inf},
-            {"edge_ratio": math.nan},
-        ],
-        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
-    )
-    def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            DetectorConfig(**kwargs)
-
-    def test_int_base_sigma_digests_as_float(self):
-        cfg = DetectorConfig(base_sigma=2)
-        assert type(cfg.base_sigma) is float
-        assert cfg.to_text() == DetectorConfig(base_sigma=2.0).to_text()
-        assert cfg.digest() == 0x27B346B216E72F32
-
-    def test_int_edge_ratio_keeps_default_digest(self):
-        cfg = DetectorConfig(edge_ratio=10)
-        assert type(cfg.edge_ratio) is float
-        assert cfg.to_text() == DEFAULT_TEXT
-        assert cfg.digest() == 0xF8D243CE070BC5DA
-
-    def test_numpy_int_keeps_default_digest(self):
-        cfg = DetectorConfig(scales_per_octave=np.int64(3))
-        assert type(cfg.scales_per_octave) is int
-        assert cfg.digest() == DetectorConfig().digest()
-
-    @pytest.mark.parametrize("name", ["base_sigma", "contrast_threshold", "edge_ratio"])
-    def test_bool_real_field_rejected(self, name):
-        with pytest.raises(ValueError, match=name):
-            DetectorConfig(**{name: True})
 
     @pytest.mark.parametrize("value", [0, 1, np.True_])
     def test_double_input_must_be_bool(self, value):

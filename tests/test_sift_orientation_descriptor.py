@@ -237,7 +237,7 @@ class TestOrientation:
 
     def test_orientation_range(self):
         img = histogram_equalize(render_texture(subject_texture(11, 4, 64), 64))
-        theta = extract_features(img).orientation
+        theta = extract_features(img).rows[:, 3]
         assert np.all((0.0 <= theta) & (theta < 2.0 * math.pi))
 
 
@@ -395,10 +395,10 @@ class TestDescriptor:
         )
         c = (128 - 1) / 2.0
         cos_a, sin_a = math.cos(angle), math.sin(angle)
-        wx, wy, wo = warped.x.tolist(), warped.y.tolist(), warped.orientation.tolist()
+        wx, wy, wo = warped.rows[:, [0, 1, 3]].T.tolist()
         close = total = 0
         for i, (x, y, o) in enumerate(
-            zip(base.x.tolist(), base.y.tolist(), base.orientation.tolist())
+            zip(*base.rows[:, [0, 1, 3]].T.tolist())
         ):
             px = cos_a * (x - c) - sin_a * (y - c) + c
             py = sin_a * (x - c) + cos_a * (y - c) + c

@@ -309,10 +309,10 @@ class TestExportText:
                 fields = next(it).split(" ")
                 assert fields[0] == g.subject_id
                 assert fields[1] == g.image_id
-                assert np.float32(fields[2]) == kps.x[i]
-                assert np.float32(fields[3]) == kps.y[i]
+                assert np.float32(fields[2]) == kps.rows[i, 0]
+                assert np.float32(fields[3]) == kps.rows[i, 1]
                 assert np.float32(fields[4]) == kps.scale[i]
-                assert np.float32(fields[5]) == kps.orientation[i]
+                assert np.float32(fields[5]) == kps.rows[i, 3]
                 parsed = np.array(fields[6:], dtype=np.float32)
                 assert np.array_equal(parsed, kps.descriptors[i])
 
