@@ -25,7 +25,15 @@ from .facegraph import FaceGraph, build_graph
 from .imageio import histogram_equalize, load_image
 from .matcher import REPORT_HEADER, Constraint, identify, match, report_row
 from .sift import extract_features
-from .store import FORMAT_VERSION, GalleryDb, export_text, load, merge, save
+from .store import (
+    FORMAT_VERSION,
+    GalleryDb,
+    _check_keys,
+    export_text,
+    load,
+    merge,
+    save,
+)
 
 
 def _non_negative_int(text: str) -> int:
@@ -97,6 +105,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
     subject = image.stem if args.subject is None else args.subject
     image_id = image.stem if args.image_id is None else args.image_id
     db = _load_or_new_db(Path(args.db), det)
+    # the gallery's id rule, checked before the extraction it would waste
+    _check_keys(db.entries, ((subject, image_id),))
     graph = _extract_graph(image, det, subject, image_id)
     save(merge(db, [graph]), args.db)
     print(f"{image}: {graph.n_vertices} keypoints -> {args.db}")
@@ -109,6 +119,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
     if not rows:
         raise GraphSiftError(f"{args.manifest}: no rows with role 'train'")
     db = _load_or_new_db(Path(args.db), det)
+    _check_keys(db.entries, tuple((r.subject_id, r.image_id) for r in rows))
     graphs = []
     for row in rows:
         g = _extract_graph(row.image_path, det, row.subject_id, row.image_id)

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .config import DESCRIPTOR_LEN, MatchConfig
 from .errors import TooFewKeypoints
@@ -58,7 +57,8 @@ class FaceGraph:
     (half of each descriptor's squared norm, the form the matching
     estimate adds), ``geometry`` (4 x n rows x, y, theta and logscale,
     the natural log of each scale) and ``diameter``, the maximum
-    pairwise endpoint distance. The largest squared norm, which the
+    pairwise endpoint distance, computed as scipy's ``cdist`` computes
+    it (see ``_diameter``). The largest squared norm, which the
     matching error bound reads, is kept privately beside them.
     """
 
@@ -76,7 +76,8 @@ class FaceGraph:
         n = len(kps)
         if n < 2:
             raise TooFewKeypoints(
-                f"{self.image_id!r}: got {n} keypoints, need at least 2"
+                f"{self.image_id!r}: got {n} keypoint{'' if n == 1 else 's'}, "
+                "need at least 2"
             )
         # one descriptor per column, so exact distances gather columns
         by_dim = kps.descriptors.T.astype(np.float64, order="C")
@@ -85,7 +86,6 @@ class FaceGraph:
         # float32 scales, which would move scores
         geometry = kps.rows.T[[0, 1, 3, 2]].astype(np.float64)
         geometry[3] = np.fromiter(map(math.log, kps.scale.tolist()), float, n)
-        xy = geometry[:2].T
         # in any summation order: the matching bound allows for it
         sq_norms = np.einsum("ij,ij->j", by_dim, by_dim)
         sq_norm_max = float(sq_norms.max())
@@ -94,7 +94,7 @@ class FaceGraph:
             "descriptors": by_dim.T,
             "half_sq_norms": sq_norms,
             "geometry": geometry,
-            "diameter": float(cdist(xy, xy).max()),
+            "diameter": _diameter(geometry[0], geometry[1]),
             "_sq_norm_max": sq_norm_max,
         }
         for name, value in derived.items():
@@ -103,6 +103,33 @@ class FaceGraph:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+
+# Vertices per block of rows in _diameter: a face graph of up to 128
+# vertices takes one block, and on a larger graph a block's two float64
+# temporaries (2 * 128 * n values) stay in cache where a full n x n
+# pair would not.
+_DIAMETER_ROWS = 128
+
+
+def _diameter(x: np.ndarray, y: np.ndarray) -> float:
+    """The maximum pairwise distance between the points (x, y), as
+    ``cdist(xy, xy).max()`` computes it: ``(dx*dx) + (dy*dy)`` per pair
+    in float64, then the square root. sqrt is correctly rounded and
+    monotonic, so the root of the maximum equals the maximum root.
+    Each block of rows meets only the columns from its first row on,
+    which covers every unordered pair once.
+    """
+    largest = 0.0
+    for i in range(0, len(x), _DIAMETER_ROWS):
+        rows = slice(i, i + _DIAMETER_ROWS)
+        dx = np.subtract.outer(x[rows], x[i:])
+        dx *= dx
+        dy = np.subtract.outer(y[rows], y[i:])
+        dy *= dy
+        dx += dy
+        largest = max(largest, float(dx.max()))
+    return math.sqrt(largest)
 
 
 def build_graph(kps: Keypoints, subject_id: str, image_id: str) -> FaceGraph:

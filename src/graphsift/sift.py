@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .config import DESCRIPTOR_LEN, DetectorConfig
 from .errors import ImageTooSmall, NonFiniteKeypoint, NonPositiveScale
@@ -150,6 +149,9 @@ def _upsample2x(a: np.ndarray) -> np.ndarray:
 
 
 def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    # imported on first use: it costs more to import than all of graphsift
+    from scipy import ndimage
+
     return ndimage.gaussian_filter(
         a, sigma, mode="mirror", truncate=_GAUSS_TRUNCATE
     )

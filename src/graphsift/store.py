@@ -60,20 +60,30 @@ class GalleryDb:
     entries: tuple[FaceGraph, ...]
 
     def __post_init__(self):
-        keys = [(g.subject_id, g.image_id) for g in self.entries]
-        for key in keys:
-            for name, text in zip(("subject id", "image id"), key):
-                if not text:
-                    raise StoreError(f"{name} is empty")
-                if any(c.isspace() for c in text):
-                    raise StoreError(f"{name} {text!r} holds whitespace")
-                if "," in text:
-                    raise StoreError(f"{name} {text!r} holds a comma")
-        if len(set(keys)) != len(keys):
-            raise StoreError("duplicate (subject_id, image_id) in gallery")
+        _check_keys(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _check_keys(
+    entries: tuple[FaceGraph, ...], new_keys: tuple[tuple[str, str], ...] = ()
+) -> None:
+    """GalleryDb's id rule over its entries' keys and any planned
+    (subject_id, image_id) keys, so that a caller can check ids before
+    it builds their graphs: raises StoreError for an empty id, one
+    holding whitespace or a comma, or a repeated key."""
+    keys = [(g.subject_id, g.image_id) for g in entries] + list(new_keys)
+    for key in keys:
+        for name, text in zip(("subject id", "image id"), key):
+            if not text:
+                raise StoreError(f"{name} is empty")
+            if any(c.isspace() for c in text):
+                raise StoreError(f"{name} {text!r} holds whitespace")
+            if "," in text:
+                raise StoreError(f"{name} {text!r} holds a comma")
+    if len(set(keys)) != len(keys):
+        raise StoreError("duplicate (subject_id, image_id) in gallery")
 
 
 def merge(db: GalleryDb, graphs: list[FaceGraph]) -> GalleryDb:

@@ -5,7 +5,9 @@ corpus is the expensive step, so it happens once per session; tests
 treat the resulting graphs as read-only. The scalar edge-attribute
 reference (``edge_attr``) is the oracle for the library's vectorized
 ``edge_component_arrays``, and ``derived_oracle`` the per-keypoint
-derivation of a graph's arrays that ``FaceGraph`` does on whole columns.
+derivation of a graph's arrays that ``FaceGraph`` does on whole columns,
+with scipy's ``cdist`` as the reference for the diameter;
+``diameter_edge_tables`` holds the inputs at the diameter's edges.
 ``dense_nearest`` and ``dense_mutual`` are the dense distance-matrix
 path (one ``cdist`` per pair) that the library's exact nearest-neighbour
 search must reproduce bit for bit, and ``descriptor_pairs`` draws the
@@ -112,6 +114,21 @@ def derived_oracle(kps: Keypoints) -> dict:
         ]),
         "diameter": float(cdist(xy, xy).max()),
     }
+
+
+def diameter_edge_tables() -> list[Keypoints]:
+    """Tables at the edges of the diameter: coincident vertices (0.0, so
+    edge lengths are left undivided), exactly two vertices, and float32
+    coordinates near 1e6, where squared coordinates reach 1e12. The last
+    table's seed makes ``np.hypot`` give a diameter one ulp off
+    ``cdist``'s, so a diameter computed another way shows here."""
+    rng = np.random.default_rng(34)
+    near_1e6 = 1e6 + rng.uniform(-40.0, 40.0, (9, 2))
+    return [
+        table([kp_at(5.0, 7.0)] * 3),
+        table([kp_at(0.0, 0.0), kp_at(3.0, 4.0)]),
+        table([kp_at(x, y) for x, y in near_1e6]),
+    ]
 
 
 def wrap_angle(a: float) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import graphsift
+from graphsift import cli
 from graphsift.cli import main
 from graphsift.config import DetectorConfig
 from graphsift.imageio import GrayImage, save_pgm
@@ -32,6 +33,21 @@ def enrolled_db(cli_corpus, tmp_path_factory):
     code = main(["enroll", str(cli_corpus / "manifest.csv"), "--db", str(db)])
     assert code == 0
     return db
+
+
+@pytest.fixture
+def extract_calls(monkeypatch):
+    """The arguments of every _extract_graph call the CLI makes, so a
+    test can show that a refused id cost no extraction."""
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return extract_graph(*args)
+
+    extract_graph = cli._extract_graph
+    monkeypatch.setattr(cli, "_extract_graph", counted)
+    return made
 
 
 class TestGenCorpus:
@@ -67,26 +83,31 @@ class TestExtract:
         assert db.exists()
         assert "keypoints" in capsys.readouterr().out
 
-    def test_duplicate_key_fails(self, cli_corpus, tmp_path, capsys):
+    def test_duplicate_key_fails(self, cli_corpus, tmp_path, capsys, extract_calls):
         db = tmp_path / "dup.db"
         img = str(cli_corpus / "s000_i00.pgm")
         assert main(["extract", img, "--db", str(db)]) == 0
         assert main(["extract", img, "--db", str(db)]) == 1
         assert "duplicate" in capsys.readouterr().err
+        # the key the db holds is refused before a second extraction
+        assert len(extract_calls) == 1
 
-    def test_whitespace_subject_fails(self, cli_corpus, tmp_path, capsys):
+    def test_whitespace_subject_fails(self, cli_corpus, tmp_path, capsys, extract_calls):
         # a line break in the id would split identify's output and the
         # export; an explicit empty id must not fall back to the stem
         db = tmp_path / "ws.db"
         img = str(cli_corpus / "s000_i00.pgm")
         for flag, value, message in [
             ("--subject", "c\nd", "whitespace"),
+            ("--subject", "a b", "subject id 'a b' holds whitespace"),
             ("--subject", "", "subject id is empty"),
             ("--image-id", "", "image id is empty"),
         ]:
             assert main(["extract", img, "--db", str(db), flag, value]) == 1
             assert message in capsys.readouterr().err
             assert not db.exists()
+        # every id is refused before the image is extracted
+        assert extract_calls == []
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["extract", str(tmp_path / "no.pgm"), "--db", str(tmp_path / "x.db")])
@@ -98,6 +119,31 @@ class TestExtract:
         save_pgm(GrayImage(np.full((64, 64), 120, dtype=np.uint8)), flat)
         assert main(["extract", str(flat), "--db", str(tmp_path / "x.db")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestEnroll:
+    @pytest.mark.parametrize("last_key, message", [
+        (("s003", ""), "image id is empty"),
+        (("s000", "i00"), "duplicate"),
+    ], ids=["empty_id", "repeated_key"])
+    def test_bad_last_row_extracts_nothing(
+        self, cli_corpus, tmp_path, capsys, extract_calls, last_key, message
+    ):
+        # the last train row is the one extracted last, so without the
+        # up-front check every other row would be extracted first
+        header, *rows = (cli_corpus / "manifest.csv").read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        for row in rows:
+            row[0] = str(cli_corpus / row[0])
+        last = max(i for i, row in enumerate(rows) if row[4] == "train")
+        rows[last][1:3] = last_key
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join([header, *map(",".join, rows)]) + "\n")
+        db = tmp_path / "g.db"
+        assert main(["enroll", str(manifest), "--db", str(db)]) == 1
+        assert message in capsys.readouterr().err
+        assert extract_calls == []
+        assert not db.exists()
 
 
 class TestIdentify:

@@ -21,6 +21,7 @@ from conftest import (
     derived_oracle,
     descriptor_graph,
     descriptor_pairs,
+    diameter_edge_tables,
     edge_attr,
     kp_at,
     random_graph,
@@ -87,11 +88,12 @@ class TestBuildGraph:
     def test_too_few_keypoints(self, n):
         # a graph needs an edge; FaceGraph owns the rule, build_graph
         # reaches it
+        got = {0: "got 0 keypoints,", 1: "got 1 keypoint,"}[n]
         rng = np.random.default_rng(1)
         kps = table([random_keypoint(rng) for _ in range(n)])
-        with pytest.raises(TooFewKeypoints, match=f"got {n} keypoints"):
+        with pytest.raises(TooFewKeypoints, match=got):
             build_graph(kps, "s", "i")
-        with pytest.raises(TooFewKeypoints, match=f"got {n} keypoints"):
+        with pytest.raises(TooFewKeypoints, match=got):
             FaceGraph(vertices=kps, subject_id="s", image_id="i")
 
     def test_equal_graphs_hash_equal(self):
@@ -156,6 +158,14 @@ class TestBuildGraph:
         assert np.array_equal(g.descriptors, kps.descriptors)
         for name, want in derived_oracle(kps).items():
             assert np.asarray(getattr(g, name)).tobytes() == np.asarray(want).tobytes()
+        edge_graphs = [build_graph(t, "s", "i") for t in diameter_edge_tables()]
+        for edge_g in edge_graphs:
+            for name, want in derived_oracle(edge_g.vertices).items():
+                got = np.asarray(getattr(edge_g, name))
+                assert got.tobytes() == np.asarray(want).tobytes(), name
+            edges = edge_component_arrays(edge_g, np.arange(edge_g.n_vertices))
+            assert np.isfinite(edges).all()
+        assert edge_graphs[0].diameter == 0.0
         # one descriptor per column of a C-contiguous array; x, y,
         # theta and logscale are the rows of one array
         assert g.descriptors.T.flags.c_contiguous

@@ -23,7 +23,7 @@ from graphsift.facegraph import build_graph
 from graphsift.sift import Keypoints
 from graphsift.store import FORMAT_VERSION, GalleryDb, export_text, load, merge, save
 
-from conftest import derived_oracle, random_graph
+from conftest import derived_oracle, diameter_edge_tables, random_graph
 
 
 def f32(lo, hi):
@@ -79,6 +79,7 @@ class TestRoundTrip:
 
     @settings(max_examples=40, deadline=None)
     @given(tables=st.lists(keypoint_tables(), min_size=1, max_size=3))
+    @example(tables=diameter_edge_tables())
     def test_tables_and_derived_arrays_round_trip(self, tmp_path_factory, tables):
         path = tmp_path_factory.mktemp("db") / "g.db"
         db = GalleryDb(
