@@ -9,7 +9,7 @@ constraint. Evaluation follows a two-group verification protocol with
 prior EER, threshold transfer, and weighted error rates.
 """
 
-from .config import DetectorConfig, MatchConfig
+from .config import DetectorConfig
 from .errors import GraphSiftError
 from .evaluation import ProtocolResult, run_protocol
 from .facegraph import FaceGraph, build_graph
@@ -28,7 +28,6 @@ __all__ = [
     "GrayImage",
     "GraphSiftError",
     "Keypoints",
-    "MatchConfig",
     "MatchScore",
     "ProtocolResult",
     "build_graph",

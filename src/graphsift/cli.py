@@ -5,10 +5,10 @@ All knobs are flags (no environment variables), every command is
 deterministic given its inputs, and any pipeline error exits 1 with a
 one-line diagnostic on standard error. The detector takes one flag,
 ``--no-double-input``; standard SIFT's other values are fixed (see
-DetectorConfig). Numeric flags only parse here: MatchConfig and
-generate_corpus check their ranges, so a value out of range exits 1
-with a message naming the setting, while one that does not parse as a
-number exits 2 from argparse.
+DetectorConfig), and so is the matcher's ratio test, at Lowe's 0.8.
+Numeric flags only parse here: generate_corpus checks their ranges, so
+a value out of range exits 1 with a message naming the setting, while
+one that does not parse as a number exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import DetectorConfig, MatchConfig
+from .config import DetectorConfig
 from .corpus import generate_corpus, read_manifest
 from .errors import EmptyGallery, GraphSiftError
 from .evaluation import run_protocol
@@ -51,14 +51,6 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_match_flags(p: argparse.ArgumentParser) -> None:
-    m = MatchConfig()
-    p.add_argument(
-        "--ratio", type=float, default=m.ratio,
-        help=f"nearest/second-nearest acceptance ratio (default {m.ratio})",
-    )
-
-
 def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -> None:
     choices = [c.value for c in Constraint] + (["both"] if allow_both else [])
     default = "both" if allow_both else "rpbmc"
@@ -70,10 +62,6 @@ def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -
 
 def _detector_cfg(args: argparse.Namespace) -> DetectorConfig:
     return DetectorConfig(double_input=not args.no_double_input)
-
-
-def _match_cfg(args: argparse.Namespace) -> MatchConfig:
-    return MatchConfig(ratio=args.ratio)
 
 
 def _extract_graph(
@@ -96,6 +84,9 @@ def _load_checked(path: str | Path, det: DetectorConfig) -> GalleryDb:
 def _load_or_new_db(path: Path, det: DetectorConfig) -> GalleryDb:
     if path.exists():
         return _load_checked(path, det)
+    # checked before the extractions a failed save would waste
+    if not path.parent.is_dir():
+        raise GraphSiftError(f"{path}: directory {path.parent} does not exist")
     return GalleryDb(detector_cfg_hash=det.digest(), entries=())
 
 
@@ -132,14 +123,13 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 def cmd_identify(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
-    mcfg = _match_cfg(args)
     db = _load_checked(args.db, det)
     if not db.entries:
         raise EmptyGallery(f"{args.db} holds no enrolled images")
     probe_path = Path(args.probe)
     probe = _extract_graph(probe_path, det, "?", probe_path.stem)
     constraint = Constraint(args.constraint)
-    ranking = identify(probe, list(db.entries), constraint, mcfg)
+    ranking = identify(probe, list(db.entries), constraint)
     if args.top > 0:
         ranking = ranking[: args.top]
     if args.csv:
@@ -155,10 +145,9 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
-    mcfg = _match_cfg(args)
     g1 = _extract_graph(Path(args.gallery_image), det, "gallery", Path(args.gallery_image).stem)
     g2 = _extract_graph(Path(args.probe_image), det, "probe", Path(args.probe_image).stem)
-    score = match(g1, g2, Constraint(args.constraint), mcfg)
+    score = match(g1, g2, Constraint(args.constraint))
     print(f"constraint: {score.constraint.value}")
     for name in (
         "vertex_raw", "edge_raw", "vertex_weighted", "edge_weighted", "combined",
@@ -171,7 +160,6 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     det = _detector_cfg(args)
-    mcfg = _match_cfg(args)
     rows = read_manifest(args.manifest)
     assignment = [(r.subject_id, r.group) for r in rows]
 
@@ -193,7 +181,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     summary = []
     for constraint in constraints:
         result = run_protocol(
-            gallery, probes, assignment, constraint, mcfg, out / constraint.value
+            gallery, probes, assignment, constraint, out / constraint.value
         )
         line = (
             f"{constraint.value}: average prior EER "
@@ -254,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print only the best N (default 0: all)")
     p.add_argument("--csv", action="store_true", help="machine-readable output")
     _add_detector_flags(p)
-    _add_match_flags(p)
     _add_constraint_flag(p)
     p.set_defaults(func=cmd_identify)
 
@@ -262,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gallery_image")
     p.add_argument("probe_image")
     _add_detector_flags(p)
-    _add_match_flags(p)
     _add_constraint_flag(p)
     p.set_defaults(func=cmd_match)
 
@@ -270,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="corpus manifest CSV")
     p.add_argument("--out", required=True, help="output directory for reports")
     _add_detector_flags(p)
-    _add_match_flags(p)
     _add_constraint_flag(p, allow_both=True)
     p.set_defaults(func=cmd_evaluate)
 

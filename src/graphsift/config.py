@@ -1,4 +1,4 @@
-"""Detector and matcher configuration, with a canonical text form.
+"""Detector configuration, with a canonical text form.
 
 The text form (one ``key=value`` per line, keys in declaration order,
 fixed constants included) is what a config's 64-bit digest hashes; the
@@ -13,15 +13,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 DESCRIPTOR_LEN = 128  # floats per descriptor in the gallery store
-
-
-def _real(name: str, value) -> float:
-    """value as a float; a bool or a non-real raises ValueError naming the
-    field. Storing floats makes an int render like the float it equals,
-    and keeps a config hashable."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, not {value!r}")
-    return float(value)
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -84,21 +75,3 @@ class DetectorConfig:
         """64-bit digest of the canonical text form."""
         h = hashlib.blake2b(self.to_text().encode("utf-8"), digest_size=8)
         return int.from_bytes(h.digest(), "little")
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    """Graph matching parameters.
-
-    ``ratio`` is the nearest/second-nearest acceptance ratio for
-    correspondences. The score's band weights, and its even split
-    between the vertex and edge terms, are the paper's fixed values
-    (see matcher).
-    """
-
-    ratio: float = 0.8
-
-    def __post_init__(self):
-        object.__setattr__(self, "ratio", _real("ratio", self.ratio))
-        if not 0 < self.ratio <= 1:
-            raise ValueError("ratio must be in (0, 1]")

@@ -23,7 +23,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import MatchConfig
 from .errors import DegenerateScores, GroupOverlap, InsufficientClaims
 from .facegraph import FaceGraph
 from .matcher import Constraint, _csv_field, match
@@ -150,7 +149,6 @@ def generate_scores(
     probes: list[FaceGraph],
     groups: Mapping[str, str],
     constraint: Constraint,
-    cfg: MatchConfig | None = None,
 ) -> list[ScoreRecord]:
     """All claims: every probe against every enrolled subject of its group.
 
@@ -171,7 +169,7 @@ def generate_scores(
             raise ValueError(f"no group assignment for subject {probe.subject_id!r}")
         for claimed in sorted(enrolled[group]):
             score = min(
-                match(g, probe, constraint, cfg).combined
+                match(g, probe, constraint).combined
                 for g in enrolled[group][claimed]
             )
             records.append(
@@ -208,13 +206,12 @@ def run_protocol(
     probes: list[FaceGraph],
     assignment: Mapping[str, str] | Iterable[tuple[str, str]],
     constraint: Constraint = Constraint.RPBMC,
-    cfg: MatchConfig | None = None,
     out_dir: str | Path | None = None,
 ) -> ProtocolResult:
     """Full two-group run: scores, per-group EER, dual threshold
     transfer, WER table; artifacts written under out_dir when given."""
     groups = normalize_groups(assignment)
-    records = generate_scores(gallery, probes, groups, constraint, cfg)
+    records = generate_scores(gallery, probes, groups, constraint)
     by_group = {g: [r for r in records if r.group == g] for g in GROUPS}
 
     eer: dict[str, float] = {}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DESCRIPTOR_LEN, MatchConfig
+from .config import DESCRIPTOR_LEN
 from .errors import TooFewKeypoints
 from .sift import Keypoints
 
@@ -222,6 +222,8 @@ def _gamma(k: int) -> float:
 
 
 _BOUND = 2.0 * _gamma(DESCRIPTOR_LEN + 4)
+# Lowe's nearest/second-nearest acceptance ratio (IJCV 2004).
+_RATIO = 0.8
 # For cdist's sums s1 <= s2, d1 < fl(ratio * d2) is certain where
 # s1 < ratio^2 * s2 * (1 - gamma_6) (two square roots and one product,
 # each a factor 1 + u, squared) and certainly false where
@@ -273,13 +275,13 @@ def _nearest(
     bound: float,
     at: np.ndarray,
     bt: np.ndarray,
-    cfg: MatchConfig | None = None,
+    ratio: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per row of ``h``: the column cdist + argmin would pick (the lowest
-    index among equal distances) and, given a config, whether the row
-    passes d1 < cfg.ratio * d2, d2 being the row's second smallest distance
-    (equal to d1 when the minimum repeats). Both graphs hold at least
-    two vertices, so ``h`` has at least two columns.
+    index among equal distances) and, given a ratio in (0, 1], whether
+    the row passes d1 < ratio * d2, d2 being the row's second smallest
+    distance (equal to d1 when the minimum repeats). Both graphs hold at
+    least two vertices, so ``h`` has at least two columns.
 
     ``at`` and ``bt`` hold the rows' and the columns' descriptors; ``h``
     is modified while this runs and restored before it returns. Rows the
@@ -294,11 +296,10 @@ def _nearest(
     h[rows, best] = math.inf
     h2 = h.min(axis=1)
     h[rows, best] = h1
-    if cfg is None:
+    if ratio is None:
         is_open = ~(h2 - h1 > 2.0 * bound)
         accepted = None
     else:
-        ratio = cfg.ratio
         ratio_sq = ratio * ratio
         accepted = h1 + bound < (h2 - bound) * (ratio_sq * (1.0 - _RATIO_MARGIN))
         rejected = h1 - bound > (h2 + bound) * (ratio_sq * (1.0 + _RATIO_MARGIN))
@@ -326,21 +327,19 @@ def nearest(g1: FaceGraph, g2: FaceGraph) -> tuple[np.ndarray, np.ndarray]:
     return best, _exact_distances(at, bt, None, best)
 
 
-def mutual_correspondence(
-    g1: FaceGraph, g2: FaceGraph, cfg: MatchConfig
-) -> CorrespondenceSet:
+def mutual_correspondence(g1: FaceGraph, g2: FaceGraph) -> CorrespondenceSet:
     """Pairs kept iff each endpoint is the other's nearest neighbor and
-    passes ``cfg``'s ratio test; one-to-one in both coordinates by
-    construction."""
+    passes Lowe's ratio test at ``_RATIO``; one-to-one in both
+    coordinates by construction."""
     at, bt = g1.descriptors.T, g2.descriptors.T
     h, bound = _half_squared(g1, g2, full=True)
-    fwd, fwd_ok = _nearest(h, bound, at, bt, cfg)
+    fwd, fwd_ok = _nearest(h, bound, at, bt, _RATIO)
     if not fwd_ok.any():
         # no row passes its ratio test, so no pair is mutual
         return CorrespondenceSet(
             pairs=np.empty((0, 2), dtype=np.intp), distances=np.empty(0)
         )
-    bwd, bwd_ok = _nearest(h.T, bound, bt, at, cfg)
+    bwd, bwd_ok = _nearest(h.T, bound, bt, at, _RATIO)
     rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))
     cols = fwd[rows]
     # the (k, 2) transpose of a (2, k) array; cheaper than column_stack

@@ -26,7 +26,6 @@ from enum import Enum
 
 import numpy as np
 
-from .config import MatchConfig
 from .errors import EmptyGallery
 from .facegraph import (
     CorrespondenceSet,
@@ -113,12 +112,11 @@ def gibmc_edge_score(
     return dists, float(dists.sum() / len(dists))
 
 
-def rpbmc_pairs(
-    g_gallery: FaceGraph, g_probe: FaceGraph, cfg: MatchConfig
-) -> CorrespondenceSet:
-    """Mutually-best vertex pairs under ``cfg``'s ratio test; strictly
-    one-to-one, since reciprocity leaves each vertex at most one pair."""
-    return mutual_correspondence(g_gallery, g_probe, cfg)
+def rpbmc_pairs(g_gallery: FaceGraph, g_probe: FaceGraph) -> CorrespondenceSet:
+    """Mutually-best vertex pairs that pass Lowe's ratio test at 0.8;
+    strictly one-to-one, since reciprocity leaves each vertex at most one
+    pair."""
+    return mutual_correspondence(g_gallery, g_probe)
 
 
 # The paper's weights for distances within 1, 2 and 3 sigma of the mean,
@@ -183,23 +181,16 @@ def weighted_mean(distances: np.ndarray | list[float]) -> float:
     return float(np.add.reduce(arr * mults) / kept)
 
 
-_DEFAULT_MATCH_CONFIG = MatchConfig()
-
-
 def match(
     g_gallery: FaceGraph,
     g_probe: FaceGraph,
     constraint: Constraint = Constraint.RPBMC,
-    cfg: MatchConfig | None = None,
 ) -> MatchScore:
     """Score one gallery/probe pair under the chosen constraint."""
-    if cfg is None:
-        cfg = _DEFAULT_MATCH_CONFIG
-
     if constraint is Constraint.GIBMC:
         vertex_dists, vertex_raw, pairs = gibmc_vertex_score(g_gallery, g_probe)
     else:
-        cs = rpbmc_pairs(g_gallery, g_probe, cfg)
+        cs = rpbmc_pairs(g_gallery, g_probe)
         if len(cs) < 2:
             # fewer than 2 mutual pairs: the reduced point sets cannot
             # form graphs, so the pair is maximally dissimilar
@@ -236,7 +227,6 @@ def identify(
     probe: FaceGraph,
     gallery: list[FaceGraph],
     constraint: Constraint = Constraint.RPBMC,
-    cfg: MatchConfig | None = None,
 ) -> list[tuple[str, MatchScore]]:
     """Rank gallery subjects by their best (lowest) combined score.
 
@@ -247,7 +237,7 @@ def identify(
         raise EmptyGallery("cannot identify against an empty gallery")
     best: dict[str, MatchScore] = {}
     for g in gallery:
-        score = match(g, probe, constraint, cfg)
+        score = match(g, probe, constraint)
         held = best.get(g.subject_id)
         if held is None or score.combined < held.combined:
             best[g.subject_id] = score

@@ -72,8 +72,10 @@ def _check_keys(
     """GalleryDb's id rule over its entries' keys and any planned
     (subject_id, image_id) keys, so that a caller can check ids before
     it builds their graphs: raises StoreError for an empty id, one
-    holding whitespace or a comma, or a repeated key."""
+    holding whitespace or a comma, or a repeated key (the first to repeat
+    is named)."""
     keys = [(g.subject_id, g.image_id) for g in entries] + list(new_keys)
+    seen = set()
     for key in keys:
         for name, text in zip(("subject id", "image id"), key):
             if not text:
@@ -82,8 +84,9 @@ def _check_keys(
                 raise StoreError(f"{name} {text!r} holds whitespace")
             if "," in text:
                 raise StoreError(f"{name} {text!r} holds a comma")
-    if len(set(keys)) != len(keys):
-        raise StoreError("duplicate (subject_id, image_id) in gallery")
+        if key in seen:
+            raise StoreError(f"duplicate (subject_id, image_id) {key} in gallery")
+        seen.add(key)
 
 
 def merge(db: GalleryDb, graphs: list[FaceGraph]) -> GalleryDb:

@@ -18,7 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from graphsift.config import MatchConfig
 from graphsift.corpus import read_manifest, render_texture, subject_texture
 from graphsift.evaluation import ScoreRecord, prior_eer, roc, run_protocol, wer
 from graphsift.facegraph import build_graph
@@ -102,7 +101,7 @@ def test_vertex_score_and_pairing_match_brute_force():
             ) / g1.n_vertices
             assert mean == pytest.approx(want, rel=1e-12)
 
-            got = [tuple(p) for p in rpbmc_pairs(g1, g2, MatchConfig()).pairs.tolist()]
+            got = [tuple(p) for p in rpbmc_pairs(g1, g2).pairs.tolist()]
             assert got == mutual_pairing_oracle(
                 g1.descriptors, g2.descriptors, 0.8
             )
@@ -131,7 +130,7 @@ def test_mutual_pairing_injective_across_corpus(corpus_graphs):
         violations = 0
         for g1 in graphs:
             for g2 in graphs:
-                cs = rpbmc_pairs(g1, g2, MatchConfig())
+                cs = rpbmc_pairs(g1, g2)
                 for col in cs.pairs.T:
                     violations += len(set(col.tolist())) != len(cs)
         assert violations == 0

@@ -88,7 +88,9 @@ class TestExtract:
         img = str(cli_corpus / "s000_i00.pgm")
         assert main(["extract", img, "--db", str(db)]) == 0
         assert main(["extract", img, "--db", str(db)]) == 1
-        assert "duplicate" in capsys.readouterr().err
+        assert "duplicate (subject_id, image_id) ('s000_i00', 's000_i00')" in (
+            capsys.readouterr().err
+        )
         # the key the db holds is refused before a second extraction
         assert len(extract_calls) == 1
 
@@ -124,7 +126,7 @@ class TestExtract:
 class TestEnroll:
     @pytest.mark.parametrize("last_key, message", [
         (("s003", ""), "image id is empty"),
-        (("s000", "i00"), "duplicate"),
+        (("s000", "i00"), "duplicate (subject_id, image_id) ('s000', 'i00')"),
     ], ids=["empty_id", "repeated_key"])
     def test_bad_last_row_extracts_nothing(
         self, cli_corpus, tmp_path, capsys, extract_calls, last_key, message
@@ -144,6 +146,22 @@ class TestEnroll:
         assert message in capsys.readouterr().err
         assert extract_calls == []
         assert not db.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "enroll"])
+def test_db_in_missing_directory_extracts_nothing(
+    cli_corpus, tmp_path, capsys, extract_calls, command
+):
+    # the save at the end would fail on the missing directory, naming
+    # its temporary file, after every image had been extracted
+    db = tmp_path / "missing_dir" / "g.db"
+    source = {"extract": "s000_i00.pgm", "enroll": "manifest.csv"}[command]
+    assert main([command, str(cli_corpus / source), "--db", str(db)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {db}:")
+    assert ".tmp" not in err
+    assert extract_calls == []
+    assert not db.parent.exists()
 
 
 class TestIdentify:
@@ -316,39 +334,30 @@ class TestParsing:
         assert exc.value.code == 0
         assert command in capsys.readouterr().out
 
-    def test_bad_ratio_rejected(self, cli_corpus, capsys):
-        # in range or not is MatchConfig's rule, so the library names it
-        img = str(cli_corpus / "s000_i00.pgm")
-        assert main(["match", img, img, "--ratio", "1.5"]) == 1
-        assert re.fullmatch(r"error: [^\n]*\bratio\b[^\n]*\n", capsys.readouterr().err)
-
     @pytest.mark.parametrize(
         "argv,field",
         [
-            pytest.param(["--ratio", "1.5"], "ratio", id="ratio"),
             pytest.param(["--seed", "-1"], "seed", id="seed"),
             pytest.param(["--images", "0"], "images_per_subject", id="images"),
             pytest.param(["--size", "0"], "size", id="size"),
             pytest.param(["--subjects", "1"], "n_subjects", id="subjects"),
         ],
     )
-    def test_out_of_range_value_names_field(self, cli_corpus, tmp_path, capsys, argv, field):
-        gen = field in ("seed", "images_per_subject", "size", "n_subjects")
+    def test_out_of_range_value_names_field(self, tmp_path, capsys, argv, field):
         out = tmp_path / "corpus"
-        img = str(cli_corpus / "s000_i00.pgm")
-        prefix = ["gen-corpus", "--out", str(out)] if gen else ["match", img, img]
-        assert main(prefix + argv) == 1
+        assert main(["gen-corpus", "--out", str(out)] + argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(rf"error: [^\n]*\b{field}\b[^\n]*\n", captured.err)
         assert not out.exists()
 
-    def test_unparsable_number_rejected(self, cli_corpus, capsys):
-        img = str(cli_corpus / "s000_i00.pgm")
+    def test_unparsable_number_rejected(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
         with pytest.raises(SystemExit) as exc:
-            main(["match", img, img, "--ratio", "abc"])
+            main(["gen-corpus", "--out", str(out), "--seed", "abc"])
         assert exc.value.code == 2
-        assert "--ratio" in capsys.readouterr().err
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -364,16 +373,23 @@ class TestParsing:
             pytest.param("match", ["--base-sigma", "1.6"], id="sigma"),
             pytest.param("match", ["--contrast-threshold", "0.03"], id="contrast"),
             pytest.param("match", ["--edge-ratio", "10"], id="edge"),
+            pytest.param("match", ["--ratio", "0.8"], id="ratio-match"),
+            pytest.param("identify", ["--ratio", "0.8"], id="ratio-identify"),
+            pytest.param("evaluate", ["--ratio", "0.8"], id="ratio-evaluate"),
             pytest.param("enroll", ["--role", "test"], id="role"),
         ],
     )
     def test_fixed_weights_take_no_flag(self, cli_corpus, tmp_path, capsys, command, argv):
-        # the band weights, the even blend and standard SIFT's values
-        # are fixed, and enroll always takes the manifest's train rows
+        # the band weights, the even blend, Lowe's ratio and standard
+        # SIFT's values are fixed, and enroll always takes the
+        # manifest's train rows
         img = str(cli_corpus / "s000_i00.pgm")
+        manifest = str(cli_corpus / "manifest.csv")
         prefix = {
             "match": ["match", img, img],
-            "enroll": ["enroll", str(cli_corpus / "manifest.csv"), "--db", str(tmp_path / "g.db")],
+            "identify": ["identify", img, "--db", str(tmp_path / "g.db")],
+            "evaluate": ["evaluate", manifest, "--out", str(tmp_path / "eval")],
+            "enroll": ["enroll", manifest, "--db", str(tmp_path / "g.db")],
         }[command]
         with pytest.raises(SystemExit) as exc:
             main(prefix + argv)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphsift import facegraph
-from graphsift.config import MatchConfig
 from graphsift.errors import NonFiniteKeypoint, NonPositiveScale, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
@@ -306,13 +305,14 @@ class TestEdgeIndexCache:
 
 
 class TestMutualCorrespondence:
-    def test_matches_oracle_random(self):
+    def test_matches_oracle_random(self, monkeypatch):
+        monkeypatch.setattr(facegraph, "_RATIO", 0.97)
         rng = np.random.default_rng(7)
         for _ in range(20):
             r1 = rng.random((rng.integers(2, 12), 128))
             r2 = rng.random((rng.integers(2, 12), 128))
             g1, g2 = graph_with_descriptors(r1), graph_with_descriptors(r2)
-            got = mutual_correspondence(g1, g2, MatchConfig(ratio=0.97))
+            got = mutual_correspondence(g1, g2)
             want = mutual_oracle(
                 r1.astype(np.float32), r2.astype(np.float32), 0.97
             )
@@ -331,9 +331,11 @@ class TestMutualCorrespondence:
         # and distances must be the dense path's to the bit, and the
         # pairing one-to-one.
         g1, g2 = (descriptor_graph(r) for r in rows)
-        # only the 1e160 rows overflow, in both paths alike
-        with np.errstate(over="ignore", invalid="ignore"):
-            cs = mutual_correspondence(g1, g2, MatchConfig(ratio=ratio))
+        # a @given test cannot take the function-scoped monkeypatch
+        # fixture; only the 1e160 rows overflow, in both paths alike
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(facegraph, "_RATIO", ratio)
+            cs = mutual_correspondence(g1, g2)
             want_pairs, want_distances = dense_mutual(g1, g2, ratio)
         assert cs.pairs.shape == want_pairs.shape
         assert cs.pairs.tobytes() == want_pairs.tobytes()
@@ -347,24 +349,26 @@ class TestMutualCorrespondence:
             assert cs.distances.tolist() == [d for _, _, d in want]
 
     @pytest.mark.parametrize("ratio", [0.01])
-    def test_empty_set_typed_like_a_full_one(self, ratio):
+    def test_empty_set_typed_like_a_full_one(self, monkeypatch, ratio):
         # no forward row passes, so the set is returned before the
         # backward search; it must look like the full path's empty set
+        monkeypatch.setattr(facegraph, "_RATIO", ratio)
         rng = np.random.default_rng(9)
         g1, g2 = random_graph(rng, 7), random_graph(rng, 5)
-        cs = mutual_correspondence(g1, g2, MatchConfig(ratio=ratio))
+        cs = mutual_correspondence(g1, g2)
         want_pairs, want_distances = dense_mutual(g1, g2, ratio)
         assert len(want_pairs) == 0
         for got, want in ((cs.pairs, want_pairs), (cs.distances, want_distances)):
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert (cs.pairs.dtype, cs.pairs.shape) == (np.intp, (0, 2))
 
-    def test_subset_of_directional_and_injective(self):
+    def test_subset_of_directional_and_injective(self, monkeypatch):
+        monkeypatch.setattr(facegraph, "_RATIO", 0.99)
         rng = np.random.default_rng(8)
         for _ in range(10):
             g1 = random_graph(rng, int(rng.integers(3, 15)))
             g2 = random_graph(rng, int(rng.integers(3, 15)))
-            mutual = mutual_correspondence(g1, g2, MatchConfig(ratio=0.99))
+            mutual = mutual_correspondence(g1, g2)
             directional = ratio_oracle(g1.descriptors, g2.descriptors, 0.99)
             dir_pairs = {(i, j) for i, j, _ in directional}
             assert set(map(tuple, mutual.pairs.tolist())) <= dir_pairs
@@ -379,14 +383,14 @@ class TestMutualCorrespondence:
             np.tile(rng.random(128, dtype=np.float32), (2, 1))
         )
         # Second-nearest distance equals nearest, so nothing passes.
-        assert len(mutual_correspondence(g1, twins, MatchConfig())) == 0
+        assert len(mutual_correspondence(g1, twins)) == 0
 
-    def test_swap_symmetry(self):
+    def test_swap_symmetry(self, monkeypatch):
+        monkeypatch.setattr(facegraph, "_RATIO", 0.95)
         rng = np.random.default_rng(9)
         g1, g2 = random_graph(rng, 9), random_graph(rng, 11)
-        cfg = MatchConfig(ratio=0.95)
-        fwd = mutual_correspondence(g1, g2, cfg)
-        rev = mutual_correspondence(g2, g1, cfg)
+        fwd = mutual_correspondence(g1, g2)
+        rev = mutual_correspondence(g2, g1)
         assert fwd.pairs.tolist() == sorted(rev.pairs[:, ::-1].tolist())
         order = np.argsort(rev.pairs[:, 1])
         assert fwd.distances.tolist() == rev.distances[order].tolist()
@@ -394,6 +398,6 @@ class TestMutualCorrespondence:
     def test_self_match_is_identity_with_zero_distance(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, 8)
-        cs = mutual_correspondence(g, g, MatchConfig())
+        cs = mutual_correspondence(g, g)
         assert cs.pairs.tolist() == [[i, i] for i in range(8)]
         assert cs.distances.tolist() == [0.0] * 8

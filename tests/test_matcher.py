@@ -10,8 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from graphsift import evaluation, matcher
-from graphsift.config import MatchConfig
+from graphsift import evaluation, facegraph, matcher
 from graphsift.errors import EmptyGallery
 from graphsift.facegraph import (
     build_graph,
@@ -205,7 +204,7 @@ class TestVertexScore:
         want = dist[0, 0]
         sq = (ga.descriptors[0] - gb.descriptors[0])[:, None] ** 2
         assert np.sqrt(np.add.reduce(sq, axis=0))[0] != want
-        cs = mutual_correspondence(ga, gb, MatchConfig())
+        cs = mutual_correspondence(ga, gb)
         assert cs.pairs.tolist() == [[0, 0]]
         assert cs.distances.tobytes() == np.float64(want).tobytes()
         assert gibmc_vertex_score(ga, gb)[0].tobytes() == dist.min(axis=1).tobytes()
@@ -347,14 +346,36 @@ class TestEdgeScore:
 
 
 class TestRpbmcPairs:
-    def test_equals_mutual_correspondence(self):
+    def test_equals_mutual_correspondence(self, monkeypatch):
+        monkeypatch.setattr(facegraph, "_RATIO", 0.95)
         rng = np.random.default_rng(29)
         g1, g2 = random_graph(rng, 10), random_graph(rng, 12)
-        cfg = MatchConfig(ratio=0.95)
-        got = rpbmc_pairs(g1, g2, cfg)
-        want = mutual_correspondence(g1, g2, cfg)
+        got = rpbmc_pairs(g1, g2)
+        want = mutual_correspondence(g1, g2)
         assert np.array_equal(got.pairs, want.pairs)
         assert np.array_equal(got.distances, want.distances)
+
+    def test_ratio_is_lowes(self):
+        # Far-apart clusters on axes 10-13. In the first two a gallery
+        # vertex has its nearest probe vertex along axis 0, at the
+        # float32 neighbours of 0.8 below and above, and its second
+        # nearest at 1.0 along axis 1; the other two are exact copies.
+        # Only d1/d2 below 0.8 passes Lowe's ratio test.
+        below = float(np.nextafter(np.float32(0.8), np.float32(0)))
+        above = float(np.float32(0.8))
+        assert below < 0.8 < above
+        e = 100.0 * np.eye(128, dtype=np.float32)
+        unit = np.eye(128, dtype=np.float32)
+        gallery = graph_from_rows([e[10], e[11], e[12], e[13]])
+        probe = graph_from_rows([
+            e[10] + below * unit[0], e[10] + unit[1],
+            e[11] + above * unit[0], e[11] + unit[1],
+            e[12], e[13],
+        ])
+        assert rpbmc_pairs(gallery, probe).pairs.tolist() == [[0, 0], [2, 4], [3, 5]]
+        s = match(gallery, probe, Constraint.RPBMC)
+        assert s.n_vertex_pairs == 3
+        assert s.vertex_raw == below / 3
 
 
 class TestBanding:
@@ -535,20 +556,21 @@ class TestMatch:
     def test_rpbmc_pair_counts(self):
         rng = np.random.default_rng(35)
         g1, g2 = random_graph(rng, 15), random_graph(rng, 9)
-        cs = rpbmc_pairs(g1, g2, MatchConfig())
+        cs = rpbmc_pairs(g1, g2)
         s = match(g1, g2, Constraint.RPBMC)
         assert s.n_vertex_pairs == len(cs)
         if len(cs) >= 2:
             assert s.n_edge_pairs == len(cs) * (len(cs) - 1) // 2
         assert s.n_vertex_pairs <= match(g1, g2, Constraint.GIBMC).n_vertex_pairs
 
-    def test_combined_blend_formula(self):
+    def test_combined_blend_formula(self, monkeypatch):
         # each weighted mean halved, then summed: 0.5 * (v + e) differs
         # where the scores are subnormal
+        monkeypatch.setattr(facegraph, "_RATIO", 1.0)
         rng = np.random.default_rng(36)
         g1, g2 = random_graph(rng, 10), random_graph(rng, 10)
         for constraint in Constraint:
-            s = match(g1, g2, constraint, MatchConfig(ratio=1.0))
+            s = match(g1, g2, constraint)
             assert s.n_edge_pairs > 0
             assert same_bits(
                 s.combined, 0.5 * s.vertex_weighted + 0.5 * s.edge_weighted
@@ -614,23 +636,6 @@ class TestMatch:
         assert s.vertex_weighted == pytest.approx(
             weighted_mean(minima), rel=1e-12
         )
-
-
-class TestMatchConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"ratio": "0.8"}, {"ratio": True}],
-        ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()),
-    )
-    def test_non_real_values_rejected(self, kwargs):
-        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a real number"):
-            MatchConfig(**kwargs)
-
-    def test_values_stored_as_floats(self):
-        # an int renders and hashes like the float it equals
-        cfg = MatchConfig(ratio=1)
-        assert type(cfg.ratio) is float
-        assert hash(cfg) == hash(MatchConfig(ratio=1.0))
 
 
 class TestIdentify:

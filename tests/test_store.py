@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import struct
 import zlib
 from unittest import mock
@@ -261,11 +262,15 @@ class TestCorruption:
 
 class TestDbInvariants:
     def test_duplicate_keys_rejected(self):
+        # both keys repeat; the one whose repeat comes first is named
         rng = np.random.default_rng(9)
-        g1 = random_graph(rng, 3, subject="s", image="i")
-        g2 = random_graph(rng, 4, subject="s", image="i")
-        with pytest.raises(StoreError):
-            GalleryDb(detector_cfg_hash=0, entries=(g1, g2))
+        keys = [("s", "i"), ("t", "j"), ("t", "j"), ("s", "i")]
+        entries = tuple(
+            random_graph(rng, 3 + k, subject=s, image=i) for k, (s, i) in enumerate(keys)
+        )
+        want = "duplicate (subject_id, image_id) ('t', 'j') in gallery"
+        with pytest.raises(StoreError, match=re.escape(want)):
+            GalleryDb(detector_cfg_hash=0, entries=entries)
 
     def test_merge_appends(self):
         rng = np.random.default_rng(10)
@@ -282,7 +287,8 @@ class TestDbInvariants:
             np.random.default_rng(12), 3,
             subject=db.entries[0].subject_id, image=db.entries[0].image_id,
         )
-        with pytest.raises(StoreError):
+        key = (db.entries[0].subject_id, db.entries[0].image_id)
+        with pytest.raises(StoreError, match=re.escape(str(key))):
             merge(db, [dup])
 
     def test_format_version_not_settable(self, tmp_path):
