@@ -51,54 +51,67 @@ class FaceGraph:
     """Complete graph over a face's keypoints; at least two, so that the
     graph has an edge (fewer raise TooFewKeypoints).
 
-    Every match reads the graph through arrays derived once from its
-    keypoint table at construction: ``descriptors`` (float64, n x 128,
-    the transpose of a C-contiguous 128 x n array), ``half_sq_norms``
-    (half of each descriptor's squared norm, the form the matching
-    estimate adds), ``geometry`` (4 x n rows x, y, theta and logscale,
-    the natural log of each scale) and ``diameter``, the maximum
-    pairwise endpoint distance, computed as scipy's ``cdist`` computes
-    it (see ``_diameter``). The largest squared norm, which the
-    matching error bound reads, is kept privately beside them.
+    A graph holds only its keypoint table until it is matched.
+    ``descriptors`` is the table's read-only float32 (n, 128) view.
+    The arrays a match reads are derived from the table on first use
+    and kept: the first nearest-neighbour search derives a private
+    float64 128 x n copy of the descriptors (C-contiguous, one
+    descriptor per column), ``half_sq_norms`` (half of each
+    descriptor's squared norm, the form the matching estimate adds)
+    and the largest squared norm, which the matching error bound reads;
+    the first edge-stage call derives ``geometry`` (4 x n rows x, y,
+    theta and logscale, the natural log of each scale) and
+    ``diameter``, the maximum pairwise endpoint distance, computed as
+    scipy's ``cdist`` computes it (see ``_diameter``).
     """
 
     vertices: Keypoints = field(hash=False)  # hashed by its ids: tables are unhashable
     subject_id: str
     image_id: str
-    descriptors: np.ndarray = field(init=False, repr=False, compare=False)
-    half_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    geometry: np.ndarray = field(init=False, repr=False, compare=False)
-    diameter: float = field(init=False, compare=False)
-    _sq_norm_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kps = self.vertices
-        n = len(kps)
+        n = len(self.vertices)
         if n < 2:
             raise TooFewKeypoints(
                 f"{self.image_id!r}: got {n} keypoint{'' if n == 1 else 's'}, "
                 "need at least 2"
             )
+
+    descriptors = property(lambda self: self.vertices.descriptors)
+
+    @functools.cached_property
+    def _by_dim(self) -> np.ndarray:
         # one descriptor per column, so exact distances gather columns
-        by_dim = kps.descriptors.T.astype(np.float64, order="C")
+        return self.vertices.descriptors.T.astype(np.float64, order="C")
+
+    @functools.cached_property
+    def half_sq_norms(self) -> np.ndarray:
+        # in any summation order: the matching bound allows for it
+        sq_norms = np.einsum("ij,ij->j", self._by_dim, self._by_dim)
+        # the largest squared norm comes from the same sums, unhalved
+        self.__dict__["_sq_norm_max"] = float(sq_norms.max())
+        sq_norms *= 0.5
+        return sq_norms
+
+    @functools.cached_property
+    def _sq_norm_max(self) -> float:
+        # only reached before half_sq_norms, which stores this value
+        self.half_sq_norms
+        return self.__dict__["_sq_norm_max"]
+
+    @functools.cached_property
+    def geometry(self) -> np.ndarray:
         # rows x, y, orientation and scale, the last replaced by its log;
         # math.log, not np.log: np.log differs in the last ulp on some
         # float32 scales, which would move scores
+        kps = self.vertices
         geometry = kps.rows.T[[0, 1, 3, 2]].astype(np.float64)
-        geometry[3] = np.fromiter(map(math.log, kps.scale.tolist()), float, n)
-        # in any summation order: the matching bound allows for it
-        sq_norms = np.einsum("ij,ij->j", by_dim, by_dim)
-        sq_norm_max = float(sq_norms.max())
-        sq_norms *= 0.5
-        derived = {
-            "descriptors": by_dim.T,
-            "half_sq_norms": sq_norms,
-            "geometry": geometry,
-            "diameter": _diameter(geometry[0], geometry[1]),
-            "_sq_norm_max": sq_norm_max,
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        geometry[3] = np.fromiter(map(math.log, kps.scale.tolist()), float, len(kps))
+        return geometry
+
+    @functools.cached_property
+    def diameter(self) -> float:
+        return _diameter(self.geometry[0], self.geometry[1])
 
     @property
     def n_vertices(self) -> int:
@@ -262,7 +275,7 @@ def _half_squared(g1: FaceGraph, g2: FaceGraph, full: bool) -> tuple[np.ndarray,
     between the vertices of g1 and of g2, and its bound B (see above).
     Without ``full`` each row lacks its own |a|^2/2, which no comparison
     within a row needs."""
-    h = g1.descriptors @ g2.descriptors.T
+    h = g1._by_dim.T @ g2._by_dim
     np.subtract(g2.half_sq_norms, h, out=h)
     if full:
         h += g1.half_sq_norms[:, None]
@@ -321,7 +334,7 @@ def _nearest(
 def nearest(g1: FaceGraph, g2: FaceGraph) -> tuple[np.ndarray, np.ndarray]:
     """Each g1 vertex's nearest g2 vertex by descriptor distance (the
     lowest index among equal distances) and that distance."""
-    at, bt = g1.descriptors.T, g2.descriptors.T
+    at, bt = g1._by_dim, g2._by_dim
     h, bound = _half_squared(g1, g2, full=False)
     best = _nearest(h, bound, at, bt)[0]
     return best, _exact_distances(at, bt, None, best)
@@ -331,7 +344,7 @@ def mutual_correspondence(g1: FaceGraph, g2: FaceGraph) -> CorrespondenceSet:
     """Pairs kept iff each endpoint is the other's nearest neighbor and
     passes Lowe's ratio test at ``_RATIO``; one-to-one in both
     coordinates by construction."""
-    at, bt = g1.descriptors.T, g2.descriptors.T
+    at, bt = g1._by_dim, g2._by_dim
     h, bound = _half_squared(g1, g2, full=True)
     fwd, fwd_ok = _nearest(h, bound, at, bt, _RATIO)
     if not fwd_ok.any():

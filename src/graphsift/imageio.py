@@ -66,6 +66,9 @@ def load_image(path) -> GrayImage:
 def _parse_pgm(raw: bytes) -> GrayImage:
     # Header: "P5", whitespace-separated width/height/maxval with
     # optional '#' comments, one whitespace byte, then the payload.
+    # Whitespace must follow the magic, or "P512" would read as width 12.
+    if not raw[2:3].isspace():
+        raise CorruptHeader("PGM magic P5 is not followed by whitespace")
     pos = 2
     tokens = []
     while len(tokens) < 3:

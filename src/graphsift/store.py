@@ -18,8 +18,8 @@ An empty gallery is exactly 24 bytes. Saving is deterministic:
 rewriting an unchanged db yields byte-identical files. A save writes
 ``<path>.tmp`` beside the file and renames it over ``path``, so an
 interrupted save leaves the earlier gallery whole. Edges are not
-stored; the complete graph is implied and the diameter is recomputed
-on load.
+stored; the complete graph is implied, and a loaded graph computes its
+diameter on first edge use, like any other.
 """
 
 from __future__ import annotations
@@ -150,10 +150,12 @@ class _Reader:
 def load(path: str | Path) -> GalleryDb:
     """Read a gallery file; any fault in it raises a StoreError.
 
-    The CRC is checked before the entries are trusted: a file whose
-    entries fail to parse is reported as a checksum mismatch unless it
-    ends before its declared contents do (TruncatedFile). An entry that
-    fails to parse under a matching CRC is reported as a StoreError.
+    The CRC is checked before the entries are trusted. Under a failing
+    CRC, any parse failure, bytes after the last entry included, is a
+    checksum mismatch, unless the file ends before its declared contents
+    do (TruncatedFile). Under a matching CRC, an entry that fails to
+    parse is reported as a StoreError, and bytes after the last entry as
+    TruncatedFile.
     """
     data = Path(path).read_bytes()
     if len(data) < 4:
@@ -165,7 +167,7 @@ def load(path: str | Path) -> GalleryDb:
     # a memoryview slice, so the checksum reads the bytes without a copy
     intact = zlib.crc32(memoryview(data)[:-4]) == struct.unpack("<I", data[-4:])[0]
     try:
-        db = _parse(data)
+        db = _parse(data, intact)
     except TruncatedFile:
         # a file cut short fails the CRC too; the shortfall says more
         raise
@@ -180,7 +182,7 @@ def load(path: str | Path) -> GalleryDb:
     return db
 
 
-def _parse(data: bytes) -> GalleryDb:
+def _parse(data: bytes, intact: bool) -> GalleryDb:
     r = _Reader(data, len(data) - 4)
     r.take(4)  # magic
     version = r.u32()
@@ -199,9 +201,10 @@ def _parse(data: bytes) -> GalleryDb:
             build_graph(Keypoints(rows.reshape(n_kps, ROW_LEN)), subject_id, image_id)
         )
     if r.pos != r.limit:
-        raise TruncatedFile(
-            f"{r.limit - r.pos} unexpected bytes between entries and checksum"
-        )
+        detail = f"{r.limit - r.pos} unexpected bytes between entries and checksum"
+        # the file did not end early, so under a failing CRC these bytes
+        # are corruption like any other parse failure
+        raise TruncatedFile(detail) if intact else StoreError(detail)
     return GalleryDb(detector_cfg_hash=cfg_hash, entries=tuple(graphs))
 
 

@@ -6,7 +6,9 @@ treat the resulting graphs as read-only. The scalar edge-attribute
 reference (``edge_attr``) is the oracle for the library's vectorized
 ``edge_component_arrays``, and ``derived_oracle`` the per-keypoint
 derivation of a graph's arrays that ``FaceGraph`` does on whole columns,
-with scipy's ``cdist`` as the reference for the diameter;
+with scipy's ``cdist`` as the reference for the diameter (its
+descriptors are the private float64 array ``_by_dim`` the matcher reads,
+which the dense oracles below read too);
 ``diameter_edge_tables`` holds the inputs at the diameter's edges.
 ``dense_nearest`` and ``dense_mutual`` are the dense distance-matrix
 path (one ``cdist`` per pair) that the library's exact nearest-neighbour
@@ -99,11 +101,12 @@ def random_graph(rng: np.random.Generator, n: int, subject="s", image="i"):
 
 def derived_oracle(kps: Keypoints) -> dict:
     """A graph's derived arrays computed one keypoint at a time from
-    Python floats, with list comprehensions."""
+    Python floats, with list comprehensions; ``_by_dim`` holds one
+    descriptor per column."""
     records = kps.rows.tolist()
     xy = np.array([[r[0], r[1]] for r in records])
     return {
-        "descriptors": np.stack(
+        "_by_dim": np.column_stack(
             [np.array(r[4:], dtype=np.float32) for r in records]
         ).astype(np.float64),
         "geometry": np.array([
@@ -173,8 +176,9 @@ def descriptor_graph(rows, subject="s", image="i") -> FaceGraph:
 
     Rows float32 holds exactly go through the keypoint table. Others,
     such as float64 rows scaled by 1e-150, cannot: the graph is built
-    with zero descriptors and its descriptor arrays are then replaced,
-    the only way such values reach the matching core.
+    with zero descriptors and the matching arrays it would derive are
+    set in their place, the only way such values reach the matching
+    core. Oracles read them from ``_by_dim``, as the matcher does.
     """
     rows = np.asarray(rows, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -187,7 +191,7 @@ def descriptor_graph(rows, subject="s", image="i") -> FaceGraph:
         by_dim = np.ascontiguousarray(rows.T)
         with np.errstate(over="ignore"):
             sq_norms = (by_dim * by_dim).sum(axis=0)
-        object.__setattr__(g, "descriptors", by_dim.T)
+        object.__setattr__(g, "_by_dim", by_dim)
         object.__setattr__(g, "half_sq_norms", 0.5 * sq_norms)
         object.__setattr__(g, "_sq_norm_max", float(sq_norms.max()))
     return g
@@ -205,7 +209,7 @@ def dense_ratio_accepted(dist: np.ndarray, ratio: float):
 
 def dense_nearest(g1, g2):
     """Each g1 vertex's nearest g2 vertex and distance from one cdist."""
-    dist = cdist(g1.descriptors, g2.descriptors)
+    dist = cdist(g1._by_dim.T, g2._by_dim.T)
     best = dist.argmin(axis=1)
     return best, dist[np.arange(len(dist)), best]
 
@@ -213,7 +217,7 @@ def dense_nearest(g1, g2):
 def dense_mutual(g1, g2, ratio):
     """(pairs, distances) of mutual ratio-accepted nearest neighbours
     from one cdist, as mutual_correspondence returns them."""
-    dist = cdist(g1.descriptors, g2.descriptors)
+    dist = cdist(g1._by_dim.T, g2._by_dim.T)
     fwd, fwd_ok = dense_ratio_accepted(dist, ratio)
     bwd, bwd_ok = dense_ratio_accepted(dist.T, ratio)
     rows = np.flatnonzero(fwd_ok & bwd_ok[fwd] & (bwd[fwd] == np.arange(len(fwd))))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphsift import facegraph
+from graphsift.config import DESCRIPTOR_LEN
 from graphsift.errors import NonFiniteKeypoint, NonPositiveScale, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
@@ -14,6 +15,8 @@ from graphsift.facegraph import (
     edge_component_arrays,
     mutual_correspondence,
 )
+from graphsift.matcher import Constraint, match
+from graphsift.store import GalleryDb, load, save
 
 from conftest import (
     dense_mutual,
@@ -167,14 +170,109 @@ class TestBuildGraph:
         assert edge_graphs[0].diameter == 0.0
         # one descriptor per column of a C-contiguous array; x, y,
         # theta and logscale are the rows of one array
-        assert g.descriptors.T.flags.c_contiguous
+        assert g._by_dim.flags.c_contiguous
+        assert g._by_dim.shape == (DESCRIPTOR_LEN, len(kps))
         assert g.geometry.shape == (4, len(kps))
         # any summation order is within gamma_128 (about 128 ulp) of
         # the exact squared norm, as the matching bound assumes
-        exact = [math.fsum(v * v for v in d) for d in g.descriptors.tolist()]
+        exact = [math.fsum(v * v for v in d) for d in g._by_dim.T.tolist()]
         np.testing.assert_allclose(2.0 * g.half_sq_norms, exact, rtol=128 * 2.0**-53)
         # the bound reads the largest of the squared norms halved above
         assert g._sq_norm_max == float((2.0 * g.half_sq_norms).max())
+
+
+# What a graph derives on first use: the nearest-neighbour search's
+# arrays, then the edge stage's.
+SEARCH_ARRAYS = ("_by_dim", "half_sq_norms", "_sq_norm_max")
+EDGE_ARRAYS = ("geometry", "diameter")
+TABLE_FIELDS = {"vertices", "subject_id", "image_id"}
+
+
+def eager_reference(kps) -> dict:
+    """The derived arrays as FaceGraph built them at construction,
+    before it derived them lazily, with the same expressions."""
+    by_dim = kps.descriptors.T.astype(np.float64, order="C")
+    geometry = kps.rows.T[[0, 1, 3, 2]].astype(np.float64)
+    geometry[3] = np.fromiter(map(math.log, kps.scale.tolist()), float, len(kps))
+    sq_norms = np.einsum("ij,ij->j", by_dim, by_dim)
+    sq_norm_max = float(sq_norms.max())
+    sq_norms *= 0.5
+    return {
+        "_by_dim": by_dim,
+        "half_sq_norms": sq_norms,
+        "_sq_norm_max": sq_norm_max,
+        "geometry": geometry,
+        "diameter": facegraph._diameter(geometry[0], geometry[1]),
+    }
+
+
+def assert_bit_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLazyArrays:
+    @pytest.fixture
+    def fresh_graphs(self, corpus_graphs):
+        """The seed-42 corpus graphs rebuilt from their tables, so that
+        no other test's matches have derived anything on them."""
+        return [build_graph(g.vertices, s, i) for (s, i), g in corpus_graphs.items()]
+
+    def match_all(self, graphs):
+        # each graph as gallery and as probe, under both constraints;
+        # corpus neighbours are views of one subject, so edges form
+        for g, h in zip(graphs, graphs[1:] + graphs[:1]):
+            for constraint in Constraint:
+                match(g, h, constraint)
+                match(h, g, constraint)
+
+    def assert_derived_like_parent(self, graphs):
+        for g in graphs:
+            for name, want in eager_reference(g.vertices).items():
+                assert_bit_identical(g.__dict__[name], want)
+
+    def test_build_and_load_derive_nothing(self, fresh_graphs, tmp_path):
+        path = tmp_path / "g.db"
+        save(GalleryDb(detector_cfg_hash=0, entries=tuple(fresh_graphs)), path)
+        for g in fresh_graphs + list(load(path).entries):
+            assert set(g.__dict__) == TABLE_FIELDS
+
+    def test_each_stage_derives_its_own(self, fresh_graphs):
+        g, h = fresh_graphs[:2]
+        mutual_correspondence(g, h)
+        assert set(g.__dict__) == set(h.__dict__) == TABLE_FIELDS | set(SEARCH_ARRAYS)
+        edge_component_arrays(g, np.arange(3))
+        assert set(g.__dict__) == TABLE_FIELDS | set(SEARCH_ARRAYS + EDGE_ARRAYS)
+
+    def test_matched_arrays_equal_eager_reference(self, fresh_graphs, tmp_path):
+        self.match_all(fresh_graphs)
+        self.assert_derived_like_parent(fresh_graphs)
+        path = tmp_path / "g.db"
+        save(GalleryDb(detector_cfg_hash=0, entries=tuple(fresh_graphs)), path)
+        loaded = list(load(path).entries)
+        self.match_all(loaded)
+        self.assert_derived_like_parent(loaded)
+        for g, h in zip(fresh_graphs, loaded):
+            for name in SEARCH_ARRAYS + EDGE_ARRAYS:
+                assert_bit_identical(h.__dict__[name], g.__dict__[name])
+
+    def test_second_match_reuses_the_arrays(self, fresh_graphs):
+        g, h = fresh_graphs[:2]
+        first = match(g, h, Constraint.GIBMC)
+        held = {name: g.__dict__[name] for name in SEARCH_ARRAYS + EDGE_ARRAYS}
+        assert match(g, h, Constraint.GIBMC) == first
+        for name, value in held.items():
+            assert g.__dict__[name] is value, name
+
+    def test_descriptors_are_a_read_only_table_view(self, fresh_graphs):
+        g = fresh_graphs[0]
+        d = g.descriptors
+        assert (d.dtype, d.shape) == (np.float32, (g.n_vertices, DESCRIPTOR_LEN))
+        assert not d.flags.writeable
+        assert np.shares_memory(d, g.vertices.rows)
+        assert set(g.__dict__) == TABLE_FIELDS
 
 
 class TestEdgeAttr:

@@ -78,6 +78,13 @@ class TestLoadPgm:
         with pytest.raises(UnsupportedFormat):
             load_image(p)
 
+    def test_magic_without_whitespace_rejected(self, tmp_path):
+        # "P512 2" once read as a 12 x 2 image
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P512 2\n255\n" + bytes(24))
+        with pytest.raises(CorruptHeader, match="whitespace"):
+            load_image(p)
+
     def test_garbage_rejected(self, tmp_path):
         p = tmp_path / "t.bin"
         p.write_bytes(b"\x00\x01garbage")

@@ -68,7 +68,7 @@ def pairing_oracle(g1, g2):
     """Dict-loop dedup of the per-gallery-vertex nearest probe target:
     per target the smallest distance wins, ties keep the first (lowest)
     gallery index; pairs come back sorted."""
-    dist = cdist(g1.descriptors, g2.descriptors)
+    dist = cdist(g1._by_dim.T, g2._by_dim.T)
     by_target = {}
     for i, j in enumerate(dist.argmin(axis=1)):
         d = float(dist[i, j])
@@ -202,7 +202,7 @@ class TestVertexScore:
         ga, gb = descriptor_graph([a, c]), descriptor_graph([b, d])
         dist = cdist(ga.descriptors, gb.descriptors)
         want = dist[0, 0]
-        sq = (ga.descriptors[0] - gb.descriptors[0])[:, None] ** 2
+        sq = (ga.descriptors[0].astype(np.float64) - gb.descriptors[0])[:, None] ** 2
         assert np.sqrt(np.add.reduce(sq, axis=0))[0] != want
         cs = mutual_correspondence(ga, gb)
         assert cs.pairs.tolist() == [[0, 0]]
@@ -220,7 +220,7 @@ class TestVertexScore:
         probe = build_graph(table([u, u_moved]), "s", "p")
         minima, mean, _ = gibmc_vertex_score(gallery, probe)
         d_uv = float(np.linalg.norm(
-            gallery.descriptors[0] - gallery.descriptors[1]
+            gallery.descriptors[0].astype(np.float64) - gallery.descriptors[1]
         ))
         assert minima[0] == 0.0
         assert minima[1] == pytest.approx(d_uv, rel=1e-12)

@@ -1,11 +1,17 @@
 """Two-group protocol runs on synthetic galleries with known outcomes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphsift
+from graphsift.corpus import generate_corpus
 from graphsift.errors import DegenerateScores
 from graphsift.evaluation import (
     GROUPS,
@@ -177,3 +183,51 @@ class TestRunProtocol:
         assert not out.exists()
         # the same population scores normally when nothing is written
         run_protocol(gallery, probes, assignment, Constraint.RPBMC)
+
+
+BLAS_SCRIPT = """
+import sys
+import numpy as np
+from graphsift.corpus import read_manifest
+from graphsift.evaluation import run_protocol
+from graphsift.facegraph import build_graph
+from graphsift.imageio import histogram_equalize, load_image
+from graphsift.matcher import Constraint
+from graphsift.sift import extract_features
+
+rows = read_manifest(sys.argv[1])
+graphs = {
+    r.image_path: build_graph(
+        extract_features(histogram_equalize(load_image(r.image_path))),
+        r.subject_id, r.image_id,
+    )
+    for r in rows
+}
+gallery = [graphs[r.image_path] for r in rows if r.role == "train"]
+probes = [graphs[r.image_path] for r in rows if r.role == "test"]
+assignment = [(r.subject_id, r.group) for r in rows]
+for constraint in Constraint:
+    result = run_protocol(gallery, probes, assignment, constraint)
+    print(np.array([r.score for r in result.records]).tobytes().hex())
+"""
+
+
+def test_scores_do_not_depend_on_blas_threads(tmp_path):
+    # The matching bound holds for any summation order, so a BLAS that
+    # splits a product over threads moves no score. The thread count is
+    # fixed when numpy loads, hence one fresh interpreter per setting.
+    manifest = generate_corpus(tmp_path, seed=42, n_subjects=4, images_per_subject=3)
+    src = Path(graphsift.__file__).resolve().parent.parent
+    outputs = {}
+    for threads in ("1", "2", None):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        outputs[threads] = subprocess.run(
+            [sys.executable, "-c", BLAS_SCRIPT, str(manifest)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        ).stdout
+    scores = outputs[None].split()
+    assert len(scores) == len(Constraint) and all(scores)
+    assert outputs["1"] == outputs["2"] == outputs[None]

@@ -197,6 +197,16 @@ class TestCorruption:
         with pytest.raises(TruncatedFile):
             load(path)
 
+    def test_appended_bytes_fail_the_checksum(self, tmp_path):
+        # bytes appended to a saved file are corruption, not a file that
+        # ends early: the stored CRC no longer sits at the end
+        path = tmp_path / "a.db"
+        save(random_db(8, n_entries=1), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ChecksumMismatch) as raised:
+            load(path)
+        assert "8 unexpected bytes" in str(raised.value.__cause__)
+
     def test_checksum_mismatch(self, tmp_path):
         path, data = self.valid_bytes(tmp_path)
         # flip one bit inside the last descriptor float: parsing still
