@@ -9,7 +9,6 @@ constraint. Evaluation follows a two-group verification protocol with
 prior EER, threshold transfer, and weighted error rates.
 """
 
-from .config import DetectorConfig
 from .errors import GraphSiftError
 from .evaluation import ProtocolResult, run_protocol
 from .facegraph import FaceGraph, build_graph
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constraint",
-    "DetectorConfig",
     "FaceGraph",
     "GalleryDb",
     "GrayImage",

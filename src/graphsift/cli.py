@@ -3,9 +3,11 @@ gen-corpus, export.
 
 All knobs are flags (no environment variables), every command is
 deterministic given its inputs, and any pipeline error exits 1 with a
-one-line diagnostic on standard error. The detector takes one flag,
-``--no-double-input``; standard SIFT's other values are fixed (see
-DetectorConfig), and so is the matcher's ratio test, at Lowe's 0.8.
+one-line diagnostic on standard error. The detector takes no flags: it
+is standard SIFT with fixed values (see DetectorConfig), input doubling
+included, and a gallery built by any other detector, one that did not
+double its input among them, is refused by its digest. The matcher's
+ratio test is fixed too, at Lowe's 0.8.
 Numeric flags only parse here: generate_corpus checks their ranges, so
 a value out of range exits 1 with a message naming the setting, while
 one that does not parse as a number exits 2 from argparse.
@@ -44,13 +46,6 @@ def _non_negative_int(text: str) -> int:
     return v
 
 
-def _add_detector_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--no-double-input", action="store_true",
-        help="skip the initial 2x upsampling of the input image",
-    )
-
-
 def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -> None:
     choices = [c.value for c in Constraint] + (["both"] if allow_both else [])
     default = "both" if allow_both else "rpbmc"
@@ -60,60 +55,52 @@ def _add_constraint_flag(p: argparse.ArgumentParser, allow_both: bool = False) -
     )
 
 
-def _detector_cfg(args: argparse.Namespace) -> DetectorConfig:
-    return DetectorConfig(double_input=not args.no_double_input)
-
-
-def _extract_graph(
-    path: Path, det: DetectorConfig, subject_id: str, image_id: str
-) -> FaceGraph:
+def _extract_graph(path: Path, subject_id: str, image_id: str) -> FaceGraph:
     img = histogram_equalize(load_image(path))
-    return build_graph(extract_features(img, det), subject_id, image_id)
+    return build_graph(extract_features(img), subject_id, image_id)
 
 
-def _load_checked(path: str | Path, det: DetectorConfig) -> GalleryDb:
-    """The gallery at path, which must come from the same detector config."""
+def _load_checked(path: str | Path) -> GalleryDb:
+    """The gallery at path, which must come from this detector."""
     db = load(path)
-    if db.detector_cfg_hash != det.digest():
+    if db.detector_cfg_hash != DetectorConfig().digest():
         raise GraphSiftError(
             f"{path}: gallery was built with a different detector config"
         )
     return db
 
 
-def _load_or_new_db(path: Path, det: DetectorConfig) -> GalleryDb:
+def _load_or_new_db(path: Path) -> GalleryDb:
     if path.exists():
-        return _load_checked(path, det)
+        return _load_checked(path)
     # checked before the extractions a failed save would waste
     if not path.parent.is_dir():
         raise GraphSiftError(f"{path}: directory {path.parent} does not exist")
-    return GalleryDb(detector_cfg_hash=det.digest(), entries=())
+    return GalleryDb(detector_cfg_hash=DetectorConfig().digest(), entries=())
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    det = _detector_cfg(args)
     image = Path(args.image)
     subject = image.stem if args.subject is None else args.subject
     image_id = image.stem if args.image_id is None else args.image_id
-    db = _load_or_new_db(Path(args.db), det)
+    db = _load_or_new_db(Path(args.db))
     # the gallery's id rule, checked before the extraction it would waste
     _check_keys(db.entries, ((subject, image_id),))
-    graph = _extract_graph(image, det, subject, image_id)
+    graph = _extract_graph(image, subject, image_id)
     save(merge(db, [graph]), args.db)
     print(f"{image}: {graph.n_vertices} keypoints -> {args.db}")
     return 0
 
 
 def cmd_enroll(args: argparse.Namespace) -> int:
-    det = _detector_cfg(args)
     rows = [r for r in read_manifest(args.manifest) if r.role == "train"]
     if not rows:
         raise GraphSiftError(f"{args.manifest}: no rows with role 'train'")
-    db = _load_or_new_db(Path(args.db), det)
+    db = _load_or_new_db(Path(args.db))
     _check_keys(db.entries, tuple((r.subject_id, r.image_id) for r in rows))
     graphs = []
     for row in rows:
-        g = _extract_graph(row.image_path, det, row.subject_id, row.image_id)
+        g = _extract_graph(row.image_path, row.subject_id, row.image_id)
         graphs.append(g)
         print(f"{row.image_path.name}: {g.n_vertices} keypoints")
     save(merge(db, graphs), args.db)
@@ -122,12 +109,11 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    det = _detector_cfg(args)
-    db = _load_checked(args.db, det)
+    db = _load_checked(args.db)
     if not db.entries:
         raise EmptyGallery(f"{args.db} holds no enrolled images")
     probe_path = Path(args.probe)
-    probe = _extract_graph(probe_path, det, "?", probe_path.stem)
+    probe = _extract_graph(probe_path, "?", probe_path.stem)
     constraint = Constraint(args.constraint)
     ranking = identify(probe, list(db.entries), constraint)
     if args.top > 0:
@@ -144,9 +130,8 @@ def cmd_identify(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    det = _detector_cfg(args)
-    g1 = _extract_graph(Path(args.gallery_image), det, "gallery", Path(args.gallery_image).stem)
-    g2 = _extract_graph(Path(args.probe_image), det, "probe", Path(args.probe_image).stem)
+    g1 = _extract_graph(Path(args.gallery_image), "gallery", Path(args.gallery_image).stem)
+    g2 = _extract_graph(Path(args.probe_image), "probe", Path(args.probe_image).stem)
     score = match(g1, g2, Constraint(args.constraint))
     print(f"constraint: {score.constraint.value}")
     for name in (
@@ -159,7 +144,6 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    det = _detector_cfg(args)
     rows = read_manifest(args.manifest)
     assignment = [(r.subject_id, r.group) for r in rows]
 
@@ -167,7 +151,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     for row in rows:
         if row.image_path not in graphs:
             graphs[row.image_path] = _extract_graph(
-                row.image_path, det, row.subject_id, row.image_id
+                row.image_path, row.subject_id, row.image_id
             )
     gallery = [graphs[r.image_path] for r in rows if r.role == "train"]
     probes = [graphs[r.image_path] for r in rows if r.role == "test"]
@@ -226,13 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True, help="gallery db to create or extend")
     p.add_argument("--subject", help="subject id (default: image stem)")
     p.add_argument("--image-id", help="image id (default: image stem)")
-    _add_detector_flags(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("enroll", help="batch-extract a manifest's train rows into a db")
     p.add_argument("manifest", help="corpus manifest CSV")
     p.add_argument("--db", required=True)
-    _add_detector_flags(p)
     p.set_defaults(func=cmd_enroll)
 
     p = sub.add_parser("identify", help="rank gallery subjects for a probe")
@@ -241,21 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=_non_negative_int, default=0,
                    help="print only the best N (default 0: all)")
     p.add_argument("--csv", action="store_true", help="machine-readable output")
-    _add_detector_flags(p)
     _add_constraint_flag(p)
     p.set_defaults(func=cmd_identify)
 
     p = sub.add_parser("match", help="score one gallery/probe image pair")
     p.add_argument("gallery_image")
     p.add_argument("probe_image")
-    _add_detector_flags(p)
     _add_constraint_flag(p)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("evaluate", help="two-group verification protocol")
     p.add_argument("manifest", help="corpus manifest CSV")
     p.add_argument("--out", required=True, help="output directory for reports")
-    _add_detector_flags(p)
     _add_constraint_flag(p, allow_both=True)
     p.set_defaults(func=cmd_evaluate)
 

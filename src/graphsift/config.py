@@ -1,50 +1,41 @@
-"""Detector configuration, with a canonical text form.
+"""Standard SIFT's detector values, with a canonical text form.
 
-The text form (one ``key=value`` per line, keys in declaration order,
-fixed constants included) is what a config's 64-bit digest hashes; the
-digest identifies which detector settings produced a gallery.
+The text form (one ``key=value`` per line, keys in declaration order)
+is what the detector's 64-bit digest hashes; a gallery stores the
+digest of the detector that produced it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 DESCRIPTOR_LEN = 128  # floats per descriptor in the gallery store
 
 
-def _integer(name: str, value, least: int) -> int:
-    """value as an int of at least least; a bool or a non-integer raises
-    ValueError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Keypoint detector parameters.
+    """The keypoint detector's values: standard SIFT's, all fixed.
 
-    ``double_input`` (default True: upsample the input 2x before the
-    pyramid) is the one settable value. The rest are the fixed values
-    of standard SIFT, as class constants: 3 ``scales_per_octave``,
-    ``base_sigma`` 1.6 for the pyramid base on an input of
-    ``assumed_blur`` 0.5 px, ``max_octaves`` 0 (the octave count
-    follows from the image size), ``contrast_threshold`` 0.03 on [0,1]
-    intensities, ``edge_ratio`` 10, 36 ``orientation_bins`` with the
-    80% secondary-peak ``peak_ratio``, and a 4x4 ``descriptor_grid`` of
-    8 ``descriptor_bins`` (the store's 128 floats, 16x16 sample window)
-    clamped at ``descriptor_clamp`` 0.2.
+    The input is upsampled 2x (``double_input``) before the pyramid,
+    which has 3 ``scales_per_octave`` and ``base_sigma`` 1.6 for its
+    base on an input of ``assumed_blur`` 0.5 px; ``max_octaves`` 0
+    means the octave count follows from the image size. Then come
+    ``contrast_threshold`` 0.03 on [0,1] intensities, ``edge_ratio``
+    10, 36 ``orientation_bins`` with the 80% secondary-peak
+    ``peak_ratio``, and a 4x4 ``descriptor_grid`` of 8
+    ``descriptor_bins`` (the store's 128 floats, 16x16 sample window)
+    clamped at ``descriptor_clamp`` 0.2. The detector takes no
+    settings: ``DetectorConfig()`` only gives the text and digest of
+    these values, and a gallery whose digest differs, such as one from
+    a detector that did not double its input, is refused.
     """
 
     scales_per_octave: ClassVar[int] = 3
     base_sigma: ClassVar[float] = 1.6
     assumed_blur: ClassVar[float] = 0.5
-    double_input: bool = True
+    double_input: ClassVar[bool] = True
     max_octaves: ClassVar[int] = 0
     contrast_threshold: ClassVar[float] = 0.03
     edge_ratio: ClassVar[float] = 10.0
@@ -54,13 +45,9 @@ class DetectorConfig:
     descriptor_bins: ClassVar[int] = 8
     descriptor_clamp: ClassVar[float] = 0.2
 
-    def __post_init__(self):
-        if type(self.double_input) is not bool:
-            raise ValueError(f"double_input must be a bool, not {self.double_input!r}")
-
     def to_text(self) -> str:
-        # the fixed constants stay in the text, so galleries saved when
-        # they were settable keep their digest
+        # every value stays in the text, so galleries saved when they
+        # were settable keep their digest
         lines = []
         for name in type(self).__annotations__:
             value = getattr(self, name)

@@ -20,12 +20,12 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import _integer
 from .imageio import GrayImage, save_pgm
 from .sift import MIN_IMAGE_SIDE
 
@@ -123,6 +123,16 @@ def _perturbation(seed: int, subject_index: int, image_index: int):
     translation = tuple(rng.uniform(-_TRANSLATION_MAX, _TRANSLATION_MAX, 2))
     brightness = rng.uniform(-_BRIGHTNESS_MAX, _BRIGHTNESS_MAX)
     return rotation, scale, translation, brightness
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int of at least least; a bool or a non-integer raises
+    ValueError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def generate_corpus(

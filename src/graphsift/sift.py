@@ -10,8 +10,10 @@ descriptor of an image together (unit norm, entries clamped at 0.2), so
 each stage keeps one call per point while the clamp loop runs once per
 image.
 
-Everything here is deterministic: no RNG, no threading, pure numpy and
-scipy kernels, so identical input and config give bit-identical output.
+The detector takes no settings: every stage reads standard SIFT's
+values from ``DetectorConfig``. Everything here is deterministic: no
+RNG, no threading, pure numpy and scipy kernels, so identical input
+gives bit-identical output.
 """
 
 from __future__ import annotations
@@ -83,19 +85,17 @@ class ScaleSpace:
     """Gaussian and DoG stacks, one list entry per octave.
 
     Octave o, layer s of the Gaussian stack carries absolute blur
-    cfg.base_sigma * 2**(o + s/cfg.scales_per_octave) relative to the
-    pyramid base image; each octave halves the previous one.
-    ``first_scale`` converts octave-0 pixel units back to input-image
-    units (0.5 when the input was doubled).
+    base_sigma * 2**(o + s/scales_per_octave) relative to the pyramid
+    base image, the input doubled; each octave halves the previous one,
+    so an octave-o pixel spans 2**o / 2 input pixels.
     """
 
     octaves: list[list[np.ndarray]]
     dog: list[list[np.ndarray]]
-    first_scale: float
 
     def pixel_scale(self, octave: int) -> float:
         """Input-image units per pixel of the given octave."""
-        return self.first_scale * (1 << octave)
+        return 0.5 * (1 << octave)
 
 
 class Candidate(NamedTuple):
@@ -157,27 +157,22 @@ def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
     )
 
 
-def build_scale_space(img: GrayImage, cfg: DetectorConfig) -> ScaleSpace:
+def build_scale_space(img: GrayImage) -> ScaleSpace:
     """Build the Gaussian pyramid and its DoG stacks.
 
-    Intensities are mapped to [0, 1] floats first; the input is assumed
-    to carry ``cfg.assumed_blur`` of blur already, so the base image is
-    blurred only by the difference needed to reach ``cfg.base_sigma``.
+    Intensities are mapped to [0, 1] floats and upsampled 2x; the input
+    is assumed to carry ``assumed_blur`` of blur already, twice that
+    once doubled, so the base image is blurred only by the difference
+    needed to reach ``base_sigma``.
     """
     if min(img.width, img.height) < MIN_IMAGE_SIDE:
         raise ImageTooSmall(
             f"{img.width}x{img.height} below minimum "
             f"{MIN_IMAGE_SIDE}x{MIN_IMAGE_SIDE}"
         )
-    base = img.pixels.astype(np.float32) / np.float32(255.0)
-    initial_blur = cfg.assumed_blur
-    first_scale = 1.0
-    if cfg.double_input:
-        base = _upsample2x(base)
-        initial_blur = 2.0 * cfg.assumed_blur
-        first_scale = 0.5
-    diff = cfg.base_sigma**2 - initial_blur**2
-    base = _blur(base, math.sqrt(max(diff, 0.01)))
+    cfg = DetectorConfig
+    base = _upsample2x(img.pixels.astype(np.float32) / np.float32(255.0))
+    base = _blur(base, math.sqrt(cfg.base_sigma**2 - (2.0 * cfg.assumed_blur) ** 2))
 
     s = cfg.scales_per_octave
     k = 2.0 ** (1.0 / s)
@@ -185,7 +180,7 @@ def build_scale_space(img: GrayImage, cfg: DetectorConfig) -> ScaleSpace:
     # incremental blur from layer i-1 to layer i
     increments = np.sqrt(layer_sigmas[1:] ** 2 - layer_sigmas[:-1] ** 2)
 
-    # the size check above leaves min(base.shape) >= 16: at least 2 octaves
+    # the size check above leaves min(base.shape) >= 32: at least 3 octaves
     depth = int(math.floor(math.log2(min(base.shape) / 8.0))) + 1
 
     octaves = []
@@ -199,16 +194,16 @@ def build_scale_space(img: GrayImage, cfg: DetectorConfig) -> ScaleSpace:
         dogs.append([stack[i + 1] - stack[i] for i in range(s + 2)])
         # layer s has exactly twice the octave's base blur
         current = stack[s][::2, ::2]
-    return ScaleSpace(octaves=octaves, dog=dogs, first_scale=first_scale)
+    return ScaleSpace(octaves=octaves, dog=dogs)
 
 
-def detect_keypoints(ss: ScaleSpace, cfg: DetectorConfig) -> list[Candidate]:
+def detect_keypoints(ss: ScaleSpace) -> list[Candidate]:
     """Scan every DoG stack for strict 26-neighborhood extrema.
 
     Candidates must clear half the contrast threshold; the full
     threshold is enforced after sub-pixel refinement.
     """
-    prefilter = 0.5 * cfg.contrast_threshold
+    prefilter = 0.5 * DetectorConfig.contrast_threshold
     found = []
     for o, stack in enumerate(ss.dog):
         w = stack[0].shape[1]
@@ -239,15 +234,13 @@ def detect_keypoints(ss: ScaleSpace, cfg: DetectorConfig) -> list[Candidate]:
     return found
 
 
-def localize_keypoint(
-    ss: ScaleSpace, cand: Candidate, cfg: DetectorConfig
-) -> LocalizedPoint | Rejection:
+def localize_keypoint(ss: ScaleSpace, cand: Candidate) -> LocalizedPoint | Rejection:
     """Quadratic sub-pixel refinement of one candidate extremum.
 
     Rejection (with a reason) is a normal outcome: the fit may fail to
     converge, drift out of the stack, land below the contrast
     threshold, or sit on an edge (spatial Hessian curvature ratio
-    above ``cfg.edge_ratio``).
+    above ``edge_ratio``).
     """
     stack = ss.dog[cand.octave]
     n_layers = len(stack)
@@ -291,6 +284,7 @@ def localize_keypoint(
     else:
         return Rejection(RejectReason.MAX_ITERATIONS)
 
+    cfg = DetectorConfig
     # numpy's dot, not a Python sum: its summation is part of the result
     value = v + 0.5 * float(grad @ offset)
     if abs(value) < cfg.contrast_threshold:
@@ -341,21 +335,19 @@ def _orientation_histogram(
     return (6.0 * hist + 4.0 * (wrap[1:-3] + wrap[3:-1]) + wrap[:-4] + wrap[4:]) / 16.0
 
 
-def assign_orientations(
-    ss: ScaleSpace, point: LocalizedPoint, cfg: DetectorConfig
-) -> list[float]:
+def assign_orientations(ss: ScaleSpace, point: LocalizedPoint) -> list[float]:
     """The point's orientations in [0, 2*pi): one per strict histogram
     peak within 80% of the maximum, else the first maximum bin, each
     refined by parabolic interpolation over its neighbours (0.0 for the
     all-zero histogram, which has no strict peak).
     """
     img = ss.octaves[point.octave][point.layer]
-    n_bins = cfg.orientation_bins
+    n_bins = DetectorConfig.orientation_bins
     hist = _orientation_histogram(
         img, point.x_oct, point.y_oct, point.scale_oct, n_bins
     ).tolist()
     peak_max = max(hist)
-    floor = cfg.peak_ratio * peak_max
+    floor = DetectorConfig.peak_ratio * peak_max
     # circular neighbours: hist[b - 1] wraps to the last bin by itself
     peak_bins = [
         b for b in range(n_bins)
@@ -373,7 +365,7 @@ def assign_orientations(
 
 
 def compute_descriptor(
-    ss: ScaleSpace, point: LocalizedPoint, orientation: float, cfg: DetectorConfig
+    ss: ScaleSpace, point: LocalizedPoint, orientation: float
 ) -> np.ndarray | None:
     """Raw 4x4-cell, 8-orientation gradient histogram in the frame of
     ``point`` rotated by ``orientation`` (radians).
@@ -387,8 +379,8 @@ def compute_descriptor(
     """
     img = ss.octaves[point.octave][point.layer]
     h, w = img.shape
-    d = cfg.descriptor_grid
-    n_bins = cfg.descriptor_bins
+    d = DetectorConfig.descriptor_grid
+    n_bins = DetectorConfig.descriptor_bins
     hist_width = 3.0 * point.scale_oct
     half = int(round(hist_width * math.sqrt(2.0) * (d + 1) * 0.5))
     cx = int(round(point.x_oct))
@@ -492,31 +484,29 @@ def _sort_unique(rows: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
-def extract_features(img: GrayImage, cfg: DetectorConfig | None = None) -> Keypoints:
+def extract_features(img: GrayImage) -> Keypoints:
     """Full detection pipeline; photometric normalization is the caller's job.
 
     Rows are sorted by (y, x, scale, orientation) and deduplicated on
-    those keys, so identical input and config always produce identical
-    tables.
+    those keys, so identical input always produces identical tables.
     """
-    if cfg is None:
-        cfg = DetectorConfig()
-    ss = build_scale_space(img, cfg)
+    ss = build_scale_space(img)
     heads = []
     hists = []
-    for cand in detect_keypoints(ss, cfg):
-        loc = localize_keypoint(ss, cand, cfg)
+    for cand in detect_keypoints(ss):
+        loc = localize_keypoint(ss, cand)
         if isinstance(loc, Rejection):
             continue
         px = ss.pixel_scale(loc.octave)
-        for orientation in assign_orientations(ss, loc, cfg):
-            hist = compute_descriptor(ss, loc, orientation, cfg)
+        for orientation in assign_orientations(ss, loc):
+            hist = compute_descriptor(ss, loc, orientation)
             if hist is None:
                 continue
             heads.append((loc.x_oct * px, loc.y_oct * px, loc.scale_oct * px, orientation))
             hists.append(hist)
     kept, unit = _normalize_descriptors(
-        np.array(hists).reshape(-1, DESCRIPTOR_LEN), cfg.descriptor_clamp
+        np.array(hists).reshape(-1, DESCRIPTOR_LEN),
+        DetectorConfig.descriptor_clamp,
     )
     rows = np.empty((len(kept), ROW_LEN), dtype=np.float32)
     rows[:, :4] = np.array(heads).reshape(-1, 4)[kept]

@@ -12,7 +12,7 @@ from graphsift.cli import main
 from graphsift.config import DetectorConfig
 from graphsift.imageio import GrayImage, save_pgm
 from graphsift.matcher import REPORT_HEADER
-from graphsift.store import GalleryDb, save
+from graphsift.store import GalleryDb, load, save
 
 
 @pytest.fixture(scope="module")
@@ -239,13 +239,21 @@ class TestIdentify:
         assert captured.out == ""
         assert captured.err == "error: probe image id 'a,b' cannot go into a CSV row\n"
 
-    def test_config_mismatch_fails(self, cli_corpus, enrolled_db, capsys):
-        code = main([
-            "identify", str(cli_corpus / "s000_i00.pgm"), "--db", str(enrolled_db),
-            "--no-double-input",
-        ])
-        assert code == 1
-        assert "different detector config" in capsys.readouterr().err
+    def test_config_mismatch_fails(self, cli_corpus, enrolled_db, tmp_path, capsys):
+        # the header digest of a gallery from a detector that did not
+        # double its input
+        db = tmp_path / "undoubled.db"
+        save(GalleryDb(0x286464ACFD51A5B0, load(enrolled_db).entries), db)
+        saved = db.read_bytes()
+        img = str(cli_corpus / "s000_i00.pgm")
+        for argv in (
+            ["identify", img, "--db", str(db)],
+            ["extract", img, "--db", str(db)],
+            ["enroll", str(cli_corpus / "manifest.csv"), "--db", str(db)],
+        ):
+            assert main(argv) == 1, argv[0]
+            assert "different detector config" in capsys.readouterr().err
+            assert db.read_bytes() == saved, argv[0]
 
     def test_empty_db_fails(self, cli_corpus, tmp_path, capsys):
         empty = tmp_path / "empty.db"
@@ -377,15 +385,20 @@ class TestParsing:
             pytest.param("identify", ["--ratio", "0.8"], id="ratio-identify"),
             pytest.param("evaluate", ["--ratio", "0.8"], id="ratio-evaluate"),
             pytest.param("enroll", ["--role", "test"], id="role"),
+            *(
+                pytest.param(command, ["--no-double-input"], id=f"double-{command}")
+                for command in ("extract", "enroll", "identify", "match", "evaluate")
+            ),
         ],
     )
     def test_fixed_weights_take_no_flag(self, cli_corpus, tmp_path, capsys, command, argv):
         # the band weights, the even blend, Lowe's ratio and standard
-        # SIFT's values are fixed, and enroll always takes the
-        # manifest's train rows
+        # SIFT's values, input doubling included, are fixed, and enroll
+        # always takes the manifest's train rows
         img = str(cli_corpus / "s000_i00.pgm")
         manifest = str(cli_corpus / "manifest.csv")
         prefix = {
+            "extract": ["extract", img, "--db", str(tmp_path / "g.db")],
             "match": ["match", img, img],
             "identify": ["identify", img, "--db", str(tmp_path / "g.db")],
             "evaluate": ["evaluate", manifest, "--out", str(tmp_path / "eval")],

@@ -20,9 +20,9 @@ from graphsift.sift import (
 )
 
 
-def extrema_oracle(ss, cfg):
+def extrema_oracle(ss):
     """Exhaustive 26-neighborhood scan over every DoG voxel."""
-    prefilter = 0.5 * cfg.contrast_threshold
+    prefilter = 0.5 * DetectorConfig.contrast_threshold
     found = set()
     for o, stack in enumerate(ss.dog):
         h, w = stack[0].shape
@@ -57,12 +57,12 @@ def blob_image(size, blobs, background=20.0):
     return GrayImage(np.clip(np.rint(field), 0, 255).astype(np.uint8))
 
 
-def accepted_points(img, cfg):
+def accepted_points(img):
     """Input-image (x, y) of every candidate that localizes."""
-    ss = build_scale_space(img, cfg)
+    ss = build_scale_space(img)
     out = []
-    for cand in detect_keypoints(ss, cfg):
-        loc = localize_keypoint(ss, cand, cfg)
+    for cand in detect_keypoints(ss):
+        loc = localize_keypoint(ss, cand)
         if isinstance(loc, LocalizedPoint):
             px = ss.pixel_scale(loc.octave)
             out.append((loc.x_oct * px, loc.y_oct * px))
@@ -71,8 +71,7 @@ def accepted_points(img, cfg):
 
 def test_constant_image_no_candidates():
     img = GrayImage(np.full((32, 32), 80, dtype=np.uint8))
-    cfg = DetectorConfig()
-    assert detect_keypoints(build_scale_space(img, cfg), cfg) == []
+    assert detect_keypoints(build_scale_space(img)) == []
 
 
 def test_detection_matches_voxel_oracle():
@@ -83,35 +82,31 @@ def test_detection_matches_voxel_oracle():
     # a faint blob leaves some scanned layers with no voxel above the
     # prefilter, so the scan also meets empty candidate sets
     images.append(blob_image(64, [(32.0, 32.0, 3.0, 50.0)], background=100.0))
+    prefilter = 0.5 * DetectorConfig.contrast_threshold
     empty_layers = 0
     for i, img in enumerate(images):
-        for double_input in (True, False):
-            cfg = DetectorConfig(double_input=double_input)
-            ss = build_scale_space(img, cfg)
-            got = {(c.octave, c.layer, c.x, c.y) for c in detect_keypoints(ss, cfg)}
-            assert got == extrema_oracle(ss, cfg), (i, double_input)
-            prefilter = 0.5 * cfg.contrast_threshold
-            empty_layers += sum(
-                not (np.abs(stack[layer][1:-1, 1:-1]) > prefilter).any()
-                for stack in ss.dog
-                for layer in range(1, len(stack) - 1)
-            )
+        ss = build_scale_space(img)
+        got = {(c.octave, c.layer, c.x, c.y) for c in detect_keypoints(ss)}
+        assert got == extrema_oracle(ss), i
+        empty_layers += sum(
+            not (np.abs(stack[layer][1:-1, 1:-1]) > prefilter).any()
+            for stack in ss.dog
+            for layer in range(1, len(stack) - 1)
+        )
     assert empty_layers > 0
 
 
 def test_single_blob_localizes_at_center():
-    cfg = DetectorConfig()
     img = blob_image(64, [(32.0, 32.0, 3.0, 200.0)])
-    points = accepted_points(img, cfg)
+    points = accepted_points(img)
     assert points, "blob produced no accepted keypoints"
     for x, y in points:
         assert np.hypot(x - 32.0, y - 32.0) < 1.5
 
 
 def test_two_blobs_two_clusters():
-    cfg = DetectorConfig()
     img = blob_image(64, [(20.0, 20.0, 2.5, 200.0), (44.0, 44.0, 2.5, 200.0)])
-    points = accepted_points(img, cfg)
+    points = accepted_points(img)
     near_a = [(x, y) for x, y in points if np.hypot(x - 20, y - 20) < 1.5]
     near_b = [(x, y) for x, y in points if np.hypot(x - 44, y - 44) < 1.5]
     assert near_a and near_b
@@ -123,41 +118,38 @@ def test_step_edge_rejected_as_edge_response():
     # voxel is a strict extremum.  A gently wavy edge breaks the ties and
     # produces elongated responses whose principal curvatures differ
     # strongly, which is exactly what the edge filter must reject.
-    cfg = DetectorConfig()
     pixels = np.zeros((64, 64), dtype=float)
     y = np.arange(64)
     pixels[:, 32:] = (175.0 + 25.0 * np.sin(2 * np.pi * y / 16.0))[:, None]
     img = GrayImage(np.clip(np.rint(pixels), 0, 255).astype(np.uint8))
-    ss = build_scale_space(img, cfg)
-    candidates = detect_keypoints(ss, cfg)
+    ss = build_scale_space(img)
+    candidates = detect_keypoints(ss)
     assert candidates, "wavy step edge should produce grid extrema"
     reasons = {
         loc.reason
-        for loc in (localize_keypoint(ss, c, cfg) for c in candidates)
+        for loc in (localize_keypoint(ss, c) for c in candidates)
         if isinstance(loc, Rejection)
     }
     assert RejectReason.EDGE_RESPONSE in reasons
 
 
 def test_low_contrast_rejected():
-    cfg = DetectorConfig()
     # faint blob: strong enough to pass the relaxed grid prefilter but
     # below the full contrast threshold after refinement
     img = blob_image(64, [(32.0, 32.0, 3.0, 50.0)], background=100.0)
-    ss = build_scale_space(img, cfg)
-    candidates = detect_keypoints(ss, cfg)
+    ss = build_scale_space(img)
+    candidates = detect_keypoints(ss)
     assert candidates, "faint blob should still be a grid extremum"
-    results = [localize_keypoint(ss, c, cfg) for c in candidates]
+    results = [localize_keypoint(ss, c) for c in candidates]
     assert all(isinstance(r, Rejection) for r in results)
     assert any(r.reason is RejectReason.LOW_CONTRAST for r in results)
 
 
 def test_refined_offset_within_half_pixel():
-    cfg = DetectorConfig()
     img = blob_image(64, [(32.3, 31.6, 3.0, 200.0)])
-    ss = build_scale_space(img, cfg)
-    for cand in detect_keypoints(ss, cfg):
-        loc = localize_keypoint(ss, cand, cfg)
+    ss = build_scale_space(img)
+    for cand in detect_keypoints(ss):
+        loc = localize_keypoint(ss, cand)
         if isinstance(loc, LocalizedPoint) and loc.octave == cand.octave:
             # the refined octave-grid position stays within the final
             # voxel's half-pixel neighborhood
@@ -166,22 +158,20 @@ def test_refined_offset_within_half_pixel():
 
 
 def test_candidates_are_sorted_and_unique():
-    cfg = DetectorConfig()
     img = render_texture(subject_texture(6, 1, 64), 64)
-    cands = detect_keypoints(build_scale_space(img, cfg), cfg)
+    cands = detect_keypoints(build_scale_space(img))
     as_tuples = [tuple(c) for c in cands]
     assert as_tuples == sorted(as_tuples)
     assert len(set(as_tuples)) == len(as_tuples)
 
 
 def test_localize_out_of_bounds_candidate():
-    cfg = DetectorConfig()
     img = blob_image(64, [(32.0, 32.0, 3.0, 200.0)])
-    ss = build_scale_space(img, cfg)
+    ss = build_scale_space(img)
     # a flat-region candidate drifts or fails to converge; either way it
     # must come back as a Rejection, never an exception
     fake = Candidate(octave=0, layer=1, x=5, y=5)
-    result = localize_keypoint(ss, fake, cfg)
+    result = localize_keypoint(ss, fake)
     assert isinstance(result, (Rejection, LocalizedPoint))
 
 

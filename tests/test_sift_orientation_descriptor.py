@@ -84,15 +84,15 @@ def normalized(raw, clamp):
     return unit[0] if kept.size else None
 
 
-def descriptor_histogram_oracle(ss, point, orientation, cfg):
+def descriptor_histogram_oracle(ss, point, orientation):
     """Reference raw descriptor, before normalization: gradients over
     the whole square window, masked afterwards, and one np.add.at
     scatter per trilinear corner and orientation neighbour. None when
     the window leaves the image."""
     img = ss.octaves[point.octave][point.layer]
     h, w = img.shape
-    d = cfg.descriptor_grid
-    n_bins = cfg.descriptor_bins
+    d = DetectorConfig.descriptor_grid
+    n_bins = DetectorConfig.descriptor_bins
     hist_width = 3.0 * point.scale_oct
     half = int(round(hist_width * math.sqrt(2.0) * (d + 1) * 0.5))
     cx = int(round(point.x_oct))
@@ -170,35 +170,34 @@ def ramp_image(size, horizontal=True):
     return GrayImage(pixels)
 
 
-def center_point(ss, cfg, layer=1):
+def center_point(ss, layer=1):
     h, w = ss.octaves[0][layer].shape
+    cfg = DetectorConfig
     sigma = cfg.base_sigma * 2.0 ** (layer / cfg.scales_per_octave)
     return LocalizedPoint(octave=0, layer=layer, x_oct=w / 2, y_oct=h / 2, scale_oct=sigma)
 
 
 class TestOrientation:
     def test_horizontal_ramp_orientation_zero(self):
-        cfg = DetectorConfig(double_input=False)
-        ss = build_scale_space(ramp_image(64), cfg)
-        orientations = assign_orientations(ss, center_point(ss, cfg), cfg)
+        ss = build_scale_space(ramp_image(32))
+        orientations = assign_orientations(ss, center_point(ss))
         assert len(orientations) == 1
         o = orientations[0]
         assert min(o, 2.0 * math.pi - o) < 0.1
 
     def test_vertical_ramp_orientation_quarter_turn(self):
-        cfg = DetectorConfig(double_input=False)
-        ss = build_scale_space(ramp_image(64, horizontal=False), cfg)
-        orientations = assign_orientations(ss, center_point(ss, cfg), cfg)
+        ss = build_scale_space(ramp_image(32, horizontal=False))
+        orientations = assign_orientations(ss, center_point(ss))
         assert len(orientations) == 1
         assert abs(orientations[0] - math.pi / 2) < 0.1
 
     def test_peaks_validated_by_oracle(self):
-        cfg = DetectorConfig()
+        cfg = DetectorConfig
         img = render_texture(subject_texture(11, 3, 64), 64)
-        ss = build_scale_space(img, cfg)
+        ss = build_scale_space(img)
         checked = 0
-        for cand in detect_keypoints(ss, cfg)[:40]:
-            loc = localize_keypoint(ss, cand, cfg)
+        for cand in detect_keypoints(ss)[:40]:
+            loc = localize_keypoint(ss, cand)
             if not isinstance(loc, LocalizedPoint):
                 continue
             hist = orientation_histogram_oracle(
@@ -208,7 +207,7 @@ class TestOrientation:
             peak = max(hist)
             if peak <= 0.0:
                 continue
-            for theta in assign_orientations(ss, loc, cfg):
+            for theta in assign_orientations(ss, loc):
                 b = int(np.rint(theta * cfg.orientation_bins / (2 * math.pi)))
                 b %= cfg.orientation_bins
                 assert hist[b] >= cfg.peak_ratio * peak * (1.0 - 1e-9)
@@ -218,10 +217,9 @@ class TestOrientation:
     def test_flat_window_gives_zero(self):
         # no gradient gives the all-zero histogram: it has no strict peak,
         # and its first bin interpolates to orientation 0.0
-        cfg = DetectorConfig(double_input=False)
-        flat = GrayImage(np.full((64, 64), 90, dtype=np.uint8))
-        ss = build_scale_space(flat, cfg)
-        assert assign_orientations(ss, center_point(ss, cfg), cfg) == [0.0]
+        flat = GrayImage(np.full((32, 32), 90, dtype=np.uint8))
+        ss = build_scale_space(flat)
+        assert assign_orientations(ss, center_point(ss)) == [0.0]
 
     def test_plateau_maximum_is_interpolated(self, monkeypatch):
         # the maximum spans bins 10 and 11, so it is no strict peak, and
@@ -230,9 +228,8 @@ class TestOrientation:
         hist = np.zeros(36)
         hist[[9, 10, 11, 12, 20]] = [1.0, 4.0, 4.0, 1.0, 2.0]
         monkeypatch.setattr(sift, "_orientation_histogram", lambda *args: hist)
-        cfg = DetectorConfig(double_input=False)
-        ss = build_scale_space(ramp_image(64), cfg)
-        got = assign_orientations(ss, center_point(ss, cfg), cfg)
+        ss = build_scale_space(ramp_image(32))
+        got = assign_orientations(ss, center_point(ss))
         assert got == [pytest.approx(10.5 * 2.0 * math.pi / 36, abs=1e-12)]
 
     def test_orientation_range(self):
@@ -242,41 +239,40 @@ class TestOrientation:
 
 
 class TestDescriptor:
-    @pytest.mark.parametrize("double_input", [True, False])
     @pytest.mark.parametrize("size", [64, 128])
     @pytest.mark.parametrize("seed,subject", [(12, 0), (13, 2)])
-    def test_matches_full_window_oracle(self, seed, subject, size, double_input):
+    def test_matches_full_window_oracle(self, seed, subject, size):
         # the raw histogram is compared too: the float32 result can hide
         # a float64 sum taken in another order
-        cfg = DetectorConfig(double_input=double_input)
+        clamp = DetectorConfig.descriptor_clamp
         img = histogram_equalize(
             render_texture(subject_texture(seed, subject, size), size)
         )
-        ss = build_scale_space(img, cfg)
+        ss = build_scale_space(img)
         octaves = set()
         dropped = 0
-        for cand in detect_keypoints(ss, cfg):
-            loc = localize_keypoint(ss, cand, cfg)
+        for cand in detect_keypoints(ss):
+            loc = localize_keypoint(ss, cand)
             if not isinstance(loc, LocalizedPoint):
                 continue
-            for theta in assign_orientations(ss, loc, cfg):
-                raw = compute_descriptor(ss, loc, theta, cfg)
-                want_raw = descriptor_histogram_oracle(ss, loc, theta, cfg)
+            for theta in assign_orientations(ss, loc):
+                raw = compute_descriptor(ss, loc, theta)
+                want_raw = descriptor_histogram_oracle(ss, loc, theta)
                 if want_raw is None:
                     assert raw is None
                     dropped += 1
                     continue
                 assert np.array_equal(raw, want_raw)
-                got = normalized(raw, cfg.descriptor_clamp)
-                want = finalize_oracle(want_raw, cfg.descriptor_clamp)
+                got = normalized(raw, clamp)
+                want = finalize_oracle(want_raw, clamp)
                 if want is None:
                     assert got is None
                 else:
                     assert got is not None and np.array_equal(got, want)
                     octaves.add(loc.octave)
         assert dropped >= 1
-        # a 64-px input keeps descriptors only in octave 0 unless doubled
-        assert len(octaves) >= (2 if size * (1 + double_input) >= 128 else 1)
+        # doubled, a 64-px input keeps descriptors in two octaves or more
+        assert len(octaves) >= 2
 
     @pytest.mark.parametrize("orientation", [0.0, 1e-17])
     def test_orientation_bin_wraps_at_full_turn(self, orientation):
@@ -284,11 +280,10 @@ class TestDescriptor:
         # along theta = 0 exactly; one 1e-17 past it, theta - orientation
         # taken modulo 2 pi rounds up to a full turn, the bin index
         # reaches n_bins, and that sample must land in bin 0 of its cell
-        cfg = DetectorConfig(double_input=False)
-        ss = build_scale_space(ramp_image(64), cfg)
-        point = center_point(ss, cfg)
-        raw = compute_descriptor(ss, point, orientation, cfg)
-        want = descriptor_histogram_oracle(ss, point, orientation, cfg)
+        ss = build_scale_space(ramp_image(32))
+        point = center_point(ss)
+        raw = compute_descriptor(ss, point, orientation)
+        want = descriptor_histogram_oracle(ss, point, orientation)
         assert raw.tobytes() == want.tobytes()
         assert np.count_nonzero(raw) > 0
 
@@ -322,14 +317,13 @@ class TestDescriptor:
             rng.random((1000, 128)).astype(np.float32).astype(np.float64),
         ]
         img = histogram_equalize(render_texture(subject_texture(12, 0, 128), 128))
-        cfg = DetectorConfig()
-        ss = build_scale_space(img, cfg)
+        ss = build_scale_space(img)
         real = []
-        for cand in detect_keypoints(ss, cfg):
-            loc = localize_keypoint(ss, cand, cfg)
+        for cand in detect_keypoints(ss):
+            loc = localize_keypoint(ss, cand)
             if isinstance(loc, LocalizedPoint):
-                for theta in assign_orientations(ss, loc, cfg):
-                    raw = compute_descriptor(ss, loc, theta, cfg)
+                for theta in assign_orientations(ss, loc):
+                    raw = compute_descriptor(ss, loc, theta)
                     if raw is not None:
                         real.append(raw)
         assert len(real) >= 40
@@ -350,33 +344,32 @@ class TestDescriptor:
             assert float(desc.max()) <= 0.2 + 1e-6
 
     def test_window_exceeding_image_dropped(self):
-        cfg = DetectorConfig(double_input=False)
-        img = render_texture(subject_texture(12, 1, 64), 64)
-        ss = build_scale_space(img, cfg)
+        img = render_texture(subject_texture(12, 1, 32), 32)
+        ss = build_scale_space(img)
         near_border = LocalizedPoint(octave=0, layer=1, x_oct=5.0, y_oct=5.0, scale_oct=3.0)
-        assert compute_descriptor(ss, near_border, 0.0, cfg) is None
+        assert compute_descriptor(ss, near_border, 0.0) is None
         centered = LocalizedPoint(octave=0, layer=1, x_oct=32.0, y_oct=32.0, scale_oct=1.8)
-        assert compute_descriptor(ss, centered, 0.0, cfg) is not None
+        assert compute_descriptor(ss, centered, 0.0) is not None
 
     def test_uniform_gain_invariance(self):
-        cfg = DetectorConfig()
+        clamp = DetectorConfig.descriptor_clamp
         base = render_texture(subject_texture(12, 2, 64), 64)
         even = (base.pixels.astype(np.int32) // 2 * 2).clip(0, 160).astype(np.uint8)
         gained = (even.astype(np.int32) * 3 // 2).astype(np.uint8)  # exactly 1.5x
-        ss1 = build_scale_space(GrayImage(even), cfg)
-        ss2 = build_scale_space(GrayImage(gained), cfg)
+        ss1 = build_scale_space(GrayImage(even))
+        ss2 = build_scale_space(GrayImage(gained))
         compared = 0
-        for cand in detect_keypoints(ss1, cfg):
-            loc = localize_keypoint(ss1, cand, cfg)
+        for cand in detect_keypoints(ss1):
+            loc = localize_keypoint(ss1, cand)
             if not isinstance(loc, LocalizedPoint):
                 continue
-            for theta in assign_orientations(ss1, loc, cfg):
-                raw1 = compute_descriptor(ss1, loc, theta, cfg)
-                raw2 = compute_descriptor(ss2, loc, theta, cfg)
+            for theta in assign_orientations(ss1, loc):
+                raw1 = compute_descriptor(ss1, loc, theta)
+                raw2 = compute_descriptor(ss2, loc, theta)
                 if raw1 is None or raw2 is None:
                     continue
-                d1 = normalized(raw1, cfg.descriptor_clamp)
-                d2 = normalized(raw2, cfg.descriptor_clamp)
+                d1 = normalized(raw1, clamp)
+                d2 = normalized(raw2, clamp)
                 if d1 is None or d2 is None:
                     continue
                 assert float(np.abs(d1 - d2).max()) < 1e-3
