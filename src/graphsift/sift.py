@@ -1,14 +1,14 @@
 """Scale/rotation/translation-invariant keypoint detection and description.
 
-The pipeline is the staged one: build a difference-of-Gaussians scale
-space, pick 26-neighborhood extrema, refine them with a quadratic fit
-(rejecting low-contrast and edge-like points), assign dominant gradient
-orientations, and describe each oriented point with a 4x4 grid of
-8-orientation gradient histograms (128 values). ``compute_descriptor``
-returns the raw histogram; ``extract_features`` normalizes every
-descriptor of an image together (unit norm, entries clamped at 0.2), so
-each stage keeps one call per point while the clamp loop runs once per
-image.
+The pipeline is the staged one: build a Gaussian scale space, pick
+26-neighborhood extrema of its differences of Gaussians (DoG), refine
+them with a quadratic fit (rejecting low-contrast and edge-like
+points), assign dominant gradient orientations, and describe each
+oriented point with a 4x4 grid of 8-orientation gradient histograms
+(128 values). ``compute_descriptor`` returns the raw histogram;
+``extract_features`` normalizes every descriptor of an image together
+(unit norm, entries clamped at 0.2), so each stage keeps one call per
+point while the clamp loop runs once per image.
 
 The detector takes no settings: every stage reads standard SIFT's
 values from ``DetectorConfig``. Everything here is deterministic: no
@@ -82,16 +82,18 @@ class Keypoints:
 
 @dataclass
 class ScaleSpace:
-    """Gaussian and DoG stacks, one list entry per octave.
+    """Gaussian stacks, one list entry per octave.
 
     Octave o, layer s of the Gaussian stack carries absolute blur
     base_sigma * 2**(o + s/scales_per_octave) relative to the pyramid
     base image, the input doubled; each octave halves the previous one,
-    so an octave-o pixel spans 2**o / 2 input pixels.
+    so an octave-o pixel spans 2**o / 2 input pixels. DoG layer k of an
+    octave is Gaussian layer k + 1 minus layer k; no stack of them is
+    kept, since the stages that read it form only the planes or voxel
+    cubes they need, with the same float32 subtraction.
     """
 
     octaves: list[list[np.ndarray]]
-    dog: list[list[np.ndarray]]
 
     def pixel_scale(self, octave: int) -> float:
         """Input-image units per pixel of the given octave."""
@@ -158,7 +160,7 @@ def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def build_scale_space(img: GrayImage) -> ScaleSpace:
-    """Build the Gaussian pyramid and its DoG stacks.
+    """Build the Gaussian pyramid.
 
     Intensities are mapped to [0, 1] floats and upsampled 2x; the input
     is assumed to carry ``assumed_blur`` of blur already, twice that
@@ -184,49 +186,69 @@ def build_scale_space(img: GrayImage) -> ScaleSpace:
     depth = int(math.floor(math.log2(min(base.shape) / 8.0))) + 1
 
     octaves = []
-    dogs = []
     current = base
     for _ in range(depth):
         stack = [current]
         for inc in increments:
             stack.append(_blur(stack[-1], float(inc)))
         octaves.append(stack)
-        dogs.append([stack[i + 1] - stack[i] for i in range(s + 2)])
         # layer s has exactly twice the octave's base blur
         current = stack[s][::2, ::2]
-    return ScaleSpace(octaves=octaves, dog=dogs)
+    return ScaleSpace(octaves=octaves)
+
+
+def _strong_voxels(dog: np.ndarray, prefilter: float) -> np.ndarray:
+    """Row-major flat indices of the interior voxels of one DoG plane
+    whose magnitude exceeds ``prefilter``."""
+    mask = np.abs(dog) > prefilter
+    mask[0] = mask[-1] = False
+    mask[:, 0] = mask[:, -1] = False
+    return np.flatnonzero(mask)
+
+
+def _extrema(
+    below: np.ndarray, mid: np.ndarray, above: np.ndarray, prefilter: float
+) -> np.ndarray:
+    """Row-major flat indices of the strong interior voxels of ``mid``
+    that are strict extrema of their 26 neighbours in the three planes."""
+    w = mid.shape[1]
+    # the 26 compares run on the strong voxels alone, the mid plane
+    # first since it rejects most
+    flat = _strong_voxels(mid, prefilter)
+    center = mid.take(flat)
+    gt = lt = True
+    for dl, plane in ((0, mid), (-1, below), (1, above)):
+        if flat.size == 0:
+            break
+        for off in (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1):
+            if dl == 0 and off == 0:
+                continue
+            neighbour = plane.take(flat + off)
+            gt = gt & (center > neighbour)
+            lt = lt & (center < neighbour)
+        alive = gt | lt
+        flat, center, gt, lt = flat[alive], center[alive], gt[alive], lt[alive]
+    return flat
 
 
 def detect_keypoints(ss: ScaleSpace) -> list[Candidate]:
-    """Scan every DoG stack for strict 26-neighborhood extrema.
+    """Scan every octave's DoG stack for strict 26-neighborhood extrema.
 
     Candidates must clear half the contrast threshold; the full
-    threshold is enforced after sub-pixel refinement.
+    threshold is enforced after sub-pixel refinement. The DoG planes are
+    formed one at a time as the scan climbs an octave, and the plane
+    below is let go before the next one above is formed, so at most
+    three are alive.
     """
     prefilter = 0.5 * DetectorConfig.contrast_threshold
     found = []
-    for o, stack in enumerate(ss.dog):
-        w = stack[0].shape[1]
-        for layer in range(1, len(stack) - 1):
-            # flat indices of the strong interior voxels; the 26 compares
-            # run on these alone, the mid plane first since it rejects most
-            ys, xs = np.nonzero(np.abs(stack[layer][1:-1, 1:-1]) > prefilter)
-            flat = (ys + 1) * w + xs + 1
-            center = stack[layer].take(flat)
-            gt = lt = True
-            for dl in (0, -1, 1):
-                if flat.size == 0:
-                    break
-                plane = stack[layer + dl]
-                for off in (-w - 1, -w, -w + 1, -1, 0, 1, w - 1, w, w + 1):
-                    if dl == 0 and off == 0:
-                        continue
-                    neighbour = plane.take(flat + off)
-                    gt = gt & (center > neighbour)
-                    lt = lt & (center < neighbour)
-                alive = gt | lt
-                flat, center, gt, lt = flat[alive], center[alive], gt[alive], lt[alive]
-            ys, xs = np.divmod(flat, w)
+    for o, gauss in enumerate(ss.octaves):
+        w = gauss[0].shape[1]
+        mid, above = gauss[1] - gauss[0], gauss[2] - gauss[1]
+        for layer in range(1, len(gauss) - 2):
+            below, mid = mid, above
+            above = gauss[layer + 2] - gauss[layer + 1]
+            ys, xs = np.divmod(_extrema(below, mid, above, prefilter), w)
             found.extend(
                 Candidate(o, layer, x, y) for y, x in zip(ys.tolist(), xs.tolist())
             )
@@ -242,20 +264,22 @@ def localize_keypoint(ss: ScaleSpace, cand: Candidate) -> LocalizedPoint | Rejec
     threshold, or sit on an edge (spatial Hessian curvature ratio
     above ``edge_ratio``).
     """
-    stack = ss.dog[cand.octave]
-    n_layers = len(stack)
-    h, w = stack[0].shape
+    gauss = ss.octaves[cand.octave]
+    n_layers = len(gauss) - 1  # DoG layers
+    h, w = gauss[0].shape
     x, y, layer = cand.x, cand.y, cand.layer
 
     for _ in range(_MAX_REFINE_STEPS):
-        # central differences on the 3x3x3 voxel cube, as Python floats:
-        # the same IEEE double arithmetic as numpy float64 scalars, at a
-        # fraction of the per-operation cost; lo/mid/hi are the layers
-        # below, at and above, each indexed [row][column]
-        lo, mid, hi = (
-            stack[k][y - 1 : y + 2, x - 1 : x + 2].tolist()
-            for k in (layer - 1, layer, layer + 1)
+        # central differences on the 3x3x3 DoG voxel cube, as Python
+        # floats: the same IEEE double arithmetic as numpy float64
+        # scalars, at a fraction of the per-operation cost. The cube is
+        # formed from the four Gaussian 3x3 slices under it with
+        # detect_keypoints' float32 subtraction; lo/mid/hi are the DoG
+        # layers below, at and above, each indexed [row][column]
+        cube = np.array(
+            [g[y - 1 : y + 2, x - 1 : x + 2] for g in gauss[layer - 1 : layer + 3]]
         )
+        lo, mid, hi = (cube[1:] - cube[:-1]).tolist()
         v = mid[1][1]
         grad = np.array([
             0.5 * (mid[1][2] - mid[1][0]),

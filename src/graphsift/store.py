@@ -102,24 +102,34 @@ def _encode_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def save(db: GalleryDb, path: str | Path) -> None:
-    parts = [
-        MAGIC,
-        struct.pack("<I", FORMAT_VERSION),
-        struct.pack("<Q", db.detector_cfg_hash),
-        struct.pack("<I", len(db.entries)),
-    ]
+def _chunks(db: GalleryDb):
+    """The file's bytes up to the CRC, in order: the header, then each
+    entry's ids and count, and its keypoint rows as the table itself."""
+    yield MAGIC + struct.pack(
+        "<IQI", FORMAT_VERSION, db.detector_cfg_hash, len(db.entries)
+    )
     for g in db.entries:
-        parts.append(_encode_str(g.subject_id))
-        parts.append(_encode_str(g.image_id))
-        parts.append(struct.pack("<I", g.n_vertices))
-        parts.append(g.vertices.rows.astype("<f4", copy=False).tobytes())
-    payload = b"".join(parts)
-    payload += struct.pack("<I", zlib.crc32(payload))
+        yield (
+            _encode_str(g.subject_id)
+            + _encode_str(g.image_id)
+            + struct.pack("<I", g.n_vertices)
+        )
+        yield g.vertices.rows.astype("<f4", copy=False)
+
+
+def save(db: GalleryDb, path: str | Path) -> None:
+    """Write ``db`` to ``<path>.tmp`` one chunk at a time, with a running
+    CRC, so the file's bytes are never held whole; then rename it over
+    ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(payload)
+        with open(tmp, "wb") as fh:
+            crc = 0
+            for chunk in _chunks(db):
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -14,17 +14,24 @@ from graphsift.sift import (
     LocalizedPoint,
     RejectReason,
     Rejection,
+    _strong_voxels,
     build_scale_space,
     detect_keypoints,
     localize_keypoint,
 )
 
 
+def dog_stacks(ss):
+    """Every octave's DoG stack, layer k being Gaussian layer k + 1
+    minus layer k."""
+    return [[g[k + 1] - g[k] for k in range(len(g) - 1)] for g in ss.octaves]
+
+
 def extrema_oracle(ss):
     """Exhaustive 26-neighborhood scan over every DoG voxel."""
     prefilter = 0.5 * DetectorConfig.contrast_threshold
     found = set()
-    for o, stack in enumerate(ss.dog):
+    for o, stack in enumerate(dog_stacks(ss)):
         h, w = stack[0].shape
         for layer in range(1, len(stack) - 1):
             for y in range(1, h - 1):
@@ -90,10 +97,30 @@ def test_detection_matches_voxel_oracle():
         assert got == extrema_oracle(ss), i
         empty_layers += sum(
             not (np.abs(stack[layer][1:-1, 1:-1]) > prefilter).any()
-            for stack in ss.dog
+            for stack in dog_stacks(ss)
             for layer in range(1, len(stack) - 1)
         )
     assert empty_layers > 0
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 7), (8, 5), (64, 64), (65, 33)])
+def test_strong_voxels_match_interior_nonzero(shape):
+    # strong values on the rim too: the selection must drop them, and
+    # give the interior's indices in the same row-major order as
+    # nonzero on the interior slice, shifted by the 1-px rim
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    prefilter = 0.5 * DetectorConfig.contrast_threshold
+    for _ in range(20):
+        dog = (rng.standard_normal(shape) * 2 * prefilter).astype(np.float32)
+        rim = np.ones(shape, dtype=bool)
+        rim[1:-1, 1:-1] = False
+        dog[rim] = np.where(rng.random(rim.sum()) < 0.5, 1.0, -1.0)
+        w = shape[1]
+        ys, xs = np.nonzero(np.abs(dog[1:-1, 1:-1]) > prefilter)
+        want = (ys + 1) * w + xs + 1
+        got = _strong_voxels(dog, prefilter)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_single_blob_localizes_at_center():

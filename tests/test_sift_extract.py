@@ -1,6 +1,7 @@
 """End-to-end feature extraction invariants."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,3 +221,28 @@ class TestDetectorConfig:
     def test_fixed_constants_not_settable(self, name):
         with pytest.raises(TypeError):
             DetectorConfig(**{name: getattr(DetectorConfig, name)})
+
+
+def test_extraction_memory_peak():
+    # the live peak of one extraction is the Gaussian pyramid plus the
+    # three DoG planes the extrema scan holds at a time; the margin is
+    # one more octave-0 plane for the scan's |DoG| temporary, a quarter
+    # plane for its boolean mask and a quarter plane for the index and
+    # value arrays of the strong voxels. Holding the whole DoG stack, or
+    # a fourth DoG plane through the scan, breaks the bound.
+    img = texture_image(2, 0, 256)
+    gauss = build_scale_space(img).octaves
+    # the first layer of every octave above 0 is a view into the octave
+    # below, which owns its memory
+    pyramid = sum(a.nbytes for octave in gauss for a in octave if a.base is None)
+    plane = gauss[0][0].nbytes
+    bound = pyramid + 3 * plane + plane + plane // 4 + plane // 4
+    del gauss
+    extract_features(img)  # load scipy.ndimage outside the traced call
+    tracemalloc.start()
+    try:
+        extract_features(img)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)

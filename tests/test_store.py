@@ -4,6 +4,7 @@ import hashlib
 import os
 import re
 import struct
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -131,6 +132,51 @@ class TestRoundTrip:
                 save(random_db(6, n_entries=3), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.db"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        # a save that fails after its first entry has gone to <path>.tmp
+        # removes the partial file and leaves the earlier gallery whole
+        path = tmp_path / "g.db"
+        save(random_db(5), path)
+        before = path.read_bytes()
+        crc32 = zlib.crc32
+        calls = 0
+
+        def failing_crc32(data, value=0):
+            # chunks: the header, then each entry's head and rows; the
+            # fourth is the second entry's head
+            nonlocal calls
+            calls += 1
+            if calls == 4:
+                raise OSError("disk full")
+            return crc32(data, value)
+
+        with mock.patch.object(zlib, "crc32", failing_crc32):
+            with pytest.raises(OSError, match="disk full"):
+                save(random_db(6, n_entries=3), path)
+        assert calls == 4
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.db"]
+
+    def test_save_memory_peak(self, tmp_path):
+        # entries are written one at a time, straight from their keypoint
+        # tables: the save's live peak stays below two entries' bytes
+        # however many entries the gallery holds (a file buffer is 8 to
+        # 128 KiB, a 256-keypoint entry 135 KB)
+        rng = np.random.default_rng(9)
+        entries = tuple(
+            random_graph(rng, 256, subject=f"s{k}", image="i") for k in range(40)
+        )
+        entry_bytes = entries[0].vertices.rows.nbytes
+        db = GalleryDb(detector_cfg_hash=1, entries=entries)
+        tracemalloc.start()
+        try:
+            save(db, tmp_path / "g.db")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * entry_bytes, (peak, entry_bytes)
+        assert_dbs_equal(load(tmp_path / "g.db"), db)
 
     def test_load_save_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.db", tmp_path / "b.db"
