@@ -22,7 +22,7 @@ from pathlib import Path
 from .config import DetectorConfig
 from .corpus import generate_corpus, read_manifest
 from .errors import EmptyGallery, GraphSiftError
-from .evaluation import run_protocol
+from .evaluation import normalize_groups, run_protocol
 from .facegraph import FaceGraph, build_graph
 from .imageio import histogram_equalize, load_image
 from .matcher import REPORT_HEADER, Constraint, identify, match, report_row
@@ -145,7 +145,17 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = read_manifest(args.manifest)
-    assignment = [(r.subject_id, r.group) for r in rows]
+    constraints = (
+        [Constraint.GIBMC, Constraint.RPBMC]
+        if args.constraint == "both"
+        else [Constraint(args.constraint)]
+    )
+    out = Path(args.out)
+    # checked before the extractions a late failure would waste: the
+    # group assignment, and the directories run_protocol writes into
+    groups = normalize_groups((r.subject_id, r.group) for r in rows)
+    for constraint in constraints:
+        (out / constraint.value).mkdir(parents=True, exist_ok=True)
 
     graphs: dict[Path, FaceGraph] = {}
     for row in rows:
@@ -156,16 +166,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     gallery = [graphs[r.image_path] for r in rows if r.role == "train"]
     probes = [graphs[r.image_path] for r in rows if r.role == "test"]
 
-    constraints = (
-        [Constraint.GIBMC, Constraint.RPBMC]
-        if args.constraint == "both"
-        else [Constraint(args.constraint)]
-    )
-    out = Path(args.out)
     summary = []
     for constraint in constraints:
         result = run_protocol(
-            gallery, probes, assignment, constraint, out / constraint.value
+            gallery, probes, groups, constraint, out / constraint.value
         )
         line = (
             f"{constraint.value}: average prior EER "

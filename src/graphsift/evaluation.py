@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import DegenerateScores, GroupOverlap, InsufficientClaims
-from .facegraph import FaceGraph
+from .facegraph import FaceGraph, _hold_edge_table
 from .matcher import Constraint, _csv_field, match
 
 GROUPS = ("G1", "G2")
@@ -153,7 +153,9 @@ def generate_scores(
     """All claims: every probe against every enrolled subject of its group.
 
     The claim score is the minimum combined match score over the
-    claimed subject's enrolled graphs.
+    claimed subject's enrolled graphs. Each enrolled graph meets every
+    probe of its group, so it keeps a table of its edge attributes (see
+    facegraph._hold_edge_table) instead of recomputing them per match.
     """
     enrolled: dict[str, dict[str, list[FaceGraph]]] = {g: {} for g in GROUPS}
     for g in gallery:
@@ -161,6 +163,7 @@ def generate_scores(
         if group is None:
             raise ValueError(f"no group assignment for subject {g.subject_id!r}")
         enrolled[group].setdefault(g.subject_id, []).append(g)
+        _hold_edge_table(g)
 
     records = []
     for probe in probes:

@@ -2,9 +2,12 @@
 
 A face is the complete graph over its keypoints: every vertex carries
 the keypoint's descriptor, and every unordered vertex pair is an edge.
-Edges are never materialized; their attributes (normalized length,
-orientation difference, log-scale difference) are computed on demand
-from per-vertex arrays the graph derives once from its keypoints.
+Edge attributes (normalized length, orientation difference, log-scale
+difference) are computed on demand from per-vertex arrays the graph
+derives once from its keypoints. Only a graph enrolled by the
+verification protocol, which meets every probe of its group, holds
+them materialized: a read-only table of all its edges, from which a
+sub-graph in ascending vertex order takes its edges with one gather.
 
 Correspondence between two graphs compares descriptors only. Location,
 scale and orientation are deliberately kept out of vertex matching
@@ -63,6 +66,11 @@ class FaceGraph:
     theta and logscale, the natural log of each scale) and
     ``diameter``, the maximum pairwise endpoint distance, computed as
     scipy's ``cdist`` computes it (see ``_diameter``).
+
+    A graph that ``evaluation.generate_scores`` enrolls, of up to
+    ``_TRIU_CACHE_MAX_K`` vertices, also holds a read-only table of
+    every edge's attributes (see ``_hold_edge_table``); graphs that are
+    only built, loaded, matched or identified against hold none.
     """
 
     vertices: Keypoints = field(hash=False)  # hashed by its ids: tables are unhashable
@@ -173,11 +181,20 @@ def edge_component_arrays(g: FaceGraph, idx: np.ndarray) -> np.ndarray:
     Returns one C-contiguous (3, edges) float64 array whose rows are the
     length normalized by the graph diameter (in [0, 1]), the orientation
     difference wrapped to (-pi, pi], and the log-scale difference; the
-    last two flip sign when an edge's endpoints swap.
+    last two flip sign when an edge's endpoints swap. The array is the
+    caller's own, even where it is gathered from the graph's edge table.
     """
     idx = np.asarray(idx, dtype=np.intp)
     k = len(idx)
     a, b = _triu_indices(k) if k <= _TRIU_CACHE_MAX_K else np.triu_indices(k, k=1)
+    held = g.__dict__.get("_edge_table")
+    # the attributes are elementwise, so the table's columns are the
+    # computed edges bit for bit
+    if held is not None and _ascending(idx):
+        offsets, table = held
+        cols = offsets[idx][a]
+        cols += idx[b]
+        return table.take(cols, axis=1)
     # one gather of the sub-graph's geometry, then one per endpoint;
     # take along axis 1 keeps the (4, edges) results C-contiguous
     sub = g.geometry.take(idx, axis=1)
@@ -193,6 +210,34 @@ def edge_component_arrays(g: FaceGraph, idx: np.ndarray) -> np.ndarray:
     dtheta -= math.pi
     dtheta[dtheta == -math.pi] = math.pi
     return diff[1:]
+
+
+def _ascending(idx: np.ndarray) -> bool:
+    """Whether idx is strictly ascending from 0 up, so that every edge of
+    its sub-graph is an edge (i, j), i < j, of the whole graph."""
+    return len(idx) < 2 or (idx[0] >= 0 and not np.count_nonzero(idx[1:] <= idx[:-1]))
+
+
+def _hold_edge_table(g: FaceGraph) -> None:
+    """Keep on ``g`` the attributes of all its edges, for graphs of up to
+    _TRIU_CACHE_MAX_K vertices (at most 195 KB) that hold none yet.
+
+    The table is edge_component_arrays over every vertex in order: a
+    read-only (3, n(n-1)/2) float64 array in np.triu_indices order, where
+    edge (i, j), i < j, is column offsets[i] + j. Worth its n(n-1)/2
+    edges only on a graph that meets many probes, as an enrolled one
+    does in the verification protocol.
+    """
+    n = g.n_vertices
+    if n > _TRIU_CACHE_MAX_K or "_edge_table" in g.__dict__:
+        return
+    i = np.arange(n)
+    offsets = i * n - i * (i + 1) // 2 - i - 1
+    # a copy, so that the table keeps no row 0 of the difference buffer
+    table = edge_component_arrays(g, i).copy()
+    offsets.flags.writeable = False
+    table.flags.writeable = False
+    g.__dict__["_edge_table"] = (offsets, table)
 
 
 # --- exact nearest neighbours ---

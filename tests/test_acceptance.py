@@ -13,15 +13,23 @@ ordering on the synthetic corpus.
 import contextlib
 import hashlib
 import math
+import statistics
 import time
 
 import numpy as np
 import pytest
 
 from graphsift.corpus import read_manifest, render_texture, subject_texture
-from graphsift.evaluation import ScoreRecord, prior_eer, roc, run_protocol, wer
+from graphsift.evaluation import (
+    ScoreRecord,
+    generate_scores,
+    prior_eer,
+    roc,
+    run_protocol,
+    wer,
+)
 from graphsift.facegraph import build_graph
-from graphsift.imageio import GrayImage, histogram_equalize
+from graphsift.imageio import GrayImage, histogram_equalize, load_image
 from graphsift.matcher import (
     Constraint,
     _band_multipliers,
@@ -168,6 +176,63 @@ def graph_of(img, subject, image):
     return build_graph(
         extract_features(histogram_equalize(img)), subject, image
     )
+
+
+# Exact pixel permutations under which SIFT (Lowe, IJCV 2004) finds the
+# same keypoints, up to sub-pixel refinement near the image border.
+INVARIANT_VIEWS = {
+    "rot90": np.rot90,
+    "rot180": lambda p: np.rot90(p, 2),
+    "roll": lambda p: np.roll(p, (3, 5), axis=(0, 1)),
+}
+# A claim by a permuted copy of an enrolled image scores below this. On
+# the session corpus the largest such score was 1.3e-3 (roll, gibmc),
+# and genuine claims by the other views have a median of 0.041 (gibmc)
+# and 0.014 (rpbmc), so the bound is well under both.
+INVARIANT_BOUND = 2.5e-3
+
+
+def test_exact_rotations_and_shifts_score_like_the_same_image(
+    corpus_graphs, corpus_rows
+):
+    with criterion("rot90, rot180 and roll are invariant; a mirror is not", limit=120.0):
+        train = [r for r in corpus_rows if r.role == "train"]
+        gallery = [corpus_graphs[(r.subject_id, r.image_id)] for r in train]
+        groups = {r.subject_id: r.group for r in corpus_rows}
+        probes = {
+            "views": [
+                corpus_graphs[(r.subject_id, r.image_id)]
+                for r in corpus_rows if r.role == "test"
+            ]
+        }
+        for name, view in {**INVARIANT_VIEWS, "mirror": lambda p: p[:, ::-1]}.items():
+            probes[name] = [
+                graph_of(
+                    GrayImage(np.ascontiguousarray(view(load_image(r.image_path).pixels))),
+                    r.subject_id, f"{r.image_id}-{name}",
+                )
+                for r in train
+            ]
+        for constraint in Constraint:
+            # the originals are enrolled, so their edges are gathered
+            # from the tables the protocol keeps, against probe edges
+            # whose orientations turned with the image
+            genuine = {
+                name: [
+                    claim.score
+                    for claim in generate_scores(gallery, graphs, groups, constraint)
+                    if claim.genuine
+                ]
+                for name, graphs in probes.items()
+            }
+            views_median = statistics.median(genuine["views"])
+            assert INVARIANT_BOUND < views_median / 5.0, constraint
+            for name in INVARIANT_VIEWS:
+                assert max(genuine[name]) < INVARIANT_BOUND, (constraint, name)
+            # SIFT is not mirror-invariant: a mirrored copy scores worse
+            # than other views of the same face
+            assert min(genuine["mirror"]) > INVARIANT_BOUND, constraint
+            assert statistics.median(genuine["mirror"]) > views_median, constraint
 
 
 def test_metric_pipeline_matches_sweep_oracle():

@@ -321,6 +321,37 @@ class TestEvaluate:
         assert main(["evaluate", str(manifest), "--out", str(tmp_path / "o")]) == 1
         assert "both groups" in capsys.readouterr().err
 
+    def test_group_overlap_fails_before_extracting(
+        self, cli_corpus, tmp_path, capsys, extract_calls
+    ):
+        # the corpus manifest with its last row moved to the other group
+        head, *lines = (cli_corpus / "manifest.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        for row in rows:
+            row[0] = str(cli_corpus / row[0])
+        subject = rows[-1][1]
+        rows[-1][3] = "G1" if rows[-1][3] == "G2" else "G2"
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("\n".join([head, *map(",".join, rows)]) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: subject {subject!r} assigned to both groups\n"
+        assert extract_calls == []
+        assert not out.exists()
+
+    def test_out_naming_a_file_fails_before_extracting(
+        self, cli_corpus, tmp_path, capsys, extract_calls
+    ):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        manifest = str(cli_corpus / "manifest.csv")
+        assert main(["evaluate", manifest, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{out / 'gibmc'}" in err
+        assert extract_calls == []
+        assert out.read_text() == "kept\n"
+
 
 class TestExport:
     def test_dumps_text(self, enrolled_db, tmp_path, capsys):

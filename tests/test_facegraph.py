@@ -15,7 +15,8 @@ from graphsift.facegraph import (
     edge_component_arrays,
     mutual_correspondence,
 )
-from graphsift.matcher import Constraint, match
+from graphsift.evaluation import generate_scores, run_protocol
+from graphsift.matcher import Constraint, identify, match
 from graphsift.store import GalleryDb, load, save
 
 from conftest import (
@@ -186,6 +187,8 @@ class TestBuildGraph:
 SEARCH_ARRAYS = ("_by_dim", "half_sq_norms", "_sq_norm_max")
 EDGE_ARRAYS = ("geometry", "diameter")
 TABLE_FIELDS = {"vertices", "subject_id", "image_id"}
+# held only by graphs the verification protocol enrolls
+EDGE_TABLE = "_edge_table"
 
 
 def eager_reference(kps) -> dict:
@@ -257,6 +260,38 @@ class TestLazyArrays:
         for g, h in zip(fresh_graphs, loaded):
             for name in SEARCH_ARRAYS + EDGE_ARRAYS:
                 assert_bit_identical(h.__dict__[name], g.__dict__[name])
+
+    def test_match_and_identify_derive_no_edge_table(self, fresh_graphs, tmp_path):
+        self.match_all(fresh_graphs)
+        path = tmp_path / "g.db"
+        save(GalleryDb(detector_cfg_hash=0, entries=tuple(fresh_graphs)), path)
+        loaded = list(load(path).entries)
+        for constraint in Constraint:
+            identify(fresh_graphs[0], fresh_graphs[1:], constraint)
+            identify(loaded[0], loaded[1:], constraint)
+        for g in fresh_graphs + loaded:
+            assert EDGE_TABLE not in g.__dict__
+
+    def test_protocol_tables_every_enrolled_graph_and_no_probe(
+        self, fresh_graphs, corpus_rows
+    ):
+        role = {(r.subject_id, r.image_id): r.role for r in corpus_rows}
+        groups = {r.subject_id: r.group for r in corpus_rows}
+        split = {"train": [], "test": []}
+        for g in fresh_graphs:
+            split[role[g.subject_id, g.image_id]].append(g)
+        gallery, probes = split["train"], split["test"]
+        assert gallery and probes
+        run_protocol(gallery, probes, groups, Constraint.GIBMC)
+        for g in gallery:
+            _, edges = g.__dict__[EDGE_TABLE]
+            assert edges.shape == (3, g.n_vertices * (g.n_vertices - 1) // 2)
+        for g in probes:
+            assert EDGE_TABLE not in g.__dict__
+        # a second run keeps the tables it finds
+        held = [g.__dict__[EDGE_TABLE] for g in gallery]
+        run_protocol(gallery, probes, groups, Constraint.RPBMC)
+        assert all(g.__dict__[EDGE_TABLE] is t for g, t in zip(gallery, held))
 
     def test_second_match_reuses_the_arrays(self, fresh_graphs):
         g, h = fresh_graphs[:2]
@@ -363,6 +398,111 @@ def edge_arrays_reference(g, idx):
     dtheta = (theta[a] - theta[b] + math.pi) % (2.0 * math.pi) - math.pi
     dtheta[dtheta == -math.pi] = math.pi
     return length, dtheta, logscale[a] - logscale[b]
+
+
+def held_twin(g):
+    """A graph on g's keypoints that holds its edge table, with its
+    geometry then replaced by NaN: only a gather from the edge table
+    gives finite edges, and the computed path gives NaN."""
+    twin = build_graph(g.vertices, g.subject_id, g.image_id)
+    facegraph._hold_edge_table(twin)
+    twin.__dict__["geometry"] = np.full_like(twin.geometry, math.nan)
+    return twin
+
+
+def assert_edges_equal_reference(got, g, idx):
+    want = edge_arrays_reference(g, np.asarray(idx, dtype=np.intp))
+    assert (got.dtype, got.shape) == (np.float64, (3, len(want[0])))
+    assert got.flags.c_contiguous and got.flags.writeable
+    for row, want_row in zip(got, want):
+        assert row.tobytes() == want_row.tobytes()
+
+
+class TestEdgeTable:
+    def test_gather_equals_reference_every_size(self):
+        rng = np.random.default_rng(20)
+        for n in range(2, facegraph._TRIU_CACHE_MAX_K + 1):
+            g = random_graph(rng, n)
+            held = held_twin(g)
+            subsets = [np.arange(k) for k in (0, 1, 2, n)]
+            subsets += [
+                np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+                for _ in range(6)
+            ]
+            for idx in subsets:
+                assert_edges_equal_reference(edge_component_arrays(held, idx), g, idx)
+
+    def test_gather_equals_reference_at_the_diameter_edges(self):
+        rng = np.random.default_rng(21)
+        for kps in diameter_edge_tables():
+            g = build_graph(kps, "s", "i")
+            held = held_twin(g)
+            n = g.n_vertices
+            for idx in [np.arange(k) for k in (0, 1, 2, n)] + [np.array([0, n - 1])]:
+                assert_edges_equal_reference(edge_component_arrays(held, idx), g, idx)
+            for _ in range(5):
+                idx = np.sort(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+                assert_edges_equal_reference(edge_component_arrays(held, idx), g, idx)
+        assert build_graph(diameter_edge_tables()[0], "s", "i").diameter == 0.0
+
+    def test_table_layout(self):
+        g = random_graph(np.random.default_rng(22), 9)
+        facegraph._hold_edge_table(g)
+        offsets, edges = g.__dict__[EDGE_TABLE]
+        assert edges.tobytes() == edge_component_arrays(
+            build_graph(g.vertices, "s", "i"), np.arange(9)
+        ).tobytes()
+        # edge (i, j), i < j, is column offsets[i] + j
+        for i in range(9):
+            for j in range(i + 1, 9):
+                pair = edge_arrays_reference(g, np.array([i, j]))
+                assert edges[:, offsets[i] + j].tolist() == [v[0] for v in pair]
+
+    def test_gathered_array_is_the_callers_own(self):
+        g = random_graph(np.random.default_rng(23), 12)
+        facegraph._hold_edge_table(g)
+        offsets, edges = g.__dict__[EDGE_TABLE]
+        kept = edges.copy()
+        for arr in (offsets, edges):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[..., 0] = 0
+        idx = np.array([1, 4, 7, 11])
+        got = edge_component_arrays(g, idx)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, edges)
+        # the edge stage subtracts into the gallery side's array
+        got -= 1.0
+        assert edges.tobytes() == kept.tobytes()
+        assert_edges_equal_reference(edge_component_arrays(g, idx), g, idx)
+
+    @pytest.mark.parametrize(
+        "idx",
+        [[3, 1, 5], [2, 2, 6], [0, 5, 5], [-3, -1], [-1, 0, 4], [7, 6, 5, 4, 3]],
+        ids=["unordered", "repeat-first", "repeat-last", "negative",
+             "negative-first", "descending"],
+    )
+    def test_other_sequences_are_computed(self, idx):
+        g = random_graph(np.random.default_rng(24), 8)
+        facegraph._hold_edge_table(g)
+        assert_edges_equal_reference(edge_component_arrays(g, idx), g, idx)
+
+    def test_held_only_up_to_the_index_cache_limit(self):
+        limit = facegraph._TRIU_CACHE_MAX_K
+        rng = np.random.default_rng(25)
+        big = random_graph(rng, limit + 1, "a", "big")
+        # the probe repeats most of the gallery's vertices, so the pairing
+        # keeps enough pairs to form edges
+        probe = build_graph(table(big.vertices.rows[5:110]), "a", "probe")
+        records = generate_scores([big], [probe], {"a": "G1"}, Constraint.GIBMC)
+        assert EDGE_TABLE not in big.__dict__
+        fresh = build_graph(big.vertices, "a", "big")
+        score = match(fresh, build_graph(probe.vertices, "a", "probe"), Constraint.GIBMC)
+        assert score.n_edge_pairs > 0
+        assert records[0].score == score.combined
+        small = random_graph(rng, limit, "a", "small")
+        generate_scores([small], [probe], {"a": "G1"}, Constraint.GIBMC)
+        assert EDGE_TABLE in small.__dict__
 
 
 class TestEdgeIndexCache:
