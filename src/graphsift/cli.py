@@ -154,6 +154,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # checked before the extractions a late failure would waste: the
     # group assignment, and the directories run_protocol writes into
     groups = normalize_groups((r.subject_id, r.group) for r in rows)
+    # one graph per file, so a file carries one subject
+    subject_of: dict[Path, str] = {}
+    for row in rows:
+        first = subject_of.setdefault(row.image_path, row.subject_id)
+        if first != row.subject_id:
+            raise ValueError(
+                f"{row.image_path} is listed under subjects {first!r} "
+                f"and {row.subject_id!r}"
+            )
     for constraint in constraints:
         (out / constraint.value).mkdir(parents=True, exist_ok=True)
 

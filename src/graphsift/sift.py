@@ -12,14 +12,19 @@ point while the clamp loop runs once per image.
 
 The detector takes no settings: every stage reads standard SIFT's
 values from ``DetectorConfig``. Everything here is deterministic: no
-RNG, no threading, pure numpy and scipy kernels, so identical input
-gives bit-identical output.
+RNG, pure numpy and scipy kernels, so identical input gives
+bit-identical output. The one thread besides the caller's is a helper
+that blurs half of each large plane (see ``_blur``): every line of a
+blur pass depends only on its own input line, so which thread computes
+it cannot change a byte.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,6 +37,11 @@ from .imageio import GrayImage
 MIN_IMAGE_SIDE = 16
 _MAX_REFINE_STEPS = 5
 _GAUSS_TRUNCATE = 4.0
+# planes at least this large are blurred in two halves (see _blur): the
+# 512x512 octave 0 of a 256-px image is, 256x256 planes are not. Split,
+# a 128x128 blur was slower, and 256x256 ones saved little while the
+# helper's stack and arena raised the process's peak memory.
+_SPLIT_MIN_PIXELS = 1 << 17
 TWO_PI = 2.0 * math.pi
 # a keypoint row: x, y, scale and orientation, then the descriptor
 ROW_LEN = 4 + DESCRIPTOR_LEN
@@ -154,9 +164,88 @@ def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
     # imported on first use: it costs more to import than all of graphsift
     from scipy import ndimage
 
-    return ndimage.gaussian_filter(
-        a, sigma, mode="mirror", truncate=_GAUSS_TRUNCATE
+    # A large plane is blurred in two halves, one on the helper thread,
+    # when the process may use a second CPU; the bytes are
+    # gaussian_filter's either way (see _blur_in_halves).
+    if a.size < _SPLIT_MIN_PIXELS or _usable_cpus() < 2:
+        return ndimage.gaussian_filter(
+            a, sigma, mode="mirror", truncate=_GAUSS_TRUNCATE
+        )
+    return _blur_in_halves(a, sigma)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blur_in_halves(a: np.ndarray, sigma: float) -> np.ndarray:
+    """``gaussian_filter(a, sigma)`` with each of its passes split in two.
+
+    Like scipy, it filters along axis 0 into one output, then along
+    axis 1 in place. The axis-0 pass is split by columns and the axis-1
+    pass by rows, so each half holds whole lines of its pass, and a
+    line's output depends only on that line: the bytes are
+    gaussian_filter's whichever thread computes them. scipy.ndimage
+    releases the GIL while it filters, so the helper's half runs
+    alongside the caller's.
+    """
+    from scipy import ndimage
+
+    def along(axis: int, src: np.ndarray, dst: np.ndarray) -> None:
+        ndimage.gaussian_filter1d(
+            src, sigma, axis, output=dst, mode="mirror", truncate=_GAUSS_TRUNCATE
+        )
+
+    out = np.empty(a.shape, dtype=a.dtype)
+    c, r = a.shape[1] // 2, a.shape[0] // 2
+    _in_two_halves(
+        along, (0, a[:, :c], out[:, :c]), (0, a[:, c:], out[:, c:])
     )
+    _in_two_halves(along, (1, out[:r], out[:r]), (1, out[r:], out[r:]))
+    return out
+
+
+def _in_two_halves(fn, helper_args: tuple, own_args: tuple) -> None:
+    """Run fn(*helper_args) on the helper thread and fn(*own_args) here.
+
+    The helper's half is always waited for, so neither half outlives
+    the call. An exception from either half propagates; when both
+    raise, the caller's own is the one raised.
+    """
+    future = _helper().submit(fn, *helper_args)
+    try:
+        fn(*own_args)
+    finally:
+        future.exception()  # waits, and raises nothing
+    future.result()
+
+
+# The helper thread, started by the first large blur so that importing
+# graphsift starts none. A forked child gets a fresh lock and no
+# helper: its parent's thread does not exist there.
+_helper_pool = None
+_helper_lock = threading.Lock()
+
+
+def _helper():
+    global _helper_pool
+    with _helper_lock:
+        if _helper_pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper_pool = ThreadPoolExecutor(1, thread_name_prefix="graphsift-blur")
+        return _helper_pool
+
+
+def _forget_helper() -> None:
+    global _helper_pool, _helper_lock
+    _helper_pool, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
 def build_scale_space(img: GrayImage) -> ScaleSpace:

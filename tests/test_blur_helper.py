@@ -1,0 +1,105 @@
+"""The blur's one helper thread (sift._blur): it starts at the first
+plane large enough to split and never before, there is one for the
+process, it stays off when the process may use one CPU, and a forked
+child neither hangs on its parent's helper nor changes a byte. Each
+check runs in a fresh interpreter, since this one may have started the
+helper already."""
+
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import graphsift
+from graphsift import sift
+from test_sift_extract import KEYPOINT_TABLE_SHA256
+
+SRC = Path(graphsift.__file__).resolve().parent.parent
+PINNED = KEYPOINT_TABLE_SHA256[(2, 256)]
+
+# digest(size) is test_sift_extract's pin: texture_image(2, 0, size)
+PRELUDE = """
+import hashlib, json, os, threading
+from graphsift import extract_features
+from graphsift.corpus import render_texture, subject_texture
+from graphsift.imageio import histogram_equalize
+
+def digest(size):
+    img = histogram_equalize(render_texture(subject_texture(21, 2, size), size))
+    return hashlib.sha256(extract_features(img).rows.tobytes()).hexdigest()
+
+def threads():
+    return [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+"""
+
+needs_two_cpus = pytest.mark.skipif(
+    sift._usable_cpus() < 2, reason="the split needs two usable CPUs"
+)
+
+
+def run(body: str):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", PRELUDE + body],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    return json.loads(out)
+
+
+def test_small_planes_start_no_thread():
+    # 128 px doubles to 256x256 planes, below the split
+    assert run("digest(64); digest(128); print(json.dumps(threads()))") == []
+
+
+@needs_two_cpus
+def test_one_helper_for_every_large_blur():
+    a, first, b, second = run(
+        "a = digest(256); one = threads()\n"
+        "print(json.dumps([a, one, digest(256), threads()]))"
+    )
+    assert first == ["graphsift-blur_0"]
+    assert second == first
+    assert a == b == PINNED
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
+)
+def test_one_cpu_blurs_serially():
+    got, started = run(
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "print(json.dumps([digest(256), threads()]))"
+    )
+    assert started == []
+    assert got == PINNED
+
+
+@needs_two_cpus
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
+)
+def test_forked_child_blurs_without_its_parents_helper():
+    # the parent's helper thread does not exist in the child; a child
+    # that submitted to it would wait forever
+    parent, started, child, alive = run("""
+import multiprocessing
+ours = digest(256)
+started = threads()
+ctx = multiprocessing.get_context("fork")
+recv, send = ctx.Pipe(duplex=False)
+p = ctx.Process(target=lambda: send.send(digest(256)))
+p.start()
+got = recv.recv() if recv.poll(30) else None
+p.join(5)
+alive = p.is_alive()
+if alive:
+    p.kill()
+print(json.dumps([ours, started, got, alive]))
+""")
+    assert started == ["graphsift-blur_0"]
+    assert not alive
+    assert child == parent == PINNED

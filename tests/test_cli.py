@@ -340,6 +340,28 @@ class TestEvaluate:
         assert extract_calls == []
         assert not out.exists()
 
+    def test_one_file_under_two_subjects_fails_before_extracting(
+        self, tmp_path, capsys, extract_calls
+    ):
+        corpus = tmp_path / "c"
+        assert main([
+            "gen-corpus", "--out", str(corpus), "--subjects", "4",
+            "--images", "3", "--size", "64",
+        ]) == 0
+        # s001's second image row names s000's file
+        text = (corpus / "manifest.csv").read_text()
+        assert "s001_i01.pgm,s001," in text
+        (corpus / "manifest.csv").write_text(
+            text.replace("s001_i01.pgm,s001,", "s000_i01.pgm,s001,")
+        )
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["evaluate", str(corpus / "manifest.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "s000_i01.pgm is listed under subjects 's000' and 's001'" in err
+        assert extract_calls == []
+        assert not out.exists()
+
     def test_out_naming_a_file_fails_before_extracting(
         self, cli_corpus, tmp_path, capsys, extract_calls
     ):

@@ -1,6 +1,8 @@
 """What importing graphsift loads: no scipy.spatial at all, and
-scipy.ndimage only once an image is extracted. Each check runs in a
-fresh interpreter, since this one has scipy loaded already."""
+scipy.ndimage only once an image is extracted; nor does the import
+load concurrent.futures or start a thread (the blur's helper waits for
+the first large plane, see tests/test_blur_helper.py). Each check runs
+in a fresh interpreter, since this one has scipy loaded already."""
 
 import json
 import os
@@ -15,12 +17,14 @@ import graphsift
 SRC = Path(graphsift.__file__).resolve().parent.parent
 
 SCRIPT = """
-import json, sys
+import json, sys, threading
 import numpy as np
 {statement}
 def loaded():
     return [m for m in ("scipy.ndimage", "scipy.spatial") if m in sys.modules]
 before = loaded()
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1
 from graphsift import GrayImage, extract_features
 pixels = np.random.default_rng(0).integers(0, 256, (64, 64), dtype=np.uint8)
 extract_features(GrayImage(pixels))

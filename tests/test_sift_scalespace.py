@@ -1,10 +1,14 @@
 """Scale-space construction against closed-form Gaussian oracles."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from graphsift import sift
 from graphsift.config import DetectorConfig
 from graphsift.errors import ImageTooSmall
 from graphsift.imageio import GrayImage
@@ -109,3 +113,52 @@ def test_pixel_scale_accounts_for_doubling():
     ss = build_scale_space(img)
     assert ss.pixel_scale(0) == 0.5
     assert ss.pixel_scale(2) == 2.0
+
+
+# an octave's blurs, rounded: the base image's, then the five increments
+OCTAVE_SIGMAS = (1.249, 1.226, 1.545, 1.946, 2.452, 3.089)
+
+
+@pytest.mark.parametrize("shape", [(513, 389), (389, 513), (363, 361)])
+def test_blur_in_halves_is_gaussian_filter_byte_for_byte(shape):
+    # called directly, so the split runs whatever the host's CPU count;
+    # odd sides make the halves unequal
+    plane = np.random.default_rng(3).random(shape, dtype=np.float32)
+    for sigma in OCTAVE_SIGMAS:
+        want = ndimage.gaussian_filter(plane, sigma, mode="mirror", truncate=4.0)
+        got = sift._blur_in_halves(plane, sigma)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes(), sigma
+
+
+def _on_helper() -> bool:
+    return threading.current_thread().name.startswith("graphsift-blur")
+
+
+def test_blur_in_halves_raises_the_helpers_error(monkeypatch):
+    filter1d = ndimage.gaussian_filter1d
+
+    def failing_on_helper(*args, **kwargs):
+        if _on_helper():
+            raise MemoryError("helper half")
+        return filter1d(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "gaussian_filter1d", failing_on_helper)
+    with pytest.raises(MemoryError, match="helper half"):
+        sift._blur_in_halves(np.ones((40, 30), dtype=np.float32), 1.5)
+
+
+def test_blur_in_halves_waits_for_the_helper_before_raising(monkeypatch):
+    filter1d = ndimage.gaussian_filter1d
+    finished = []
+
+    def slow_helper_failing_caller(*args, **kwargs):
+        if not _on_helper():
+            raise MemoryError("caller half")
+        time.sleep(0.2)
+        finished.append(filter1d(*args, **kwargs))
+
+    monkeypatch.setattr(ndimage, "gaussian_filter1d", slow_helper_failing_caller)
+    with pytest.raises(MemoryError, match="caller half"):
+        sift._blur_in_halves(np.ones((40, 30), dtype=np.float32), 1.5)
+    assert len(finished) == 1
