@@ -4,10 +4,11 @@ gen-corpus, export.
 All knobs are flags (no environment variables), every command is
 deterministic given its inputs, and any pipeline error exits 1 with a
 one-line diagnostic on standard error. The detector takes no flags: it
-is standard SIFT with fixed values (see DetectorConfig), input doubling
-included, and a gallery built by any other detector, one that did not
-double its input among them, is refused by its digest. The matcher's
-ratio test is fixed too, at Lowe's 0.8.
+is standard SIFT with fixed values (see graphsift.sift), input doubling
+included, and every command that reads a gallery refuses one built by
+any other detector, one that did not double its input among them, by
+the detector digest in its header (store.load raises ForeignDetector).
+The matcher's ratio test is fixed too, at Lowe's 0.8.
 Numeric flags only parse here: generate_corpus checks their ranges, so
 a value out of range exits 1 with a message naming the setting, while
 one that does not parse as a number exits 2 from argparse.
@@ -19,7 +20,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import DetectorConfig
 from .corpus import generate_corpus, read_manifest
 from .errors import EmptyGallery, GraphSiftError
 from .evaluation import normalize_groups, run_protocol
@@ -60,23 +60,13 @@ def _extract_graph(path: Path, subject_id: str, image_id: str) -> FaceGraph:
     return build_graph(extract_features(img), subject_id, image_id)
 
 
-def _load_checked(path: str | Path) -> GalleryDb:
-    """The gallery at path, which must come from this detector."""
-    db = load(path)
-    if db.detector_cfg_hash != DetectorConfig().digest():
-        raise GraphSiftError(
-            f"{path}: gallery was built with a different detector config"
-        )
-    return db
-
-
 def _load_or_new_db(path: Path) -> GalleryDb:
     if path.exists():
-        return _load_checked(path)
+        return load(path)
     # checked before the extractions a failed save would waste
     if not path.parent.is_dir():
         raise GraphSiftError(f"{path}: directory {path.parent} does not exist")
-    return GalleryDb(detector_cfg_hash=DetectorConfig().digest(), entries=())
+    return GalleryDb()
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -109,7 +99,7 @@ def cmd_enroll(args: argparse.Namespace) -> int:
 
 
 def cmd_identify(args: argparse.Namespace) -> int:
-    db = _load_checked(args.db)
+    db = load(args.db)
     if not db.entries:
         raise EmptyGallery(f"{args.db} holds no enrolled images")
     probe_path = Path(args.probe)

@@ -76,3 +76,7 @@ class TruncatedFile(StoreError):
 
 class ChecksumMismatch(StoreError):
     """Gallery payload CRC does not match the stored value."""
+
+
+class ForeignDetector(StoreError):
+    """Gallery header names a detector other than this one."""

@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DESCRIPTOR_LEN
 from .errors import TooFewKeypoints
-from .sift import Keypoints
+from .sift import DESCRIPTOR_LEN, Keypoints
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ oriented point with a 4x4 grid of 8-orientation gradient histograms
 (unit norm, entries clamped at 0.2), so each stage keeps one call per
 point while the clamp loop runs once per image.
 
-The detector takes no settings: every stage reads standard SIFT's
-values from ``DetectorConfig``. Everything here is deterministic: no
+The detector takes no settings: standard SIFT's values are this
+module's constants, and a gallery's header names them by
+``store.DETECTOR_DIGEST``. Everything here is deterministic: no
 RNG, pure numpy and scipy kernels, so identical input gives
 bit-identical output. The one thread besides the caller's is a helper
 that blurs half of each large plane (see ``_blur``): every line of a
@@ -30,10 +31,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DESCRIPTOR_LEN, DetectorConfig
 from .errors import ImageTooSmall, NonFiniteKeypoint, NonPositiveScale
 from .imageio import GrayImage
 
+# standard SIFT's values (Lowe, IJCV 2004)
+_SCALES_PER_OCTAVE = 3
+_BASE_SIGMA = 1.6  # blur of the pyramid's base, in its own pixels
+_ASSUMED_BLUR = 0.5  # the input's own blur, in input pixels
+_CONTRAST_THRESHOLD = 0.03  # least |DoG| on [0, 1] intensities
+_EDGE_RATIO = 10.0  # greatest ratio of a point's principal curvatures
+_ORIENTATION_BINS = 36
+_PEAK_RATIO = 0.8  # a secondary orientation peak's least share of the top
+_DESCRIPTOR_GRID = 4  # cells per side
+_DESCRIPTOR_BINS = 8  # orientation bins per cell
+_DESCRIPTOR_CLAMP = 0.2  # greatest entry of a unit descriptor
+DESCRIPTOR_LEN = _DESCRIPTOR_GRID**2 * _DESCRIPTOR_BINS  # floats the store keeps
 MIN_IMAGE_SIDE = 16
 _MAX_REFINE_STEPS = 5
 _GAUSS_TRUNCATE = 4.0
@@ -95,7 +107,7 @@ class ScaleSpace:
     """Gaussian stacks, one list entry per octave.
 
     Octave o, layer s of the Gaussian stack carries absolute blur
-    base_sigma * 2**(o + s/scales_per_octave) relative to the pyramid
+    _BASE_SIGMA * 2**(o + s/_SCALES_PER_OCTAVE) relative to the pyramid
     base image, the input doubled; each octave halves the previous one,
     so an octave-o pixel spans 2**o / 2 input pixels. DoG layer k of an
     octave is Gaussian layer k + 1 minus layer k; no stack of them is
@@ -252,22 +264,21 @@ def build_scale_space(img: GrayImage) -> ScaleSpace:
     """Build the Gaussian pyramid.
 
     Intensities are mapped to [0, 1] floats and upsampled 2x; the input
-    is assumed to carry ``assumed_blur`` of blur already, twice that
+    is assumed to carry ``_ASSUMED_BLUR`` of blur already, twice that
     once doubled, so the base image is blurred only by the difference
-    needed to reach ``base_sigma``.
+    needed to reach ``_BASE_SIGMA``.
     """
     if min(img.width, img.height) < MIN_IMAGE_SIDE:
         raise ImageTooSmall(
             f"{img.width}x{img.height} below minimum "
             f"{MIN_IMAGE_SIDE}x{MIN_IMAGE_SIDE}"
         )
-    cfg = DetectorConfig
     base = _upsample2x(img.pixels.astype(np.float32) / np.float32(255.0))
-    base = _blur(base, math.sqrt(cfg.base_sigma**2 - (2.0 * cfg.assumed_blur) ** 2))
+    base = _blur(base, math.sqrt(_BASE_SIGMA**2 - (2.0 * _ASSUMED_BLUR) ** 2))
 
-    s = cfg.scales_per_octave
+    s = _SCALES_PER_OCTAVE
     k = 2.0 ** (1.0 / s)
-    layer_sigmas = cfg.base_sigma * k ** np.arange(s + 3)
+    layer_sigmas = _BASE_SIGMA * k ** np.arange(s + 3)
     # incremental blur from layer i-1 to layer i
     increments = np.sqrt(layer_sigmas[1:] ** 2 - layer_sigmas[:-1] ** 2)
 
@@ -329,7 +340,7 @@ def detect_keypoints(ss: ScaleSpace) -> list[Candidate]:
     below is let go before the next one above is formed, so at most
     three are alive.
     """
-    prefilter = 0.5 * DetectorConfig.contrast_threshold
+    prefilter = 0.5 * _CONTRAST_THRESHOLD
     found = []
     for o, gauss in enumerate(ss.octaves):
         w = gauss[0].shape[1]
@@ -351,7 +362,7 @@ def localize_keypoint(ss: ScaleSpace, cand: Candidate) -> LocalizedPoint | Rejec
     Rejection (with a reason) is a normal outcome: the fit may fail to
     converge, drift out of the stack, land below the contrast
     threshold, or sit on an edge (spatial Hessian curvature ratio
-    above ``edge_ratio``).
+    above ``_EDGE_RATIO``).
     """
     gauss = ss.octaves[cand.octave]
     n_layers = len(gauss) - 1  # DoG layers
@@ -397,19 +408,18 @@ def localize_keypoint(ss: ScaleSpace, cand: Candidate) -> LocalizedPoint | Rejec
     else:
         return Rejection(RejectReason.MAX_ITERATIONS)
 
-    cfg = DetectorConfig
     # numpy's dot, not a Python sum: its summation is part of the result
     value = v + 0.5 * float(grad @ offset)
-    if abs(value) < cfg.contrast_threshold:
+    if abs(value) < _CONTRAST_THRESHOLD:
         return Rejection(RejectReason.LOW_CONTRAST)
 
     trace = dxx + dyy
     det = dxx * dyy - dxy * dxy
-    r = cfg.edge_ratio
+    r = _EDGE_RATIO
     if det <= 0 or trace * trace * r >= det * (r + 1) ** 2:
         return Rejection(RejectReason.EDGE_RESPONSE)
 
-    scale_oct = cfg.base_sigma * 2.0 ** ((layer + ol) / cfg.scales_per_octave)
+    scale_oct = _BASE_SIGMA * 2.0 ** ((layer + ol) / _SCALES_PER_OCTAVE)
     return LocalizedPoint(cand.octave, layer, x + ox, y + oy, scale_oct)
 
 
@@ -455,12 +465,12 @@ def assign_orientations(ss: ScaleSpace, point: LocalizedPoint) -> list[float]:
     all-zero histogram, which has no strict peak).
     """
     img = ss.octaves[point.octave][point.layer]
-    n_bins = DetectorConfig.orientation_bins
+    n_bins = _ORIENTATION_BINS
     hist = _orientation_histogram(
         img, point.x_oct, point.y_oct, point.scale_oct, n_bins
     ).tolist()
     peak_max = max(hist)
-    floor = DetectorConfig.peak_ratio * peak_max
+    floor = _PEAK_RATIO * peak_max
     # circular neighbours: hist[b - 1] wraps to the last bin by itself
     peak_bins = [
         b for b in range(n_bins)
@@ -492,8 +502,8 @@ def compute_descriptor(
     """
     img = ss.octaves[point.octave][point.layer]
     h, w = img.shape
-    d = DetectorConfig.descriptor_grid
-    n_bins = DetectorConfig.descriptor_bins
+    d = _DESCRIPTOR_GRID
+    n_bins = _DESCRIPTOR_BINS
     hist_width = 3.0 * point.scale_oct
     half = int(round(hist_width * math.sqrt(2.0) * (d + 1) * 0.5))
     cx = int(round(point.x_oct))
@@ -618,8 +628,7 @@ def extract_features(img: GrayImage) -> Keypoints:
             heads.append((loc.x_oct * px, loc.y_oct * px, loc.scale_oct * px, orientation))
             hists.append(hist)
     kept, unit = _normalize_descriptors(
-        np.array(hists).reshape(-1, DESCRIPTOR_LEN),
-        DetectorConfig.descriptor_clamp,
+        np.array(hists).reshape(-1, DESCRIPTOR_LEN), _DESCRIPTOR_CLAMP
     )
     rows = np.empty((len(kept), ROW_LEN), dtype=np.float32)
     rows[:, :4] = np.array(heads).reshape(-1, 4)[kept]

@@ -4,7 +4,7 @@ Layout (all integers little-endian):
 
     magic   4 bytes  b"GSFT"
     u32     format version (currently 1)
-    u64     detector config digest
+    u64     detector digest, DETECTOR_DIGEST
     u32     entry count
     entries, each:
         u32 + UTF-8 bytes   subject_id
@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     ChecksumMismatch,
+    ForeignDetector,
     GraphSiftError,
     StoreError,
     TruncatedFile,
@@ -46,20 +47,29 @@ from .sift import ROW_LEN, Keypoints
 MAGIC = b"GSFT"
 FORMAT_VERSION = 1
 _CRC_MISMATCH = "payload CRC does not match the stored value"
+# blake2b-64 of the text that listed standard SIFT's values when they
+# were settable; kept, so that galleries saved since then stay readable
+DETECTOR_DIGEST = 0xF8D243CE070BC5DA
 
 
 @dataclass(frozen=True)
 class GalleryDb:
-    """Loaded gallery: graphs plus the digest of the detector config
-    that produced them. (subject_id, image_id) pairs must be unique, and
-    no id may be empty or hold whitespace, either of which would break
-    the text export's space-separated lines, or a comma, which would
-    split a CSV row."""
+    """Loaded gallery: graphs plus the digest of the detector that
+    produced them, which must be this one's ``DETECTOR_DIGEST`` (any
+    other raises ForeignDetector); ``GalleryDb()`` is an empty gallery.
+    (subject_id, image_id) pairs must be unique, and no id may be empty
+    or hold whitespace, either of which would break the text export's
+    space-separated lines, or a comma, which would split a CSV row."""
 
-    detector_cfg_hash: int
-    entries: tuple[FaceGraph, ...]
+    detector_cfg_hash: int = DETECTOR_DIGEST
+    entries: tuple[FaceGraph, ...] = ()
 
     def __post_init__(self):
+        if self.detector_cfg_hash != DETECTOR_DIGEST:
+            raise ForeignDetector(
+                f"gallery was built by another detector: digest "
+                f"{self.detector_cfg_hash:016x}, not {DETECTOR_DIGEST:016x}"
+            )
         _check_keys(self.entries)
 
     def __len__(self) -> int:
@@ -92,9 +102,7 @@ def _check_keys(
 def merge(db: GalleryDb, graphs: list[FaceGraph]) -> GalleryDb:
     """New db with graphs appended; duplicate keys are rejected by the
     GalleryDb constructor."""
-    return GalleryDb(
-        detector_cfg_hash=db.detector_cfg_hash, entries=db.entries + tuple(graphs)
-    )
+    return GalleryDb(entries=db.entries + tuple(graphs))
 
 
 def _encode_str(s: str) -> bytes:
@@ -160,12 +168,14 @@ class _Reader:
 def load(path: str | Path) -> GalleryDb:
     """Read a gallery file; any fault in it raises a StoreError.
 
-    The CRC is checked before the entries are trusted. Under a failing
-    CRC, any parse failure, bytes after the last entry included, is a
-    checksum mismatch, unless the file ends before its declared contents
-    do (TruncatedFile). Under a matching CRC, an entry that fails to
-    parse is reported as a StoreError, and bytes after the last entry as
-    TruncatedFile.
+    The CRC is checked before the detector digest and the entries are
+    trusted. Under a failing CRC, any parse failure, a foreign digest
+    and bytes after the last entry included, is a checksum mismatch,
+    unless the file ends before its declared contents do (TruncatedFile).
+    Under a matching CRC, an entry that fails to parse is reported as a
+    StoreError, bytes after the last entry as TruncatedFile, and a
+    header digest other than ``DETECTOR_DIGEST``, that of a gallery from
+    another detector, as ForeignDetector.
     """
     data = Path(path).read_bytes()
     if len(data) < 4:
@@ -198,7 +208,7 @@ def _parse(data: bytes, intact: bool) -> GalleryDb:
     version = r.u32()
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"version {version}, reader supports {FORMAT_VERSION}")
-    cfg_hash = struct.unpack("<Q", r.take(8))[0]
+    digest = struct.unpack("<Q", r.take(8))[0]
     n_entries = r.u32()
 
     graphs = []
@@ -215,7 +225,7 @@ def _parse(data: bytes, intact: bool) -> GalleryDb:
         # the file did not end early, so under a failing CRC these bytes
         # are corruption like any other parse failure
         raise TruncatedFile(detail) if intact else StoreError(detail)
-    return GalleryDb(detector_cfg_hash=cfg_hash, entries=tuple(graphs))
+    return GalleryDb(detector_cfg_hash=digest, entries=tuple(graphs))
 
 
 def export_text(db: GalleryDb, path: str | Path) -> None:

@@ -9,7 +9,9 @@ derivation of a graph's arrays that ``FaceGraph`` does on whole columns,
 with scipy's ``cdist`` as the reference for the diameter (its
 descriptors are the private float64 array ``_by_dim`` the matcher reads,
 which the dense oracles below read too);
-``diameter_edge_tables`` holds the inputs at the diameter's edges.
+``diameter_edge_tables`` holds the inputs at the diameter's edges, and
+``with_digest`` forges a saved gallery from another detector, which no
+``GalleryDb`` can hold.
 ``dense_nearest`` and ``dense_mutual`` are the dense distance-matrix
 path (one ``cdist`` per pair) that the library's exact nearest-neighbour
 search must reproduce bit for bit, and ``descriptor_pairs`` draws the
@@ -22,6 +24,8 @@ examples with no deadline; without the flag the defaults apply.
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +101,17 @@ def random_keypoint(rng: np.random.Generator) -> np.ndarray:
 
 def random_graph(rng: np.random.Generator, n: int, subject="s", image="i"):
     return build_graph(table([random_keypoint(rng) for _ in range(n)]), subject, image)
+
+
+def with_digest(data: bytes, digest: int, intact: bool = True) -> bytes:
+    """A saved gallery's bytes with ``digest`` as the header's detector
+    digest (bytes 8 to 16), ending in the CRC-32 of what precedes it, or,
+    when not ``intact``, in that CRC with its lowest bit flipped."""
+    payload = data[:8] + struct.pack("<Q", digest) + data[16:-4]
+    crc = zlib.crc32(payload)
+    if not intact:
+        crc ^= 1
+    return payload + struct.pack("<I", crc)
 
 
 def derived_oracle(kps: Keypoints) -> dict:

@@ -61,7 +61,7 @@ def test_traced_counts_equal_direct_recounts(spans, tmp_path):
     try:
         with tracer.request():
             g = facegraph.build_graph(sift.extract_features(img), "s", "i")
-            store.save(store.GalleryDb(detector_cfg_hash=1, entries=(g,)), path)
+            store.save(store.GalleryDb(entries=(g,)), path)
             loaded = store.load(path)
     finally:
         tracer.stop()

@@ -9,10 +9,11 @@ import pytest
 import graphsift
 from graphsift import cli
 from graphsift.cli import main
-from graphsift.config import DetectorConfig
 from graphsift.imageio import GrayImage, save_pgm
 from graphsift.matcher import REPORT_HEADER
-from graphsift.store import GalleryDb, load, save
+from graphsift.store import DETECTOR_DIGEST, GalleryDb, save
+
+from conftest import with_digest
 
 
 @pytest.fixture(scope="module")
@@ -241,23 +242,31 @@ class TestIdentify:
 
     def test_config_mismatch_fails(self, cli_corpus, enrolled_db, tmp_path, capsys):
         # the header digest of a gallery from a detector that did not
-        # double its input
+        # double its input, under an intact CRC
         db = tmp_path / "undoubled.db"
-        save(GalleryDb(0x286464ACFD51A5B0, load(enrolled_db).entries), db)
+        db.write_bytes(with_digest(enrolled_db.read_bytes(), 0x286464ACFD51A5B0))
         saved = db.read_bytes()
         img = str(cli_corpus / "s000_i00.pgm")
+        out = tmp_path / "undoubled.txt"
+        want = (
+            "error: gallery was built by another detector: "
+            f"digest 286464acfd51a5b0, not {DETECTOR_DIGEST:016x}\n"
+        )
         for argv in (
             ["identify", img, "--db", str(db)],
             ["extract", img, "--db", str(db)],
             ["enroll", str(cli_corpus / "manifest.csv"), "--db", str(db)],
+            ["export", str(db), "--out", str(out)],
         ):
             assert main(argv) == 1, argv[0]
-            assert "different detector config" in capsys.readouterr().err
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", want), argv[0]
             assert db.read_bytes() == saved, argv[0]
+        assert not out.exists()
 
     def test_empty_db_fails(self, cli_corpus, tmp_path, capsys):
         empty = tmp_path / "empty.db"
-        save(GalleryDb(detector_cfg_hash=DetectorConfig().digest(), entries=()), empty)
+        save(GalleryDb(), empty)
         code = main([
             "identify", str(cli_corpus / "s000_i00.pgm"), "--db", str(empty),
         ])

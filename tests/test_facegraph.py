@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphsift import facegraph
-from graphsift.config import DESCRIPTOR_LEN
 from graphsift.errors import NonFiniteKeypoint, NonPositiveScale, TooFewKeypoints
 from graphsift.facegraph import (
     FaceGraph,
@@ -17,6 +16,7 @@ from graphsift.facegraph import (
 )
 from graphsift.evaluation import generate_scores, run_protocol
 from graphsift.matcher import Constraint, identify, match
+from graphsift.sift import DESCRIPTOR_LEN
 from graphsift.store import GalleryDb, load, save
 
 from conftest import (
@@ -238,7 +238,7 @@ class TestLazyArrays:
 
     def test_build_and_load_derive_nothing(self, fresh_graphs, tmp_path):
         path = tmp_path / "g.db"
-        save(GalleryDb(detector_cfg_hash=0, entries=tuple(fresh_graphs)), path)
+        save(GalleryDb(entries=tuple(fresh_graphs)), path)
         for g in fresh_graphs + list(load(path).entries):
             assert set(g.__dict__) == TABLE_FIELDS
 
@@ -253,7 +253,7 @@ class TestLazyArrays:
         self.match_all(fresh_graphs)
         self.assert_derived_like_parent(fresh_graphs)
         path = tmp_path / "g.db"
-        save(GalleryDb(detector_cfg_hash=0, entries=tuple(fresh_graphs)), path)
+        save(GalleryDb(entries=tuple(fresh_graphs)), path)
         loaded = list(load(path).entries)
         self.match_all(loaded)
         self.assert_derived_like_parent(loaded)
@@ -264,7 +264,7 @@ class TestLazyArrays:
     def test_match_and_identify_derive_no_edge_table(self, fresh_graphs, tmp_path):
         self.match_all(fresh_graphs)
         path = tmp_path / "g.db"
-        save(GalleryDb(detector_cfg_hash=0, entries=tuple(fresh_graphs)), path)
+        save(GalleryDb(entries=tuple(fresh_graphs)), path)
         loaded = list(load(path).entries)
         for constraint in Constraint:
             identify(fresh_graphs[0], fresh_graphs[1:], constraint)

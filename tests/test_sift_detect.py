@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphsift.config import DetectorConfig
+from graphsift import sift
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.imageio import GrayImage
 from graphsift.sift import (
@@ -29,7 +29,7 @@ def dog_stacks(ss):
 
 def extrema_oracle(ss):
     """Exhaustive 26-neighborhood scan over every DoG voxel."""
-    prefilter = 0.5 * DetectorConfig.contrast_threshold
+    prefilter = 0.5 * sift._CONTRAST_THRESHOLD
     found = set()
     for o, stack in enumerate(dog_stacks(ss)):
         h, w = stack[0].shape
@@ -89,7 +89,7 @@ def test_detection_matches_voxel_oracle():
     # a faint blob leaves some scanned layers with no voxel above the
     # prefilter, so the scan also meets empty candidate sets
     images.append(blob_image(64, [(32.0, 32.0, 3.0, 50.0)], background=100.0))
-    prefilter = 0.5 * DetectorConfig.contrast_threshold
+    prefilter = 0.5 * sift._CONTRAST_THRESHOLD
     empty_layers = 0
     for i, img in enumerate(images):
         ss = build_scale_space(img)
@@ -109,7 +109,7 @@ def test_strong_voxels_match_interior_nonzero(shape):
     # give the interior's indices in the same row-major order as
     # nonzero on the interior slice, shifted by the 1-px rim
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
-    prefilter = 0.5 * DetectorConfig.contrast_threshold
+    prefilter = 0.5 * sift._CONTRAST_THRESHOLD
     for _ in range(20):
         dog = (rng.standard_normal(shape) * 2 * prefilter).astype(np.float32)
         rim = np.ones(shape, dtype=bool)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphsift import sift
-from graphsift.config import DESCRIPTOR_LEN, DetectorConfig
+from graphsift import sift, store
+from graphsift.config import DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.errors import ImageTooSmall
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.sift import (
+    DESCRIPTOR_LEN,
     ROW_LEN,
     Keypoints,
     Rejection,
@@ -190,13 +191,15 @@ def test_sort_unique_matches_tuple_sort(draws):
 @pytest.mark.parametrize("grid,bins", [(2, 8), (4, 4), (3, 8), (5, 8)])
 def test_descriptor_length_must_fit_the_store(grid, bins):
     # the descriptor shape is fixed: the gallery store reads back
-    # exactly DESCRIPTOR_LEN floats per descriptor
+    # exactly DESCRIPTOR_LEN floats per descriptor, and nothing takes
+    # another grid or bin count
+    assert sift._DESCRIPTOR_GRID**2 * sift._DESCRIPTOR_BINS == DESCRIPTOR_LEN
     with pytest.raises(TypeError):
         DetectorConfig(descriptor_grid=grid, descriptor_bins=bins)
-    cfg = DetectorConfig
-    assert cfg.descriptor_grid**2 * cfg.descriptor_bins == DESCRIPTOR_LEN
 
 
+# the detector's values as the text its digest hashed when they were
+# settable
 DEFAULT_TEXT = (
     "scales_per_octave=3\nbase_sigma=1.6\nassumed_blur=0.5\ndouble_input=true\n"
     "max_octaves=0\ncontrast_threshold=0.03\nedge_ratio=10.0\n"
@@ -208,9 +211,13 @@ DEFAULT_TEXT = (
 class TestDetectorConfig:
     def test_digest_and_text_pinned(self):
         # galleries on disk carry this digest; a change here makes
-        # every one of them fail the identify digest check
-        assert DetectorConfig().to_text() == DEFAULT_TEXT
-        assert DetectorConfig().digest() == 0xF8D243CE070BC5DA
+        # every one of them fail the load's digest check
+        h = hashlib.blake2b(DEFAULT_TEXT.encode("utf-8"), digest_size=8)
+        assert store.DETECTOR_DIGEST == int.from_bytes(h.digest(), "little")
+        assert DetectorConfig().digest() == store.DETECTOR_DIGEST
+        # a stored keypoint row: x, y, scale, orientation, descriptor
+        assert DESCRIPTOR_LEN == 128
+        assert ROW_LEN == 132
 
     @pytest.mark.parametrize(
         "name",
@@ -219,8 +226,11 @@ class TestDetectorConfig:
          "peak_ratio", "descriptor_grid", "descriptor_bins", "descriptor_clamp"],
     )
     def test_fixed_constants_not_settable(self, name):
+        # the values are sift's constants: the name the benchmark
+        # imports carries none of them, and takes none
+        assert not hasattr(DetectorConfig(), name)
         with pytest.raises(TypeError):
-            DetectorConfig(**{name: getattr(DetectorConfig, name)})
+            DetectorConfig(**{name: 0})
 
 
 def test_extraction_memory_peak():

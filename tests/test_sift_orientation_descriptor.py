@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphsift import sift
-from graphsift.config import DetectorConfig
 from graphsift.corpus import render_texture, subject_texture
 from graphsift.imageio import GrayImage, histogram_equalize
 from graphsift.sift import (
@@ -91,8 +90,8 @@ def descriptor_histogram_oracle(ss, point, orientation):
     the window leaves the image."""
     img = ss.octaves[point.octave][point.layer]
     h, w = img.shape
-    d = DetectorConfig.descriptor_grid
-    n_bins = DetectorConfig.descriptor_bins
+    d = sift._DESCRIPTOR_GRID
+    n_bins = sift._DESCRIPTOR_BINS
     hist_width = 3.0 * point.scale_oct
     half = int(round(hist_width * math.sqrt(2.0) * (d + 1) * 0.5))
     cx = int(round(point.x_oct))
@@ -172,8 +171,7 @@ def ramp_image(size, horizontal=True):
 
 def center_point(ss, layer=1):
     h, w = ss.octaves[0][layer].shape
-    cfg = DetectorConfig
-    sigma = cfg.base_sigma * 2.0 ** (layer / cfg.scales_per_octave)
+    sigma = sift._BASE_SIGMA * 2.0 ** (layer / sift._SCALES_PER_OCTAVE)
     return LocalizedPoint(octave=0, layer=layer, x_oct=w / 2, y_oct=h / 2, scale_oct=sigma)
 
 
@@ -192,7 +190,6 @@ class TestOrientation:
         assert abs(orientations[0] - math.pi / 2) < 0.1
 
     def test_peaks_validated_by_oracle(self):
-        cfg = DetectorConfig
         img = render_texture(subject_texture(11, 3, 64), 64)
         ss = build_scale_space(img)
         checked = 0
@@ -202,15 +199,15 @@ class TestOrientation:
                 continue
             hist = orientation_histogram_oracle(
                 ss.octaves[loc.octave][loc.layer],
-                loc.x_oct, loc.y_oct, loc.scale_oct, cfg.orientation_bins,
+                loc.x_oct, loc.y_oct, loc.scale_oct, sift._ORIENTATION_BINS,
             )
             peak = max(hist)
             if peak <= 0.0:
                 continue
             for theta in assign_orientations(ss, loc):
-                b = int(np.rint(theta * cfg.orientation_bins / (2 * math.pi)))
-                b %= cfg.orientation_bins
-                assert hist[b] >= cfg.peak_ratio * peak * (1.0 - 1e-9)
+                b = int(np.rint(theta * sift._ORIENTATION_BINS / (2 * math.pi)))
+                b %= sift._ORIENTATION_BINS
+                assert hist[b] >= sift._PEAK_RATIO * peak * (1.0 - 1e-9)
                 checked += 1
         assert checked >= 10
 
@@ -244,7 +241,7 @@ class TestDescriptor:
     def test_matches_full_window_oracle(self, seed, subject, size):
         # the raw histogram is compared too: the float32 result can hide
         # a float64 sum taken in another order
-        clamp = DetectorConfig.descriptor_clamp
+        clamp = sift._DESCRIPTOR_CLAMP
         img = histogram_equalize(
             render_texture(subject_texture(seed, subject, size), size)
         )
@@ -352,7 +349,7 @@ class TestDescriptor:
         assert compute_descriptor(ss, centered, 0.0) is not None
 
     def test_uniform_gain_invariance(self):
-        clamp = DetectorConfig.descriptor_clamp
+        clamp = sift._DESCRIPTOR_CLAMP
         base = render_texture(subject_texture(12, 2, 64), 64)
         even = (base.pixels.astype(np.int32) // 2 * 2).clip(0, 160).astype(np.uint8)
         gained = (even.astype(np.int32) * 3 // 2).astype(np.uint8)  # exactly 1.5x

@@ -9,7 +9,6 @@ import pytest
 from scipy import ndimage
 
 from graphsift import sift
-from graphsift.config import DetectorConfig
 from graphsift.errors import ImageTooSmall
 from graphsift.imageio import GrayImage
 from graphsift.sift import build_scale_space
@@ -25,9 +24,8 @@ def impulse_center_value(layer: int) -> float:
     (2 assumed_blur)^2; the center value is the tent's nine samples
     weighted by a 2-D Gaussian of that variance.
     """
-    cfg = DetectorConfig
-    sigma_abs = cfg.base_sigma * 2.0 ** (layer / cfg.scales_per_octave)
-    var = sigma_abs**2 - (2.0 * cfg.assumed_blur) ** 2
+    sigma_abs = sift._BASE_SIGMA * 2.0 ** (layer / sift._SCALES_PER_OCTAVE)
+    var = sigma_abs**2 - (2.0 * sift._ASSUMED_BLUR) ** 2
     tent = {-1: 0.5, 0: 1.0, 1: 0.5}
     total = sum(
         tent[dx] * tent[dy] * math.exp(-(dx * dx + dy * dy) / (2.0 * var))
@@ -70,7 +68,7 @@ def test_impulse_matches_closed_form():
     # the DoG center value is the difference of the two neighboring
     # Gaussian layers' center values
     gauss = build_scale_space(impulse_image()).octaves[0]
-    for layer in range(DetectorConfig.scales_per_octave + 2):
+    for layer in range(sift._SCALES_PER_OCTAVE + 2):
         got = float(gauss[layer + 1][32, 32] - gauss[layer][32, 32])
         want = impulse_center_value(layer + 1) - impulse_center_value(layer)
         assert got == pytest.approx(want, abs=1e-4), f"layer {layer}"
@@ -79,7 +77,7 @@ def test_impulse_matches_closed_form():
 def test_layer_counts_and_octave_halving():
     img = GrayImage(np.random.default_rng(1).integers(0, 256, (64, 48), dtype=np.uint8))
     ss = build_scale_space(img)
-    s = DetectorConfig.scales_per_octave
+    s = sift._SCALES_PER_OCTAVE
     for o, gauss in enumerate(ss.octaves):
         # s + 3 Gaussian layers give the s + 2 DoG layers whose middle s
         # are scanned for extrema
@@ -102,7 +100,7 @@ def test_sigma_schedule():
     # layer s has twice the base blur; an impulse's center value reads
     # each layer's blur off the stack
     ss = build_scale_space(impulse_image())
-    assert len(ss.octaves[0]) == DetectorConfig.scales_per_octave + 3
+    assert len(ss.octaves[0]) == sift._SCALES_PER_OCTAVE + 3
     for k, layer in enumerate(ss.octaves[0]):
         want = impulse_center_value(k)
         assert float(layer[32, 32]) == pytest.approx(want, rel=1e-3), f"layer {k}"

@@ -13,19 +13,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphsift.config import DESCRIPTOR_LEN, DetectorConfig
 from graphsift.errors import (
     BadMagic,
     ChecksumMismatch,
+    ForeignDetector,
     StoreError,
     TruncatedFile,
     UnsupportedVersion,
 )
 from graphsift.facegraph import build_graph
-from graphsift.sift import Keypoints
-from graphsift.store import FORMAT_VERSION, GalleryDb, export_text, load, merge, save
+from graphsift.sift import DESCRIPTOR_LEN, Keypoints
+from graphsift.store import (
+    DETECTOR_DIGEST,
+    FORMAT_VERSION,
+    GalleryDb,
+    export_text,
+    load,
+    merge,
+    save,
+)
 
-from conftest import derived_oracle, diameter_edge_tables, random_graph
+from conftest import derived_oracle, diameter_edge_tables, random_graph, with_digest
 
 
 def f32(lo, hi):
@@ -47,7 +55,7 @@ def keypoint_tables(draw):
     return Keypoints(np.column_stack(columns + [descriptors]))
 
 
-def random_db(seed, n_entries=3, cfg_hash=0x1234_5678_9ABC_DEF0):
+def random_db(seed, n_entries=3):
     rng = np.random.default_rng(seed)
     entries = tuple(
         random_graph(
@@ -56,7 +64,7 @@ def random_db(seed, n_entries=3, cfg_hash=0x1234_5678_9ABC_DEF0):
         )
         for k in range(n_entries)
     )
-    return GalleryDb(detector_cfg_hash=cfg_hash, entries=entries)
+    return GalleryDb(entries=entries)
 
 
 def assert_dbs_equal(a, b):
@@ -85,8 +93,7 @@ class TestRoundTrip:
     def test_tables_and_derived_arrays_round_trip(self, tmp_path_factory, tables):
         path = tmp_path_factory.mktemp("db") / "g.db"
         db = GalleryDb(
-            detector_cfg_hash=1,
-            entries=tuple(build_graph(t, "s", f"i{k}") for k, t in enumerate(tables)),
+            entries=tuple(build_graph(t, "s", f"i{k}") for k, t in enumerate(tables))
         )
         save(db, path)
         loaded = load(path)
@@ -99,11 +106,11 @@ class TestRoundTrip:
 
     def test_empty_db_is_24_bytes(self, tmp_path):
         path = tmp_path / "empty.db"
-        save(GalleryDb(detector_cfg_hash=7, entries=()), path)
+        save(GalleryDb(), path)
         assert path.stat().st_size == 24
         loaded = load(path)
         assert len(loaded) == 0
-        assert loaded.detector_cfg_hash == 7
+        assert loaded.detector_cfg_hash == DETECTOR_DIGEST
 
     def test_save_is_deterministic(self, tmp_path):
         db = random_db(3)
@@ -116,7 +123,7 @@ class TestRoundTrip:
         # sha256 of this gallery as the format was first written; a
         # change here strands every gallery already on disk
         path = tmp_path / "pin.db"
-        save(random_db(2024, n_entries=4, cfg_hash=DetectorConfig().digest()), path)
+        save(random_db(2024, n_entries=4), path)
         data = path.read_bytes()
         assert len(data) == 10128
         assert hashlib.sha256(data).hexdigest() == (
@@ -168,7 +175,7 @@ class TestRoundTrip:
             random_graph(rng, 256, subject=f"s{k}", image="i") for k in range(40)
         )
         entry_bytes = entries[0].vertices.rows.nbytes
-        db = GalleryDb(detector_cfg_hash=1, entries=entries)
+        db = GalleryDb(entries=entries)
         tracemalloc.start()
         try:
             save(db, tmp_path / "g.db")
@@ -187,8 +194,7 @@ class TestRoundTrip:
     def test_unicode_ids(self, tmp_path):
         rng = np.random.default_rng(5)
         db = GalleryDb(
-            detector_cfg_hash=1,
-            entries=(random_graph(rng, 3, subject="sübject_π", image="imô"),),
+            entries=(random_graph(rng, 3, subject="sübject_π", image="imô"),)
         )
         path = tmp_path / "u.db"
         save(db, path)
@@ -283,7 +289,7 @@ class TestCorruption:
     ):
         payload = b"".join([
             b"GSFT",
-            struct.pack("<IQI", FORMAT_VERSION, 0, 1),
+            struct.pack("<IQI", FORMAT_VERSION, DETECTOR_DIGEST, 1),
             struct.pack("<I", len(subject_id)), subject_id,
             struct.pack("<I", 1), b"i",
             struct.pack("<I", n_kps),
@@ -316,6 +322,38 @@ class TestCorruption:
             load(path)
 
 
+# the header digest of a gallery from a detector that did not double
+# its input
+UNDOUBLED_DIGEST = 0x286464ACFD51A5B0
+
+
+class TestForeignDetector:
+    def test_load_refuses_an_intact_foreign_gallery(self, tmp_path):
+        path = tmp_path / "g.db"
+        save(random_db(8), path)
+        path.write_bytes(with_digest(path.read_bytes(), UNDOUBLED_DIGEST))
+        want = f"digest {UNDOUBLED_DIGEST:016x}, not {DETECTOR_DIGEST:016x}"
+        with pytest.raises(ForeignDetector, match=want):
+            load(path)
+
+    def test_foreign_digest_under_a_failing_crc_is_a_checksum_mismatch(
+        self, tmp_path
+    ):
+        path = tmp_path / "g.db"
+        save(random_db(8), path)
+        forged = with_digest(path.read_bytes(), UNDOUBLED_DIGEST, intact=False)
+        path.write_bytes(forged)
+        with pytest.raises(ChecksumMismatch):
+            load(path)
+
+    @pytest.mark.parametrize("digest", [0, UNDOUBLED_DIGEST], ids=["zero", "undoubled"])
+    def test_constructor_refuses_another_digest(self, digest):
+        with pytest.raises(ForeignDetector):
+            GalleryDb(detector_cfg_hash=digest)
+        with pytest.raises(ForeignDetector):
+            GalleryDb(digest, ())
+
+
 class TestDbInvariants:
     def test_duplicate_keys_rejected(self):
         # both keys repeat; the one whose repeat comes first is named
@@ -326,7 +364,7 @@ class TestDbInvariants:
         )
         want = "duplicate (subject_id, image_id) ('t', 'j') in gallery"
         with pytest.raises(StoreError, match=re.escape(want)):
-            GalleryDb(detector_cfg_hash=0, entries=entries)
+            GalleryDb(entries=entries)
 
     def test_merge_appends(self):
         rng = np.random.default_rng(10)
@@ -349,9 +387,9 @@ class TestDbInvariants:
 
     def test_format_version_not_settable(self, tmp_path):
         with pytest.raises(TypeError):
-            GalleryDb(detector_cfg_hash=0, entries=(), format_version=2)
+            GalleryDb(entries=(), format_version=2)
         path = tmp_path / "v.db"
-        save(GalleryDb(detector_cfg_hash=0, entries=()), path)
+        save(GalleryDb(), path)
         assert struct.unpack("<I", path.read_bytes()[4:8])[0] == FORMAT_VERSION
 
 
@@ -382,10 +420,7 @@ class TestExportText:
     def test_spaced_ids_rejected(self):
         rng = np.random.default_rng(14)
         with pytest.raises(StoreError, match="whitespace"):
-            GalleryDb(
-                detector_cfg_hash=0,
-                entries=(random_graph(rng, 2, subject="bad id", image="i"),),
-            )
+            GalleryDb(entries=(random_graph(rng, 2, subject="bad id", image="i"),))
 
     @pytest.mark.parametrize(
         "bad", ["s\t1", "img\nx", "a\rb", "\x0b", "a\u00a0b", "a\u2003", "", "a,b"]
@@ -402,4 +437,4 @@ class TestExportText:
         message = {"": f"{field} id is empty", "a,b": f"{field} id 'a,b' holds a comma"}
         message = message.get(bad, "whitespace")
         with pytest.raises(StoreError, match=message):
-            GalleryDb(detector_cfg_hash=0, entries=(random_graph(rng, 2, **ids),))
+            GalleryDb(entries=(random_graph(rng, 2, **ids),))
