@@ -85,10 +85,10 @@ def _parse_pgm(raw: bytes) -> GrayImage:
             raise CorruptHeader("PGM header ended before width/height/maxval")
         tokens.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise CorruptHeader(f"non-numeric PGM header fields {tokens!r}") from None
+    # int() would also take "1_0" and "+2"
+    if not all(t.isdigit() for t in tokens):
+        raise CorruptHeader(f"non-numeric PGM header fields {tokens!r}")
+    width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
         raise CorruptHeader(f"non-positive PGM dimensions {width}x{height}")
     if maxval != 255:

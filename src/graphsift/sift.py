@@ -14,10 +14,12 @@ The detector takes no settings: standard SIFT's values are this
 module's constants, and a gallery's header names them by
 ``store.DETECTOR_DIGEST``. Everything here is deterministic: no
 RNG, pure numpy and scipy kernels, so identical input gives
-bit-identical output. The one thread besides the caller's is a helper
-that blurs half of each large plane (see ``_blur``): every line of a
-blur pass depends only on its own input line, so which thread computes
-it cannot change a byte.
+bit-identical output, and no path depends on the host. Every blur is
+``_blur``: a plane is split by its size alone, and from
+``_SPLIT_MIN_PIXELS`` up each pass runs in two halves, one on a single
+helper thread. The caller always waits for the helper's half and
+raises either half's error, and which thread blurs a line cannot change
+a byte.
 """
 
 from __future__ import annotations
@@ -173,36 +175,19 @@ def _upsample2x(a: np.ndarray) -> np.ndarray:
 
 
 def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
-    # imported on first use: it costs more to import than all of graphsift
-    from scipy import ndimage
+    """Blur ``a`` by ``sigma`` as scipy's ``gaussian_filter`` does.
 
-    # A large plane is blurred in two halves, one on the helper thread,
-    # when the process may use a second CPU; the bytes are
-    # gaussian_filter's either way (see _blur_in_halves).
-    if a.size < _SPLIT_MIN_PIXELS or _usable_cpus() < 2:
-        return ndimage.gaussian_filter(
-            a, sigma, mode="mirror", truncate=_GAUSS_TRUNCATE
-        )
-    return _blur_in_halves(a, sigma)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blur_in_halves(a: np.ndarray, sigma: float) -> np.ndarray:
-    """``gaussian_filter(a, sigma)`` with each of its passes split in two.
-
-    Like scipy, it filters along axis 0 into one output, then along
-    axis 1 in place. The axis-0 pass is split by columns and the axis-1
-    pass by rows, so each half holds whole lines of its pass, and a
-    line's output depends only on that line: the bytes are
-    gaussian_filter's whichever thread computes them. scipy.ndimage
-    releases the GIL while it filters, so the helper's half runs
-    alongside the caller's.
+    Like scipy, it filters along axis 0 into one float32 output, then
+    along axis 1 in place, so the bytes are gaussian_filter's. A plane
+    of at least ``_SPLIT_MIN_PIXELS`` runs each pass as two halves of
+    whole lines, columns for axis 0 and rows for axis 1, one on the
+    helper thread and one here; scipy.ndimage releases the GIL while it
+    filters. A line's output depends only on that line, so which thread
+    computes it cannot change a byte. The helper's half is always
+    waited for, so neither half outlives the call. An exception from
+    either half propagates; when both raise, the caller's is raised.
     """
+    # imported on first use: it costs more to import than all of graphsift
     from scipy import ndimage
 
     def along(axis: int, src: np.ndarray, dst: np.ndarray) -> None:
@@ -211,27 +196,20 @@ def _blur_in_halves(a: np.ndarray, sigma: float) -> np.ndarray:
         )
 
     out = np.empty(a.shape, dtype=a.dtype)
-    c, r = a.shape[1] // 2, a.shape[0] // 2
-    _in_two_halves(
-        along, (0, a[:, :c], out[:, :c]), (0, a[:, c:], out[:, c:])
-    )
-    _in_two_halves(along, (1, out[:r], out[:r]), (1, out[r:], out[r:]))
+    for axis, src in ((0, a), (1, out)):
+        if a.size < _SPLIT_MIN_PIXELS:
+            along(axis, src, out)
+            continue
+        # each half holds whole lines of this pass
+        src_a, src_b = np.array_split(src, 2, axis=1 - axis)
+        out_a, out_b = np.array_split(out, 2, axis=1 - axis)
+        future = _helper().submit(along, axis, src_a, out_a)
+        try:
+            along(axis, src_b, out_b)
+        finally:
+            future.exception()  # waits, and raises nothing
+        future.result()
     return out
-
-
-def _in_two_halves(fn, helper_args: tuple, own_args: tuple) -> None:
-    """Run fn(*helper_args) on the helper thread and fn(*own_args) here.
-
-    The helper's half is always waited for, so neither half outlives
-    the call. An exception from either half propagates; when both
-    raise, the caller's own is the one raised.
-    """
-    future = _helper().submit(fn, *helper_args)
-    try:
-        fn(*own_args)
-    finally:
-        future.exception()  # waits, and raises nothing
-    future.result()
 
 
 # The helper thread, started by the first large blur so that importing

@@ -148,6 +148,19 @@ class TestEnroll:
         assert extract_calls == []
         assert not db.exists()
 
+    def test_no_train_rows_fails(self, cli_corpus, tmp_path, capsys, extract_calls):
+        # the corpus manifest's test rows alone
+        header, *rows = (cli_corpus / "manifest.csv").read_text().splitlines()
+        tests = [row for row in rows if row.endswith(",test")]
+        assert tests
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join([header, *tests]) + "\n")
+        db = tmp_path / "g.db"
+        assert main(["enroll", str(manifest), "--db", str(db)]) == 1
+        assert "no rows with role 'train'" in capsys.readouterr().err
+        assert extract_calls == []
+        assert not db.exists()
+
 
 @pytest.mark.parametrize("command", ["extract", "enroll"])
 def test_db_in_missing_directory_extracts_nothing(
@@ -318,6 +331,14 @@ class TestEvaluate:
                 assert (out / constraint / name).exists()
         summary = (out / "report.txt").read_text()
         assert "gibmc" in summary and "rpbmc" in summary
+
+    def test_one_constraint_writes_its_directory_only(self, cli_corpus, tmp_path, capsys):
+        out = tmp_path / "eval"
+        manifest = str(cli_corpus / "manifest.csv")
+        assert main(["evaluate", manifest, "--out", str(out), "--constraint", "gibmc"]) == 0
+        assert "gibmc: average prior EER" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["gibmc", "report.txt"]
+        assert "rpbmc" not in (out / "report.txt").read_text()
 
     def test_group_overlap_fails(self, cli_corpus, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

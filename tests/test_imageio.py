@@ -65,6 +65,23 @@ class TestLoadPgm:
         with pytest.raises(CorruptHeader):
             load_image(p)
 
+    @pytest.mark.parametrize("raw, message", [
+        (b"P5\n4", "ended before"),
+        (b"P5\nx 2\n255\n", "non-numeric"),
+        # int() takes these as 10, 2 and 255
+        (b"P5\n1_0 1\n255\n" + bytes(10), "non-numeric"),
+        (b"P5\n+2 1\n255\n" + bytes(2), "non-numeric"),
+        (b"P5\n2 1\n+255\n" + bytes(2), "non-numeric"),
+        (b"P5\n2 1\n2_55\n" + bytes(2), "non-numeric"),
+        (b"P5\n0 2\n255\n", "non-positive"),
+    ], ids=["cut_short", "letter", "underscore", "plus", "plus_maxval",
+            "underscore_maxval", "zero_width"])
+    def test_corrupt_header_rejected(self, tmp_path, raw, message):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(CorruptHeader, match=message):
+            load_image(p)
+
     def test_bad_maxval(self, tmp_path):
         p = tmp_path / "t.pgm"
         p.write_bytes(pgm_bytes(2, 2, bytes(8), maxval=65535))

@@ -73,6 +73,15 @@ class TestGenerateScores:
         with pytest.raises(ValueError):
             generate_scores(gallery, probes, assignment, Constraint.GIBMC)
 
+    def test_unassigned_probe_subject_rejected(self):
+        # every enrolled subject has a group; only the probe's lacks one
+        gallery, probes, assignment = make_population()
+        stranger = build_graph(probes[0].vertices, "c1", "c1_p0")
+        with pytest.raises(ValueError, match="no group assignment for subject 'c1'"):
+            generate_scores(
+                gallery, [*probes, stranger], assignment, Constraint.GIBMC
+            )
+
 
 class TestRunProtocol:
     @pytest.mark.parametrize("constraint", list(Constraint))

@@ -92,6 +92,12 @@ class TestExtractFeatures:
         assert rows.flags.c_contiguous and not rows.flags.writeable
 
 
+@pytest.mark.parametrize("shape", [(3, ROW_LEN - 1), (3, ROW_LEN + 1), (ROW_LEN,)])
+def test_keypoints_of_another_shape_rejected(shape):
+    with pytest.raises(ValueError, match=rf"must be \(n, {ROW_LEN}\), got"):
+        Keypoints(np.zeros(shape, dtype=np.float32))
+
+
 # sha256 of extract_features(...).rows.tobytes(), keyed by (subject,
 # size). A speed-up of the pipeline must leave every byte of these
 # tables as it is; the digests rest on OpenBLAS's ddot summation order

@@ -117,14 +117,17 @@ def test_pixel_scale_accounts_for_doubling():
 OCTAVE_SIGMAS = (1.249, 1.226, 1.545, 1.946, 2.452, 3.089)
 
 
-@pytest.mark.parametrize("shape", [(513, 389), (389, 513), (363, 361)])
+@pytest.mark.parametrize(
+    "shape", [(513, 389), (389, 513), (363, 361), (256, 256), (17, 33)]
+)
 def test_blur_in_halves_is_gaussian_filter_byte_for_byte(shape):
-    # called directly, so the split runs whatever the host's CPU count;
-    # odd sides make the halves unequal
+    # the first two split, with odd sides making the halves unequal; the
+    # rest are below _SPLIT_MIN_PIXELS, (363, 361) by 29 pixels, and run
+    # whole
     plane = np.random.default_rng(3).random(shape, dtype=np.float32)
     for sigma in OCTAVE_SIGMAS:
         want = ndimage.gaussian_filter(plane, sigma, mode="mirror", truncate=4.0)
-        got = sift._blur_in_halves(plane, sigma)
+        got = sift._blur(plane, sigma)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes(), sigma
 
@@ -142,8 +145,9 @@ def test_blur_in_halves_raises_the_helpers_error(monkeypatch):
         return filter1d(*args, **kwargs)
 
     monkeypatch.setattr(ndimage, "gaussian_filter1d", failing_on_helper)
+    monkeypatch.setattr(sift, "_SPLIT_MIN_PIXELS", 1)
     with pytest.raises(MemoryError, match="helper half"):
-        sift._blur_in_halves(np.ones((40, 30), dtype=np.float32), 1.5)
+        sift._blur(np.ones((40, 30), dtype=np.float32), 1.5)
 
 
 def test_blur_in_halves_waits_for_the_helper_before_raising(monkeypatch):
@@ -157,6 +161,7 @@ def test_blur_in_halves_waits_for_the_helper_before_raising(monkeypatch):
         finished.append(filter1d(*args, **kwargs))
 
     monkeypatch.setattr(ndimage, "gaussian_filter1d", slow_helper_failing_caller)
+    monkeypatch.setattr(sift, "_SPLIT_MIN_PIXELS", 1)
     with pytest.raises(MemoryError, match="caller half"):
-        sift._blur_in_halves(np.ones((40, 30), dtype=np.float32), 1.5)
+        sift._blur(np.ones((40, 30), dtype=np.float32), 1.5)
     assert len(finished) == 1
