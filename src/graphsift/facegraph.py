@@ -95,16 +95,14 @@ class FaceGraph:
     def half_sq_norms(self) -> np.ndarray:
         # in any summation order: the matching bound allows for it
         sq_norms = np.einsum("ij,ij->j", self._by_dim, self._by_dim)
-        # the largest squared norm comes from the same sums, unhalved
-        self.__dict__["_sq_norm_max"] = float(sq_norms.max())
         sq_norms *= 0.5
         return sq_norms
 
     @functools.cached_property
     def _sq_norm_max(self) -> float:
-        # only reached before half_sq_norms, which stores this value
-        self.half_sq_norms
-        return self.__dict__["_sq_norm_max"]
+        # halving then doubling is exact but for a subnormal's lowest bit,
+        # far below the spare 2u*P of B, which is used only while P > 2**-980
+        return 2.0 * float(self.half_sq_norms.max())
 
     @functools.cached_property
     def geometry(self) -> np.ndarray:

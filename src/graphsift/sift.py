@@ -41,6 +41,7 @@ _SCALES_PER_OCTAVE = 3
 _BASE_SIGMA = 1.6  # blur of the pyramid's base, in its own pixels
 _ASSUMED_BLUR = 0.5  # the input's own blur, in input pixels
 _CONTRAST_THRESHOLD = 0.03  # least |DoG| on [0, 1] intensities
+_PREFILTER = 0.5 * _CONTRAST_THRESHOLD  # least |DoG| of a scanned candidate
 _EDGE_RATIO = 10.0  # greatest ratio of a point's principal curvatures
 _ORIENTATION_BINS = 36
 _PEAK_RATIO = 0.8  # a secondary orientation peak's least share of the top
@@ -275,24 +276,22 @@ def build_scale_space(img: GrayImage) -> ScaleSpace:
     return ScaleSpace(octaves=octaves)
 
 
-def _strong_voxels(dog: np.ndarray, prefilter: float) -> np.ndarray:
+def _strong_voxels(dog: np.ndarray) -> np.ndarray:
     """Row-major flat indices of the interior voxels of one DoG plane
-    whose magnitude exceeds ``prefilter``."""
-    mask = np.abs(dog) > prefilter
+    whose magnitude exceeds ``_PREFILTER``."""
+    mask = np.abs(dog) > _PREFILTER
     mask[0] = mask[-1] = False
     mask[:, 0] = mask[:, -1] = False
     return np.flatnonzero(mask)
 
 
-def _extrema(
-    below: np.ndarray, mid: np.ndarray, above: np.ndarray, prefilter: float
-) -> np.ndarray:
+def _extrema(below: np.ndarray, mid: np.ndarray, above: np.ndarray) -> np.ndarray:
     """Row-major flat indices of the strong interior voxels of ``mid``
     that are strict extrema of their 26 neighbours in the three planes."""
     w = mid.shape[1]
     # the 26 compares run on the strong voxels alone, the mid plane
     # first since it rejects most
-    flat = _strong_voxels(mid, prefilter)
+    flat = _strong_voxels(mid)
     center = mid.take(flat)
     gt = lt = True
     for dl, plane in ((0, mid), (-1, below), (1, above)):
@@ -318,7 +317,6 @@ def detect_keypoints(ss: ScaleSpace) -> list[Candidate]:
     below is let go before the next one above is formed, so at most
     three are alive.
     """
-    prefilter = 0.5 * _CONTRAST_THRESHOLD
     found = []
     for o, gauss in enumerate(ss.octaves):
         w = gauss[0].shape[1]
@@ -326,7 +324,7 @@ def detect_keypoints(ss: ScaleSpace) -> list[Candidate]:
         for layer in range(1, len(gauss) - 2):
             below, mid = mid, above
             above = gauss[layer + 2] - gauss[layer + 1]
-            ys, xs = np.divmod(_extrema(below, mid, above, prefilter), w)
+            ys, xs = np.divmod(_extrema(below, mid, above), w)
             found.extend(
                 Candidate(o, layer, x, y) for y, x in zip(ys.tolist(), xs.tolist())
             )
@@ -402,7 +400,7 @@ def localize_keypoint(ss: ScaleSpace, cand: Candidate) -> LocalizedPoint | Rejec
 
 
 def _orientation_histogram(
-    img: np.ndarray, x_oct: float, y_oct: float, scale_oct: float, n_bins: int
+    img: np.ndarray, x_oct: float, y_oct: float, scale_oct: float
 ) -> np.ndarray:
     """Gaussian-weighted gradient-orientation histogram around a point.
 
@@ -417,9 +415,8 @@ def _orientation_histogram(
     cy = int(round(y_oct))
     y0, y1 = max(cy - radius, 1), min(cy + radius, h - 2)
     x0, x1 = max(cx - radius, 1), min(cx + radius, w - 2)
-    hist = np.zeros(n_bins)
     if y1 < y0 or x1 < x0:
-        return hist
+        return np.zeros(_ORIENTATION_BINS)
     # the window with a 1-px rim, cast once
     win = img[y0 - 1 : y1 + 2, x0 - 1 : x1 + 2].astype(np.float64)
     dx = win[1:-1, 2:] - win[1:-1, :-2]
@@ -429,6 +426,7 @@ def _orientation_histogram(
     oy = np.arange(y0 - cy, y1 + 1 - cy)[:, None]
     ox = np.arange(x0 - cx, x1 + 1 - cx)
     weight = np.exp(-(ox * ox + oy * oy) / (2.0 * sigma_w * sigma_w))
+    n_bins = _ORIENTATION_BINS
     bins = np.rint(ori * (n_bins / TWO_PI)).astype(np.int64) % n_bins
     hist = np.bincount(bins.ravel(), weights=(weight * mag).ravel(), minlength=n_bins)
     # circular padding: wrap[i + 2] is hist[i], wrap[i] is hist[i - 2]
@@ -445,7 +443,7 @@ def assign_orientations(ss: ScaleSpace, point: LocalizedPoint) -> list[float]:
     img = ss.octaves[point.octave][point.layer]
     n_bins = _ORIENTATION_BINS
     hist = _orientation_histogram(
-        img, point.x_oct, point.y_oct, point.scale_oct, n_bins
+        img, point.x_oct, point.y_oct, point.scale_oct
     ).tolist()
     peak_max = max(hist)
     floor = _PEAK_RATIO * peak_max
@@ -540,9 +538,7 @@ def compute_descriptor(
     return hist.reshape(d + 2, d + 2, n_bins)[1:-1, 1:-1].reshape(-1)
 
 
-def _normalize_descriptors(
-    raw: np.ndarray, clamp: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_descriptors(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row of ``raw`` to unit length with per-entry clamp.
 
     Clamp-and-renormalize is iterated to a fixed point so each result
@@ -560,18 +556,18 @@ def _normalize_descriptors(
     live = np.flatnonzero(norm)
     vec = raw[live] / norm[live, None]
     top = vec.max(axis=1)
-    open_rows = np.flatnonzero(top > clamp + 1e-7)
+    open_rows = np.flatnonzero(top > _DESCRIPTOR_CLAMP + 1e-7)
     for _ in range(512):
         if open_rows.size == 0:
             break
-        sub = np.minimum(vec[open_rows], clamp)
+        sub = np.minimum(vec[open_rows], _DESCRIPTOR_CLAMP)
         norm = np.sqrt(np.vecdot(sub, sub))
         sub /= norm[:, None]
         vec[open_rows] = sub
         # top > clamp: the clamped entries stay the largest
-        top[open_rows] = clamp / norm
-        open_rows = open_rows[top[open_rows] > clamp + 1e-7]
-    kept = top <= clamp + 1e-6
+        top[open_rows] = _DESCRIPTOR_CLAMP / norm
+        open_rows = open_rows[top[open_rows] > _DESCRIPTOR_CLAMP + 1e-7]
+    kept = top <= _DESCRIPTOR_CLAMP + 1e-6
     return live[kept], vec[kept].astype(np.float32)
 
 
@@ -605,9 +601,7 @@ def extract_features(img: GrayImage) -> Keypoints:
                 continue
             heads.append((loc.x_oct * px, loc.y_oct * px, loc.scale_oct * px, orientation))
             hists.append(hist)
-    kept, unit = _normalize_descriptors(
-        np.array(hists).reshape(-1, DESCRIPTOR_LEN), _DESCRIPTOR_CLAMP
-    )
+    kept, unit = _normalize_descriptors(np.array(hists).reshape(-1, DESCRIPTOR_LEN))
     rows = np.empty((len(kept), ROW_LEN), dtype=np.float32)
     rows[:, :4] = np.array(heads).reshape(-1, 4)[kept]
     rows[:, 4:] = unit

@@ -4,6 +4,8 @@ The equalization oracle below is an independent scalar implementation
 of the CDF remapping, written against the documented formula only.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,14 @@ class TestLoadPgm:
         p = tmp_path / "t.png"
         PIL.fromarray(arr, mode="RGB").save(p)
         with pytest.raises(UnsupportedFormat):
+            load_image(p)
+
+    def test_png_without_pillow_rejected(self, tmp_path, monkeypatch):
+        # None in sys.modules fails every import of PIL, installed or not
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        p = tmp_path / "t.png"
+        p.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(16))
+        with pytest.raises(UnsupportedFormat, match="Pillow"):
             load_image(p)
 
 

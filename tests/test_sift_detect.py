@@ -118,7 +118,7 @@ def test_strong_voxels_match_interior_nonzero(shape):
         w = shape[1]
         ys, xs = np.nonzero(np.abs(dog[1:-1, 1:-1]) > prefilter)
         want = (ys + 1) * w + xs + 1
-        got = _strong_voxels(dog, prefilter)
+        got = _strong_voxels(dog)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 

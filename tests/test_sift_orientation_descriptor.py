@@ -76,10 +76,10 @@ def finalize_oracle(vec, clamp):
     return vec.astype(np.float32)
 
 
-def normalized(raw, clamp):
+def normalized(raw):
     """One raw histogram through the per-image normalizer: its float32
     unit row, or None when the normalizer drops it."""
-    kept, unit = _normalize_descriptors(raw[None], clamp)
+    kept, unit = _normalize_descriptors(raw[None])
     return unit[0] if kept.size else None
 
 
@@ -218,6 +218,13 @@ class TestOrientation:
         ss = build_scale_space(flat)
         assert assign_orientations(ss, center_point(ss)) == [0.0]
 
+    def test_window_outside_plane_gives_zero(self):
+        # a window wholly outside the plane holds no gradient and gives
+        # the all-zero histogram; slicing it would wrap the negative ends
+        ss = build_scale_space(ramp_image(64))
+        far = LocalizedPoint(octave=1, layer=1, x_oct=-50.0, y_oct=-50.0, scale_oct=1.6)
+        assert assign_orientations(ss, far) == [0.0]
+
     def test_plateau_maximum_is_interpolated(self, monkeypatch):
         # the maximum spans bins 10 and 11, so it is no strict peak, and
         # the one strict peak (bin 20) is below 80% of it: the first
@@ -260,7 +267,7 @@ class TestDescriptor:
                     dropped += 1
                     continue
                 assert np.array_equal(raw, want_raw)
-                got = normalized(raw, clamp)
+                got = normalized(raw)
                 want = finalize_oracle(want_raw, clamp)
                 if want is None:
                     assert got is None
@@ -291,7 +298,7 @@ class TestDescriptor:
         # does per image; each row must come out as the one-vector
         # oracle gives it, byte for byte, and drop where it drops
         raw = np.array(vecs).reshape(-1, 128)
-        kept, unit = _normalize_descriptors(raw.copy(), 0.2)
+        kept, unit = _normalize_descriptors(raw.copy())
         want = [finalize_oracle(vec.copy(), 0.2) for vec in raw]
         assert kept.tolist() == [i for i, w in enumerate(want) if w is not None]
         assert unit.dtype == np.float32 and unit.shape == (len(kept), 128)
@@ -349,7 +356,6 @@ class TestDescriptor:
         assert compute_descriptor(ss, centered, 0.0) is not None
 
     def test_uniform_gain_invariance(self):
-        clamp = sift._DESCRIPTOR_CLAMP
         base = render_texture(subject_texture(12, 2, 64), 64)
         even = (base.pixels.astype(np.int32) // 2 * 2).clip(0, 160).astype(np.uint8)
         gained = (even.astype(np.int32) * 3 // 2).astype(np.uint8)  # exactly 1.5x
@@ -365,8 +371,8 @@ class TestDescriptor:
                 raw2 = compute_descriptor(ss2, loc, theta)
                 if raw1 is None or raw2 is None:
                     continue
-                d1 = normalized(raw1, clamp)
-                d2 = normalized(raw2, clamp)
+                d1 = normalized(raw1)
+                d2 = normalized(raw2)
                 if d1 is None or d2 is None:
                     continue
                 assert float(np.abs(d1 - d2).max()) < 1e-3

@@ -1,14 +1,18 @@
-"""Every Python file parses as the oldest Python that pyproject.toml
-allows (requires-python >= 3.10), so a newer-only construct such as
-``except*`` fails here before it fails on that CI leg."""
+"""Every Python file parses as the oldest Python that pyproject.toml's
+requires-python allows, so a newer-only construct fails here, on any
+newer Python, before it fails on the oldest one."""
 
 import ast
+import tomllib
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-OLDEST = (3, 10)
+with open(ROOT / "pyproject.toml", "rb") as f:
+    # a single ">=major.minor" floor
+    FLOOR = tomllib.load(f)["project"]["requires-python"]
+OLDEST = tuple(int(part) for part in FLOOR.removeprefix(">=").split("."))
 FILES = sorted(
     path for top in ("src", "tests", "perfbench") for path in (ROOT / top).rglob("*.py")
 )
