@@ -15,11 +15,11 @@ module's constants, and a gallery's header names them by
 ``store.DETECTOR_DIGEST``. Everything here is deterministic: no
 RNG, pure numpy and scipy kernels, so identical input gives
 bit-identical output, and no path depends on the host. Every blur is
-``_blur``: a plane is split by its size alone, and from
-``_SPLIT_MIN_PIXELS`` up each pass runs in two halves, one on a single
-helper thread. The caller always waits for the helper's half and
-raises either half's error, and which thread blurs a line cannot change
-a byte.
+``_blur``. From ``_SPLIT_MIN_PIXELS`` up, octave 0's layers 0 to 3
+blur each pass in two halves, one on a single helper thread, which
+then builds octaves 1 and up while the caller blurs layers 4 and 5.
+The caller always waits for the helper and raises either side's error,
+and which thread blurs a plane or a line cannot change a byte.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ DESCRIPTOR_LEN = _DESCRIPTOR_GRID**2 * _DESCRIPTOR_BINS  # floats the store keep
 MIN_IMAGE_SIDE = 16
 _MAX_REFINE_STEPS = 5
 _GAUSS_TRUNCATE = 4.0
-# planes at least this large are blurred in two halves (see _blur): the
-# 512x512 octave 0 of a 256-px image is, 256x256 planes are not. Split,
-# a 128x128 blur was slower, and 256x256 ones saved little while the
-# helper's stack and arena raised the process's peak memory.
+# an octave 0 at least this large is blurred in two halves and hands the
+# upper octaves to the helper (see build_scale_space): the 512x512 octave
+# 0 of a 256-px image is, 256x256 planes are not. Split, a 128x128 blur
+# was slower, and 256x256 ones saved little while the helper's stack and
+# arena raised the process's peak memory.
 _SPLIT_MIN_PIXELS = 1 << 17
 TWO_PI = 2.0 * math.pi
 # a keypoint row: x, y, scale and orientation, then the descriptor
@@ -175,18 +176,18 @@ def _upsample2x(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
+def _blur(a: np.ndarray, sigma: float, split: bool = True) -> np.ndarray:
     """Blur ``a`` by ``sigma`` as scipy's ``gaussian_filter`` does.
 
     Like scipy, it filters along axis 0 into one float32 output, then
-    along axis 1 in place, so the bytes are gaussian_filter's. A plane
-    of at least ``_SPLIT_MIN_PIXELS`` runs each pass as two halves of
-    whole lines, columns for axis 0 and rows for axis 1, one on the
-    helper thread and one here; scipy.ndimage releases the GIL while it
-    filters. A line's output depends only on that line, so which thread
-    computes it cannot change a byte. The helper's half is always
-    waited for, so neither half outlives the call. An exception from
-    either half propagates; when both raise, the caller's is raised.
+    along axis 1 in place, so the bytes are gaussian_filter's. With
+    ``split``, a plane of at least ``_SPLIT_MIN_PIXELS`` runs each pass
+    as two halves of whole lines, columns for axis 0 and rows for axis
+    1, one on the helper thread and one here (see ``_beside``);
+    scipy.ndimage releases the GIL while it filters. A line's output
+    depends only on that line, so which thread computes it cannot change
+    a byte. A blur on the helper, or beside work of the helper's, passes
+    ``split=False``: a split there would wait for the helper's own queue.
     """
     # imported on first use: it costs more to import than all of graphsift
     from scipy import ndimage
@@ -198,19 +199,27 @@ def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
 
     out = np.empty(a.shape, dtype=a.dtype)
     for axis, src in ((0, a), (1, out)):
-        if a.size < _SPLIT_MIN_PIXELS:
+        if not split or a.size < _SPLIT_MIN_PIXELS:
             along(axis, src, out)
             continue
         # each half holds whole lines of this pass
         src_a, src_b = np.array_split(src, 2, axis=1 - axis)
         out_a, out_b = np.array_split(out, 2, axis=1 - axis)
-        future = _helper().submit(along, axis, src_a, out_a)
-        try:
-            along(axis, src_b, out_b)
-        finally:
-            future.exception()  # waits, and raises nothing
-        future.result()
+        _beside(lambda: along(axis, src_b, out_b), along, axis, src_a, out_a)
     return out
+
+
+def _beside(here, task, *args):
+    """``task(*args)``, run on the helper thread while ``here()`` runs on
+    this one. The task is always waited for, so it never outlives the
+    call; either side's exception propagates, this thread's when both raise.
+    """
+    future = _helper().submit(task, *args)
+    try:
+        here()
+    finally:
+        future.exception()  # waits, and raises nothing
+    return future.result()
 
 
 # The helper thread, started by the first large blur so that importing
@@ -246,6 +255,11 @@ def build_scale_space(img: GrayImage) -> ScaleSpace:
     is assumed to carry ``_ASSUMED_BLUR`` of blur already, twice that
     once doubled, so the base image is blurred only by the difference
     needed to reach ``_BASE_SIGMA``.
+
+    An octave 0 of at least ``_SPLIT_MIN_PIXELS`` blurs layers 0 to 3 in
+    halves, then the helper builds octaves 1 and up while this thread
+    blurs layers 4 and 5; a smaller one builds every octave here. Each
+    blur's input and sigma, and so its bytes, are the same either way.
     """
     if min(img.width, img.height) < MIN_IMAGE_SIDE:
         raise ImageTooSmall(
@@ -264,16 +278,32 @@ def build_scale_space(img: GrayImage) -> ScaleSpace:
     # the size check above leaves min(base.shape) >= 32: at least 3 octaves
     depth = int(math.floor(math.log2(min(base.shape) / 8.0))) + 1
 
+    if base.size < _SPLIT_MIN_PIXELS:
+        return ScaleSpace(octaves=_octaves(base, increments, depth))
+    octave0 = _grow([base], increments[:s])
+    upper = _beside(
+        lambda: _grow(octave0, increments[s:], split=False),
+        _octaves, octave0[s][::2, ::2], increments, depth - 1,
+    )
+    return ScaleSpace(octaves=[octave0, *upper])
+
+
+def _grow(stack: list[np.ndarray], increments, split: bool = True) -> list[np.ndarray]:
+    """``stack`` with the blur of its last layer by each increment appended."""
+    for inc in increments:
+        stack.append(_blur(stack[-1], float(inc), split))
+    return stack
+
+
+def _octaves(current: np.ndarray, increments, depth: int) -> list[list[np.ndarray]]:
+    """``depth`` Gaussian stacks from ``current`` on. No blur here splits:
+    the helper thread runs this too."""
     octaves = []
-    current = base
     for _ in range(depth):
-        stack = [current]
-        for inc in increments:
-            stack.append(_blur(stack[-1], float(inc)))
-        octaves.append(stack)
-        # layer s has exactly twice the octave's base blur
-        current = stack[s][::2, ::2]
-    return ScaleSpace(octaves=octaves)
+        octaves.append(_grow([current], increments, split=False))
+        # layer s = _SCALES_PER_OCTAVE has exactly twice the octave's base blur
+        current = octaves[-1][_SCALES_PER_OCTAVE][::2, ::2]
+    return octaves
 
 
 def _strong_voxels(dog: np.ndarray) -> np.ndarray:

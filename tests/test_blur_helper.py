@@ -1,8 +1,9 @@
 """The blur's one helper thread (sift._blur): it starts at the first
 plane large enough to split and never before, there is one for the
-process however many CPUs it may use, and a forked child neither hangs
-on its parent's helper nor changes a byte. Each check runs in a fresh
-interpreter, since this one may have started the helper already."""
+process however many CPUs it may use, an input whose upper octaves are
+large too builds them on it without a hang, and a forked child neither
+hangs on its parent's helper nor changes a byte. Each check runs in a
+fresh interpreter, since this one may have started the helper already."""
 
 import json
 import multiprocessing
@@ -57,6 +58,40 @@ def test_one_helper_for_every_large_blur():
     assert first == ["graphsift-blur_0"]
     assert second == first
     assert a == b == PINNED
+
+
+def test_large_upper_octaves_on_the_helper_do_not_hang():
+    # octave 1 of a 400x384 input is 153600 pixels, above the split; the
+    # helper builds it, and a split blur there would wait for itself
+    # forever. Every plane must still be serial gaussian_filter's bytes.
+    same, started = run("""
+import math
+import numpy as np
+from scipy import ndimage
+from graphsift import sift
+from graphsift.imageio import GrayImage
+
+img = GrayImage(np.random.default_rng(8).integers(0, 256, (384, 400), dtype=np.uint8))
+ss = sift.build_scale_space(img)
+
+def blur(a, sigma):
+    return ndimage.gaussian_filter(a, sigma, mode="mirror", truncate=4.0)
+
+sigmas = 1.6 * (2.0 ** (1.0 / 3)) ** np.arange(6)
+increments = np.sqrt(sigmas[1:] ** 2 - sigmas[:-1] ** 2)
+doubled = sift._upsample2x(img.pixels.astype(np.float32) / np.float32(255.0))
+want = [blur(doubled, math.sqrt(1.6**2 - 1.0))]
+same = []
+for stack in ss.octaves:
+    for inc in increments:
+        want.append(blur(want[-1], float(inc)))
+    same.append(len(stack) == 6
+                and all(a.tobytes() == b.tobytes() for a, b in zip(stack, want)))
+    want = [want[3][::2, ::2]]
+print(json.dumps([same, threads()]))
+""")
+    assert same == [True] * 7
+    assert started == ["graphsift-blur_0"]
 
 
 @pytest.mark.skipif(

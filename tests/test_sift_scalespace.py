@@ -165,3 +165,60 @@ def test_blur_in_halves_waits_for_the_helper_before_raising(monkeypatch):
     with pytest.raises(MemoryError, match="caller half"):
         sift._blur(np.ones((40, 30), dtype=np.float32), 1.5)
     assert len(finished) == 1
+
+
+def _random_image(side: int) -> GrayImage:
+    pixels = np.random.default_rng(5).integers(0, 256, (side, side), dtype=np.uint8)
+    return GrayImage(pixels)
+
+
+def test_large_scale_space_builds_upper_octaves_on_the_helper(monkeypatch):
+    # a 256-px image: octave 0 is 512x512, split in halves for layers 0
+    # to 3, and octaves 1 to 6 (256x256 down to 8x8) go to the helper
+    filter1d = ndimage.gaussian_filter1d
+    calls = []
+
+    def recording(src, *args, **kwargs):
+        calls.append((_on_helper(), src.shape))
+        return filter1d(src, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "gaussian_filter1d", recording)
+    build_scale_space(_random_image(256))
+    upper = [helper for helper, (h, w) in calls if h == w < 512]
+    assert len(upper) == 6 * 5 * 2 and all(upper)
+    # layers 4 and 5 of octave 0, whole and here, two passes each
+    assert [helper for helper, shape in calls if shape == (512, 512)] == [False] * 4
+
+
+def test_scale_space_raises_the_helpers_octave_error(monkeypatch):
+    filter1d = ndimage.gaussian_filter1d
+
+    def failing_on_octave_1(src, *args, **kwargs):
+        if _on_helper() and src.shape == (256, 256):
+            raise MemoryError("octave 1")
+        return filter1d(src, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "gaussian_filter1d", failing_on_octave_1)
+    with pytest.raises(MemoryError, match="octave 1"):
+        build_scale_space(_random_image(256))
+
+
+def test_scale_space_waits_for_the_helpers_octaves_before_raising(monkeypatch):
+    filter1d = ndimage.gaussian_filter1d
+    upper_done = []
+
+    def slow_octaves_failing_layer_4(src, *args, **kwargs):
+        if src.shape == (512, 512):
+            raise MemoryError("layer 4")
+        if _on_helper() and src.shape[0] == src.shape[1]:
+            if not upper_done:
+                time.sleep(0.2)
+            upper_done.append(filter1d(src, *args, **kwargs))
+            return upper_done[-1]
+        return filter1d(src, *args, **kwargs)
+
+    monkeypatch.setattr(ndimage, "gaussian_filter1d", slow_octaves_failing_layer_4)
+    with pytest.raises(MemoryError, match="layer 4"):
+        build_scale_space(_random_image(256))
+    # every pass of octaves 1 to 6 had run when the error was raised
+    assert len(upper_done) == 6 * 5 * 2
